@@ -3,14 +3,17 @@
 One subcommand per task: ``analyze`` (balance solution + stability verdict),
 ``distribution`` (pdf/ccdf/quantile tables), ``simulate`` (single-node DES),
 ``chain`` (tandem chain, analytic and simulated), ``dimension`` (admissible
-throughput), ``sweep`` (generic one-variable sweep), ``figure`` (canned data
-files fig2..fig6) and ``validate`` (the acceptance suite).
+throughput), ``sweep`` (generic one-variable sweep), ``figure`` (fig2..fig6
+data files, each built from sweeps) and ``validate`` (the acceptance suite).
 
-Parameters come from flags, from a JSON config file with sections
-{node|chain, controller, sim, sweep, output}, or both; flags override file
-values.  Service rates may be given per second (``mu_switch``) or as mean
-service times in microseconds (``mu_switch_us``); giving both forms of the
-same parameter in one source is an error.
+One resolver, ``resolve``, gives every command its parameters under one rule:
+flag > config file > ``SDNQUEUE_SEED`` (the seed only) > default.  Every
+command except ``figure`` and ``validate`` takes a JSON config file
+(``--config``, read once) with sections {node|chain, controller, sim, sweep,
+output}; ``runconfig_from_json`` runs the same resolver with no flags.
+Service rates may be given per second (``mu_switch``) or as mean service
+times in microseconds (``mu_switch_us``); giving both forms of the same
+parameter in one source is an error.
 
 Exit codes: 0 success, 1 usage/config error, 2 model unstable, 3 validation
 failure.  CSV output is RFC-4180 style (header row, '.' decimal separator,
@@ -25,7 +28,8 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from contextlib import contextmanager
+from dataclasses import asdict, dataclass, replace
 
 from .analytic import (
     ChainModel,
@@ -54,16 +58,19 @@ from . import validation
 
 SEED_ENV_VAR = "SDNQUEUE_SEED"
 _DEFAULT_SEED = 12345
-_DEFAULT_Q_SET = (0.2, 0.5, 1.0)
-_DEFAULT_MU_C_US_SET = (120.0, 240.0, 480.0)
 _FIGURES = ("fig2", "fig3", "fig4", "fig5", "fig6")
 
-_CONFIG_SECTIONS = {"node", "chain", "controller", "sim", "sweep", "output"}
-_NODE_KEYS = {"lambda", "q_nf", "mu_switch", "mu_switch_us"}
-_CTRL_KEYS = {"mu_controller", "mu_controller_us"}
-_SIM_KEYS = {"seed", "packets_per_replication", "replications", "warmup_fraction"}
-_SWEEP_KEYS = {"variable", "grid", "outputs", "deadline"}
-_OUTPUT_KEYS = {"path", "format"}
+# Config sections and their keys.  A key's flag has the key's name as its
+# argparse dest, except where _FLAG_DEST says otherwise.
+_SECTION_KEYS = {
+    "node": {"lambda", "q_nf", "mu_switch", "mu_switch_us"},
+    "chain": {"nodes"},
+    "controller": {"mu_controller", "mu_controller_us"},
+    "sim": {"seed", "packets_per_replication", "replications", "warmup_fraction"},
+    "sweep": {"variable", "grid", "outputs", "deadline"},
+    "output": {"path", "format"},
+}
+_FLAG_DEST = {"lambda": "lam", "packets_per_replication": "packets", "path": "output"}
 
 
 class CliError(Exception):
@@ -75,66 +82,47 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(message)
 
 
+@contextmanager
+def _usage_errors():
+    """Report the library's parameter checks (ValueError) as usage errors."""
+    try:
+        yield
+    except ValueError as exc:
+        raise CliError(str(exc)) from exc
+
+
 @dataclass(frozen=True)
 class RunConfig:
-    """Fully resolved run description (the JSON config round-trips through it)."""
+    """Fully resolved run description: what every command runs on, and what
+    the JSON config round-trips through.  Parts a command does not use are None."""
 
     node: NodeParams | None
     chain: ChainModel | None
-    controller: ControllerParams
-    sim: SimConfig
+    controller: ControllerParams | None
+    sim: SimConfig | None
     sweep: SweepSpec | None
     output_path: str | None
     output_format: str = "csv"
 
 
 def runconfig_to_dict(cfg: RunConfig) -> dict:
+    def node(n: NodeParams) -> dict:
+        return {"lambda": n.lam, "q_nf": n.q_nf, "mu_switch": n.mu_switch}
+
     doc: dict = {}
     if cfg.node is not None:
-        doc["node"] = {"lambda": cfg.node.lam, "q_nf": cfg.node.q_nf,
-                       "mu_switch": cfg.node.mu_switch}
+        doc["node"] = node(cfg.node)
     if cfg.chain is not None:
-        doc["chain"] = {"nodes": [{"lambda": n.lam, "q_nf": n.q_nf,
-                                   "mu_switch": n.mu_switch} for n in cfg.chain.nodes]}
-    doc["controller"] = {"mu_controller": cfg.controller.mu_controller}
-    doc["sim"] = {"seed": cfg.sim.seed,
-                  "packets_per_replication": cfg.sim.packets_per_replication,
-                  "replications": cfg.sim.replications,
-                  "warmup_fraction": cfg.sim.warmup_fraction}
-    if cfg.sweep is not None:
-        doc["sweep"] = {"variable": cfg.sweep.variable,
-                        "grid": list(cfg.sweep.grid),
-                        "outputs": list(cfg.sweep.outputs),
-                        "deadline": cfg.sweep.deadline}
+        doc["chain"] = {"nodes": [node(n) for n in cfg.chain.nodes]}
+    if cfg.controller is not None:
+        doc["controller"] = asdict(cfg.controller)
+    if cfg.sim is not None:
+        doc["sim"] = asdict(cfg.sim)
+    if (spec := cfg.sweep) is not None:
+        doc["sweep"] = {"variable": spec.variable, "grid": list(spec.grid),
+                        "outputs": list(spec.outputs), "deadline": spec.deadline}
     doc["output"] = {"path": cfg.output_path, "format": cfg.output_format}
     return doc
-
-
-def runconfig_from_dict(doc: dict) -> RunConfig:
-    _check_keys("config", doc, _CONFIG_SECTIONS)
-    if "node" in doc and "chain" in doc:
-        raise CliError("config must give either 'node' or 'chain', not both")
-    controller = _controller_from_section(doc.get("controller", {}))
-    node = _node_from_section(doc["node"]) if "node" in doc else None
-    chain = None
-    if "chain" in doc:
-        chain_sec = doc["chain"]
-        _check_keys("chain", chain_sec, {"nodes"})
-        nodes = tuple(_node_from_section(s) for s in chain_sec.get("nodes", []))
-        chain = ChainModel(nodes=nodes, controller=controller)
-    sim = _sim_from_section(doc.get("sim", {}), seed_default=_env_seed())
-    spec = None
-    if "sweep" in doc:
-        if node is None:
-            raise CliError("a 'sweep' section needs a 'node' section")
-        spec = _sweep_from_section(doc["sweep"], node, controller, sim)
-    out = doc.get("output", {})
-    _check_keys("output", out, _OUTPUT_KEYS)
-    fmt = out.get("format", "csv")
-    if fmt not in ("csv", "json"):
-        raise CliError(f"output.format must be 'csv' or 'json', got {fmt!r}")
-    return RunConfig(node=node, chain=chain, controller=controller, sim=sim,
-                     sweep=spec, output_path=out.get("path"), output_format=fmt)
 
 
 def runconfig_to_json(cfg: RunConfig) -> str:
@@ -142,10 +130,58 @@ def runconfig_to_json(cfg: RunConfig) -> str:
 
 
 def runconfig_from_json(text: str) -> RunConfig:
-    return runconfig_from_dict(json.loads(text))
+    return resolve(json.loads(text))
 
 
-def _check_keys(section: str, d: dict, allowed: set[str]) -> None:
+# ---------------------------------------------------------------------------
+# the resolver
+
+def resolve(doc: dict, flags: dict | None = None, want=None,
+            defaults: dict | None = None) -> RunConfig:
+    """Build the parts named in ``want`` ("node", "chain", "controller",
+    "sim", "sweep") plus the output path and format, taking each value from
+    ``flags`` (argparse dests; None = not given), else the config document,
+    else the command's ``defaults``; a seed given by neither flag nor file
+    comes from ``SDNQUEUE_SEED``.  Without ``want``, the controller, the
+    simulation plan and every section ``doc`` has are built: that is how a
+    config document is read on its own.
+    """
+    _check_keys("config", doc, _SECTION_KEYS)
+    for name, section in doc.items():
+        _check_keys(name, section, _SECTION_KEYS[name])
+    for node_sec in doc.get("chain", {}).get("nodes", []):
+        _check_keys("node", node_sec, _SECTION_KEYS["node"])
+    if "node" in doc and "chain" in doc:
+        raise CliError("config must give either 'node' or 'chain', not both")
+    if want is None:
+        want = {"controller", "sim"} | (doc.keys() & {"node", "chain", "sweep"})
+    flags = flags or {}
+    defaults = defaults or {}
+
+    def layers(name: str) -> list[dict]:
+        from_flags = {key: flags.get(_FLAG_DEST.get(key, key)) for key in _SECTION_KEYS[name]}
+        return [from_flags, doc.get(name, {}), defaults.get(name, {})]
+
+    with _usage_errors():
+        # a sweep varies one field of the node, so it needs the node too
+        node = _node(layers("node")) if "node" in want or "sweep" in want else None
+        ctrl = (ControllerParams(_rate(layers("controller"), "mu_controller",
+                                       "mu_controller_us", "controller service rate"))
+                if "controller" in want else None)
+        chain = _chain(flags, doc, ctrl) if "chain" in want else None
+        sim = _sim(layers("sim")) if "sim" in want else None
+        spec = _sweep(layers("sweep"), node, ctrl, sim) if "sweep" in want else None
+        fmt = _pick(layers("output"), "format", "csv")
+        if fmt not in ("csv", "json"):
+            raise CliError(f"output format must be 'csv' or 'json', got {fmt!r}")
+        return RunConfig(node=node, chain=chain, controller=ctrl, sim=sim, sweep=spec,
+                         output_path=_pick(layers("output"), "path"), output_format=fmt)
+
+
+runconfig_from_dict = resolve  # a config document read on its own
+
+
+def _check_keys(section: str, d: dict, allowed) -> None:
     if not isinstance(d, dict):
         raise CliError(f"config section {section!r} must be an object")
     for key in d:
@@ -154,92 +190,97 @@ def _check_keys(section: str, d: dict, allowed: set[str]) -> None:
                            f"allowed: {sorted(allowed)}")
 
 
-def _rate_from_pair(section: dict, rate_key: str, us_key: str, what: str,
-                    flag_rate: float | None = None,
-                    flag_us: float | None = None) -> float:
-    if flag_rate is not None and flag_us is not None:
-        raise CliError(f"give either --{rate_key.replace('_', '-')} or "
-                       f"--{us_key.replace('_', '-')}, not both")
-    if flag_rate is not None:
-        return float(flag_rate)
-    if flag_us is not None:
-        return rate_from_us(float(flag_us))
-    has_rate = section.get(rate_key) is not None
-    has_us = section.get(us_key) is not None
-    if has_rate and has_us:
-        raise CliError(f"config gives both {rate_key!r} and {us_key!r}; pick one")
-    if has_rate:
-        return float(section[rate_key])
-    if has_us:
-        return rate_from_us(float(section[us_key]))
+def _pick(layers: list[dict], key: str, default=None, required: str = ""):
+    for section in layers:
+        if section.get(key) is not None:
+            return section[key]
+    if required:
+        raise CliError(f"missing {key!r} ({required})")
+    return default
+
+
+def _rate(layers: list[dict], rate_key: str, us_key: str, what: str) -> float:
+    for section in layers:
+        rate, us = section.get(rate_key), section.get(us_key)
+        if rate is not None and us is not None:
+            raise CliError(f"give either {rate_key!r} or {us_key!r}, not both")
+        if rate is not None:
+            return float(rate)
+        if us is not None:
+            return rate_from_us(float(us))
     raise CliError(f"missing {what}: set {rate_key!r} (per second) or "
                    f"{us_key!r} (microseconds)")
 
 
-def _node_from_section(section: dict, args=None) -> NodeParams:
-    _check_keys("node", section, _NODE_KEYS)
-    lam = getattr(args, "lam", None) if args is not None else None
-    q_nf = getattr(args, "q_nf", None) if args is not None else None
-    if lam is None:
-        lam = section.get("lambda")
-    if q_nf is None:
-        q_nf = section.get("q_nf")
-    if lam is None:
-        raise CliError("missing 'lambda' (external arrival rate, per second)")
-    if q_nf is None:
-        raise CliError("missing 'q_nf' (new-flow probability)")
-    mu = _rate_from_pair(section, "mu_switch", "mu_switch_us", "switch service rate",
-                         getattr(args, "mu_switch", None) if args is not None else None,
-                         getattr(args, "mu_switch_us", None) if args is not None else None)
-    try:
-        return NodeParams(lam=float(lam), mu_switch=mu, q_nf=float(q_nf))
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+def _node(layers: list[dict]) -> NodeParams:
+    lam = _pick(layers, "lambda", required="external arrival rate, per second")
+    q_nf = _pick(layers, "q_nf", required="new-flow probability")
+    mu = _rate(layers, "mu_switch", "mu_switch_us", "switch service rate")
+    return NodeParams(lam=float(lam), mu_switch=mu, q_nf=float(q_nf))
 
 
-def _controller_from_section(section: dict, args=None) -> ControllerParams:
-    _check_keys("controller", section, _CTRL_KEYS)
-    mu = _rate_from_pair(section, "mu_controller", "mu_controller_us",
-                         "controller service rate",
-                         getattr(args, "mu_controller", None) if args is not None else None,
-                         getattr(args, "mu_controller_us", None) if args is not None else None)
-    try:
-        return ControllerParams(mu_controller=mu)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+def _chain(flags: dict, doc: dict, ctrl: ControllerParams) -> ChainModel:
+    """Chain nodes from the ``chain`` command's comma-list flags when --lam is
+    given (one switch rate may serve every node), else from the config."""
+    if flags.get("lam") is not None:
+        lists: dict[str, list[float]] = {}
+        for key in ("lambda", "q_nf", "mu_switch", "mu_switch_us"):
+            dest = _FLAG_DEST.get(key, key)
+            if flags.get(dest) is None:
+                continue
+            flag = "--" + dest.replace("_", "-")
+            lists[key] = _parse_float_list(flags[dest], flag)
+            if key.startswith("mu_switch") and len(lists[key]) == 1:
+                lists[key] *= len(lists["lambda"])
+            if len(lists[key]) != len(lists["lambda"]):
+                raise CliError(f"{flag} must list one value per node")
+        sections = [{key: values[i] for key, values in lists.items()}
+                    for i in range(len(lists["lambda"]))]
+    elif "chain" in doc:
+        sections = doc["chain"].get("nodes", [])
+    else:
+        raise CliError("give chain nodes via --lam/--q-nf/--mu-switch-us lists "
+                       "or a config file with a 'chain' section")
+    return ChainModel(nodes=tuple(_node([s]) for s in sections), controller=ctrl)
 
 
 def _env_seed() -> int:
-    raw = os.environ.get(SEED_ENV_VAR)
-    if raw is None:
-        return _DEFAULT_SEED
+    raw = os.environ.get(SEED_ENV_VAR, str(_DEFAULT_SEED))
     try:
         return int(raw)
     except ValueError as exc:
         raise CliError(f"{SEED_ENV_VAR} must be an integer, got {raw!r}") from exc
 
 
-def _sim_from_section(section: dict, args=None, seed_default: int | None = None) -> SimConfig:
-    _check_keys("sim", section, _SIM_KEYS)
-    if seed_default is None:
-        seed_default = _env_seed()
-    def pick(flag_name, key, default):
-        val = getattr(args, flag_name, None) if args is not None else None
-        if val is None:
-            val = section.get(key)
-        return default if val is None else val
-    try:
-        return SimConfig(
-            seed=int(pick("seed", "seed", seed_default)),
-            packets_per_replication=int(pick("packets", "packets_per_replication", 200_000)),
-            replications=int(pick("replications", "replications", 5)),
-            warmup_fraction=float(pick("warmup_fraction", "warmup_fraction", 0.1)),
-        )
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+def _sim(layers: list[dict]) -> SimConfig:
+    # the environment is read only when no flag or file gives a seed, so a
+    # malformed value there cannot fail a run that does not use it
+    seed = _pick(layers, "seed")
+    return SimConfig(seed=int(_env_seed() if seed is None else seed),
+                     packets_per_replication=int(_pick(layers, "packets_per_replication",
+                                                       200_000)),
+                     replications=int(_pick(layers, "replications", 5)),
+                     warmup_fraction=float(_pick(layers, "warmup_fraction", 0.1)))
+
+
+def _sweep(layers: list[dict], node: NodeParams, ctrl: ControllerParams,
+           sim: SimConfig) -> SweepSpec:
+    variable = _pick(layers, "variable", required=f"one of {SWEEP_VARIABLES}")
+    raw_grid = _pick(layers, "grid", required="the swept values")
+    outputs = _pick(layers, "outputs", ("analytic_mean",))
+    if isinstance(outputs, str):
+        outputs = [s.strip() for s in outputs.split(",")]
+    return SweepSpec(variable=str(variable), grid=_parse_grid(raw_grid), node=node,
+                     controller=ctrl, outputs=tuple(outputs),
+                     deadline=float(_pick(layers, "deadline", 5e-4)), sim=sim)
 
 
 def _parse_grid(raw) -> tuple[float, ...]:
+    if isinstance(raw, str) and ":" in raw:
+        parts = raw.split(":")
+        if len(parts) not in (3, 4):
+            raise CliError("grid spec must be start:stop:count[:log]")
+        raw = dict(zip(("start", "stop", "count", "spacing"), parts))
     if isinstance(raw, dict):
         _check_keys("sweep.grid", raw, {"start", "stop", "count", "spacing"})
         try:
@@ -247,16 +288,9 @@ def _parse_grid(raw) -> tuple[float, ...]:
             count = int(raw.get("count", 10))
         except KeyError as exc:
             raise CliError(f"sweep.grid needs {exc.args[0]!r}") from exc
-        spacing = raw.get("spacing", "linear")
-        return _make_grid(start, stop, count, spacing)
+        return _make_grid(start, stop, count, raw.get("spacing", "linear"))
     if isinstance(raw, str):
-        if ":" in raw:
-            parts = raw.split(":")
-            if len(parts) not in (3, 4):
-                raise CliError("grid spec must be start:stop:count[:log]")
-            spacing = parts[3] if len(parts) == 4 else "linear"
-            return _make_grid(float(parts[0]), float(parts[1]), int(parts[2]), spacing)
-        return tuple(float(x) for x in raw.split(","))
+        raw = raw.split(",")
     return tuple(float(x) for x in raw)
 
 
@@ -275,33 +309,11 @@ def _make_grid(start: float, stop: float, count: int, spacing: str) -> tuple[flo
     return tuple(start + (stop - start) * k / (count - 1) for k in range(count))
 
 
-def _sweep_from_section(section: dict, node: NodeParams, ctrl: ControllerParams,
-                        sim: SimConfig, args=None) -> SweepSpec:
-    _check_keys("sweep", section, _SWEEP_KEYS)
-    def pick(flag_name, key):
-        val = getattr(args, flag_name, None) if args is not None else None
-        return section.get(key) if val is None else val
-    variable = pick("variable", "variable")
-    if variable is None:
-        raise CliError("missing 'variable' in sweep section")
-    raw_grid = pick("grid", "grid")
-    if raw_grid is None:
-        raise CliError("missing 'grid' in sweep section")
-    outputs = pick("outputs", "outputs")
-    if outputs is None:
-        outputs = ("analytic_mean",)
-    elif isinstance(outputs, str):
-        outputs = tuple(s.strip() for s in outputs.split(","))
-    else:
-        outputs = tuple(outputs)
-    deadline = pick("deadline", "deadline")
-    deadline = 5e-4 if deadline is None else float(deadline)
+def _parse_float_list(raw: str, what: str, kind=float) -> list:
     try:
-        return SweepSpec(variable=str(variable), grid=_parse_grid(raw_grid),
-                         node=node, controller=ctrl, outputs=outputs,
-                         deadline=deadline, sim=sim)
+        return [kind(x) for x in raw.split(",")]
     except ValueError as exc:
-        raise CliError(str(exc)) from exc
+        raise CliError(f"{what} must be a comma-separated list of numbers") from exc
 
 
 def _load_config(path: str | None) -> dict:
@@ -309,13 +321,16 @@ def _load_config(path: str | None) -> dict:
         return {}
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+            return json.load(fh)
     except FileNotFoundError as exc:
         raise CliError(f"config file not found: {path}") from exc
     except json.JSONDecodeError as exc:
         raise CliError(f"config file {path} is not valid JSON: {exc}") from exc
-    _check_keys("config", doc, _CONFIG_SECTIONS)
-    return doc
+
+
+def _resolve_args(args, *want: str, defaults: dict | None = None) -> RunConfig:
+    """Resolve a parsed command line, reading its config file once."""
+    return resolve(_load_config(getattr(args, "config", None)), vars(args), want, defaults)
 
 
 # ---------------------------------------------------------------------------
@@ -335,19 +350,15 @@ def _jsonable(value):
     return value
 
 
-def _write_table(path: str | None, fmt: str, columns: list[str], rows: list[dict]) -> None:
-    if fmt == "json":
-        payload = {"columns": columns,
-                   "rows": [{c: _jsonable(r.get(c)) for c in columns} for r in rows]}
-        text = json.dumps(payload, indent=2) + "\n"
-        if path is None:
-            sys.stdout.write(text)
-        else:
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        return
-    out = sys.stdout if path is None else open(path, "w", newline="", encoding="utf-8")
+def _write_table(cfg: RunConfig, columns: list[str], rows: list[dict]) -> None:
+    out = (sys.stdout if cfg.output_path is None
+           else open(cfg.output_path, "w", newline="", encoding="utf-8"))
     try:
+        if cfg.output_format == "json":
+            payload = {"columns": columns,
+                       "rows": [{c: _jsonable(r.get(c)) for c in columns} for r in rows]}
+            out.write(json.dumps(payload, indent=2) + "\n")
+            return
         writer = csv.writer(out)
         writer.writerow(columns)
         for row in rows:
@@ -360,22 +371,10 @@ def _write_table(path: str | None, fmt: str, columns: list[str], rows: list[dict
 # ---------------------------------------------------------------------------
 # subcommands
 
-def _resolve_output(args, doc: dict) -> tuple[str | None, str]:
-    out_sec = doc.get("output", {})
-    _check_keys("output", out_sec, _OUTPUT_KEYS)
-    path = args.output if args.output is not None else out_sec.get("path")
-    fmt = args.format if args.format is not None else out_sec.get("format", "csv")
-    if fmt not in ("csv", "json"):
-        raise CliError(f"output format must be 'csv' or 'json', got {fmt!r}")
-    return path, fmt
-
-
 def _cmd_analyze(args) -> int:
-    doc = _load_config(args.config)
-    node = _node_from_section(doc.get("node", {}), args)
-    ctrl = _controller_from_section(doc.get("controller", {}), args)
+    cfg = _resolve_args(args, "node", "controller")
+    node, ctrl = cfg.node, cfg.controller
     rates = solve_rates(node, ctrl)
-    stable = rates.stable
     print("parameters:")
     print(f"  lambda            {node.lam:.6f} /s")
     print(f"  mu_switch         {node.mu_switch:.6f} /s  ({1e6 / node.mu_switch:.3f} us)")
@@ -388,11 +387,9 @@ def _cmd_analyze(args) -> int:
     print(f"  rho_switch        {rates.rho_switch:.6f}")
     print(f"  rho_controller    {rates.rho_controller:.6f}")
     row = {"lambda": node.lam, "mu_switch": node.mu_switch,
-           "mu_controller": ctrl.mu_controller, "q_nf": node.q_nf,
-           "gamma_switch": rates.gamma_switch,
-           "gamma_controller": rates.gamma_controller, "q_jack": rates.q_jack,
-           "rho_switch": rates.rho_switch, "rho_controller": rates.rho_controller}
-    if stable:
+           "mu_controller": ctrl.mu_controller, "q_nf": node.q_nf, **asdict(rates)}
+    w_net = w_path = None
+    if rates.stable:
         w_net = mean_sojourn_jackson(rates, node)
         w_path = mean_sojourn_openflow(node, ctrl, rates)
         print("mean sojourn:")
@@ -400,118 +397,64 @@ def _cmd_analyze(args) -> int:
         print(f"  path form         {w_path * 1e6:.6f} us")
         print(f"  difference        {abs(w_net - w_path):.3e} s (consistency check)")
         verdict = "stable"
-        row.update({"mean_sojourn_network": w_net, "mean_sojourn_path": w_path,
-                    "verdict": verdict})
     else:
         verdict = "unstable: " + ", ".join(rates.saturated_stations())
         print("mean sojourn:       n/a (saturated)")
-        row.update({"mean_sojourn_network": None, "mean_sojourn_path": None,
-                    "verdict": verdict})
+    row.update(mean_sojourn_network=w_net, mean_sojourn_path=w_path, verdict=verdict)
     print(f"verdict: {verdict}")
-    path, fmt = _resolve_output(args, doc)
-    if path:
-        _write_table(path, fmt, list(row.keys()), [row])
-    return 0 if stable else 2
+    if cfg.output_path:
+        _write_table(cfg, list(row.keys()), [row])
+    return 0 if rates.stable else 2
 
 
 def _cmd_distribution(args) -> int:
-    doc = _load_config(args.config)
-    node = _node_from_section(doc.get("node", {}), args)
-    ctrl = _controller_from_section(doc.get("controller", {}), args)
-    dist = build_distribution(node, ctrl, solve_rates(node, ctrl))
-    if args.deadline_us is not None:
-        deadline = args.deadline_us * 1e-6
-        p = prob_within_deadline(dist, deadline)
-        print(f"P(sojourn <= {args.deadline_us:g} us) = {p:.6f}")
-    path, fmt = _resolve_output(args, doc)
-    if args.quantiles:
-        ps = [float(x) for x in args.quantiles.split(",")]
-        rows = [{"p": p, "quantile": quantile(dist, p)} for p in ps]
-        _write_table(path, fmt, ["p", "quantile"], rows)
-        return 0
-    t_max = args.t_max if args.t_max is not None else quantile(dist, 0.9999)
-    points = args.points
-    ts = [t_max * k / (points - 1) for k in range(points)]
-    rows = [{"t": t, "pdf": float(pdf(dist, t)), "ccdf": float(ccdf(dist, t))}
-            for t in ts]
-    _write_table(path, fmt, ["t", "pdf", "ccdf"], rows)
+    cfg = _resolve_args(args, "node", "controller")
+    dist = build_distribution(cfg.node, cfg.controller, solve_rates(cfg.node, cfg.controller))
+    with _usage_errors():  # a deadline, probability or time outside the law's domain
+        if args.deadline_us is not None:
+            p = prob_within_deadline(dist, args.deadline_us * 1e-6)
+            print(f"P(sojourn <= {args.deadline_us:g} us) = {p:.6f}")
+        if args.quantiles:
+            ps = _parse_float_list(args.quantiles, "--quantiles")
+            rows = [{"p": p, "quantile": quantile(dist, p)} for p in ps]
+            _write_table(cfg, ["p", "quantile"], rows)
+            return 0
+        points = args.points
+        if points < 2:
+            raise CliError(f"--points must be >= 2, got {points}")
+        t_max = args.t_max if args.t_max is not None else quantile(dist, 0.9999)
+        ts = [t_max * k / (points - 1) for k in range(points)]
+        rows = [{"t": t, "pdf": float(pdf(dist, t)), "ccdf": float(ccdf(dist, t))}
+                for t in ts]
+    _write_table(cfg, ["t", "pdf", "ccdf"], rows)
     return 0
 
 
 def _cmd_simulate(args) -> int:
-    doc = _load_config(args.config)
-    node = _node_from_section(doc.get("node", {}), args)
-    ctrl = _controller_from_section(doc.get("controller", {}), args)
-    cfg = _sim_from_section(doc.get("sim", {}), args)
-    res = run_single_node(node, ctrl, cfg)
-    print(f"replications        {cfg.replications} x {cfg.packets_per_replication} packets "
-          f"(seed {cfg.seed}, warmup {cfg.warmup_fraction})")
+    cfg = _resolve_args(args, "node", "controller", "sim")
+    sim = cfg.sim
+    res = run_single_node(cfg.node, cfg.controller, sim)
+    print(f"replications        {sim.replications} x {sim.packets_per_replication} packets "
+          f"(seed {sim.seed}, warmup {sim.warmup_fraction})")
     print(f"mean sojourn        {res.mean_sojourn * 1e6:.6f} us")
     print(f"95% CI halfwidth    {res.ci_halfwidth * 1e6:.6f} us")
     print(f"controller visits   {res.controller_visit_fraction:.6f} of packets")
     for i, m in enumerate(res.per_replication_means):
         print(f"  replication {i}     {m * 1e6:.6f} us")
-    path, fmt = _resolve_output(args, doc)
-    if path:
-        columns = ["replication", "mean_sojourn", "ci_halfwidth",
-                   "controller_visit_fraction"]
+    if cfg.output_path:
+        columns = ["replication", "mean_sojourn", "ci_halfwidth", "controller_visit_fraction"]
         rows = [{"replication": i, "mean_sojourn": m}
                 for i, m in enumerate(res.per_replication_means)]
         rows.append({"replication": "all", "mean_sojourn": res.mean_sojourn,
                      "ci_halfwidth": res.ci_halfwidth,
                      "controller_visit_fraction": res.controller_visit_fraction})
-        _write_table(path, fmt, columns, rows)
+        _write_table(cfg, columns, rows)
     return 0
 
 
-def _parse_float_list(raw: str, what: str) -> list[float]:
-    try:
-        return [float(x) for x in raw.split(",")]
-    except ValueError as exc:
-        raise CliError(f"{what} must be a comma-separated list of numbers") from exc
-
-
-def _chain_from_args(args) -> ChainModel:
-    doc = _load_config(args.config)
-    if "chain" in doc and args.lam is None:
-        ctrl = _controller_from_section(doc.get("controller", {}), args)
-        chain_sec = doc["chain"]
-        _check_keys("chain", chain_sec, {"nodes"})
-        nodes = tuple(_node_from_section(s) for s in chain_sec.get("nodes", []))
-        if not nodes:
-            raise CliError("chain.nodes must list at least one node")
-        return ChainModel(nodes=nodes, controller=ctrl)
-    if args.lam is None:
-        raise CliError("give chain nodes via --lam/--q-nf/--mu-switch-us lists "
-                       "or a config file with a 'chain' section")
-    lams = _parse_float_list(args.lam, "--lam")
-    qs = _parse_float_list(args.q_nf, "--q-nf") if args.q_nf else None
-    if qs is None or len(qs) != len(lams):
-        raise CliError("--q-nf must list one value per node")
-    if args.mu_switch is not None and args.mu_switch_us is not None:
-        raise CliError("give either --mu-switch or --mu-switch-us, not both")
-    if args.mu_switch is not None:
-        mus = _parse_float_list(args.mu_switch, "--mu-switch")
-    elif args.mu_switch_us is not None:
-        mus = [rate_from_us(v) for v in _parse_float_list(args.mu_switch_us, "--mu-switch-us")]
-    else:
-        raise CliError("missing switch service rates: --mu-switch or --mu-switch-us")
-    if len(mus) == 1:
-        mus = mus * len(lams)
-    if len(mus) != len(lams):
-        raise CliError("--mu-switch(-us) must list one value per node (or a single "
-                       "shared value)")
-    ctrl = _controller_from_section(_load_config(args.config).get("controller", {}), args)
-    try:
-        nodes = tuple(NodeParams(lam=l, mu_switch=m, q_nf=q)
-                      for l, m, q in zip(lams, mus, qs))
-        return ChainModel(nodes=nodes, controller=ctrl)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
-
-
 def _cmd_chain(args) -> int:
-    chain = _chain_from_args(args)
+    cfg = _resolve_args(args, "chain", "controller", *(("sim",) if args.simulate else ()))
+    chain = cfg.chain
     solution = solve_chain(chain)
     print(f"controller: gamma {solution.gamma_controller:.6f} /s, "
           f"rho {solution.rho_controller:.6f}")
@@ -519,81 +462,58 @@ def _cmd_chain(args) -> int:
         print(f"node {i}: lambda {node.lam:g} /s, gamma {r.gamma_switch:.6f} /s, "
               f"q_jack {r.q_jack:.9f}, rho {r.rho_switch:.6f}")
     sojourns = chain_sojourn(chain, solution)  # raises if saturated -> exit 2
-    sim_res = run_chain(chain, _sim_from_section(_load_config(args.config).get("sim", {}), args)) \
-        if args.simulate else None
-    columns = ["class", "lambda", "gamma_switch", "q_jack", "rho_switch",
-               "analytic_mean"]
-    if sim_res is not None:
+    columns = ["class", "lambda", "gamma_switch", "q_jack", "rho_switch", "analytic_mean"]
+    rows = [{"class": i, "lambda": node.lam, "gamma_switch": r.gamma_switch,
+             "q_jack": r.q_jack, "rho_switch": r.rho_switch, "analytic_mean": mean}
+            for i, (node, r, mean) in enumerate(zip(chain.nodes, solution.nodes,
+                                                    sojourns.per_class))]
+    rows.append({"class": "aggregate", "analytic_mean": sojourns.aggregate})
+    if args.simulate:
+        sim_res = run_chain(chain, cfg.sim)
         columns += ["sim_mean", "sim_ci"]
-    rows = []
-    for i, node in enumerate(chain.nodes):
-        r = solution.nodes[i]
-        row = {"class": i, "lambda": node.lam, "gamma_switch": r.gamma_switch,
-               "q_jack": r.q_jack, "rho_switch": r.rho_switch,
-               "analytic_mean": sojourns.per_class[i]}
-        if sim_res is not None:
-            row["sim_mean"] = sim_res.per_class[i].mean_sojourn
-            row["sim_ci"] = sim_res.per_class[i].ci_halfwidth
-        rows.append(row)
-        print(f"class {i}: analytic mean {sojourns.per_class[i] * 1e6:.3f} us"
-              + (f", simulated {rows[-1]['sim_mean'] * 1e6:.3f} us "
-                 f"(ci {rows[-1]['sim_ci'] * 1e6:.3f})" if sim_res is not None else ""))
-    agg = {"class": "aggregate", "analytic_mean": sojourns.aggregate}
-    if sim_res is not None:
-        agg["sim_mean"] = sim_res.aggregate.mean_sojourn
-        agg["sim_ci"] = sim_res.aggregate.ci_halfwidth
-    rows.append(agg)
-    print(f"aggregate: analytic mean {sojourns.aggregate * 1e6:.3f} us"
-          + (f", simulated {agg['sim_mean'] * 1e6:.3f} us (ci {agg['sim_ci'] * 1e6:.3f})"
-             if sim_res is not None else ""))
-    path, fmt = _resolve_output(args, _load_config(args.config))
-    if path:
-        _write_table(path, fmt, columns, rows)
+        for row, res in zip(rows, sim_res.per_class + (sim_res.aggregate,)):
+            row["sim_mean"], row["sim_ci"] = res.mean_sojourn, res.ci_halfwidth
+    for row in rows:
+        label = "aggregate" if row["class"] == "aggregate" else f"class {row['class']}"
+        simulated = (f", simulated {row['sim_mean'] * 1e6:.3f} us "
+                     f"(ci {row['sim_ci'] * 1e6:.3f})" if args.simulate else "")
+        print(f"{label}: analytic mean {row['analytic_mean'] * 1e6:.3f} us{simulated}")
+    if cfg.output_path:
+        _write_table(cfg, columns, rows)
     return 0
 
 
 def _cmd_dimension(args) -> int:
-    doc = _load_config(args.config)
-    node_sec = doc.get("node", {})
-    q_nf = args.q_nf if args.q_nf is not None else node_sec.get("q_nf")
-    if q_nf is None:
-        raise CliError("missing 'q_nf' (new-flow probability)")
-    q_nf = float(q_nf)
-    mu_switch = _rate_from_pair(node_sec, "mu_switch", "mu_switch_us",
-                                "switch service rate", args.mu_switch, args.mu_switch_us)
-    ctrl = _controller_from_section(doc.get("controller", {}), args)
+    # dimensioning solves for the arrival rate: lambda only completes the node
+    cfg = _resolve_args(args, "node", "controller", defaults={"node": {"lambda": 1.0}})
+    node, ctrl = cfg.node, cfg.controller
     if args.delay_bound_us is not None:
         bound = args.delay_bound_us * 1e-6
-        res = max_throughput(bound, q_nf=q_nf, mu_switch=mu_switch,
-                             mu_controller=ctrl.mu_controller)
+        with _usage_errors():
+            res = max_throughput(bound, q_nf=node.q_nf, mu_switch=node.mu_switch,
+                                 mu_controller=ctrl.mu_controller)
         note = "" if res.feasible else f" ({res.note})"
         print(f"max throughput for {args.delay_bound_us:g} us bound: "
               f"{res.rate:.3f} packets/s{note}")
-        path, fmt = _resolve_output(args, doc)
-        if path:
-            _write_table(path, fmt,
-                         ["delay_bound", "throughput", "feasible"],
+        if cfg.output_path:
+            _write_table(cfg, ["delay_bound", "throughput", "feasible"],
                          [{"delay_bound": bound, "throughput": res.rate,
                            "feasible": res.feasible}])
         return 0
-    grid = default_delay_bound_grid(q_nf, mu_switch, ctrl.mu_controller,
+    if args.curve_points < 2:
+        raise CliError(f"--curve-points must be >= 2, got {args.curve_points}")
+    grid = default_delay_bound_grid(node.q_nf, node.mu_switch, ctrl.mu_controller,
                                     points=args.curve_points)
-    rows = [{"delay_bound": b,
-             "throughput": max_throughput(b, q_nf=q_nf, mu_switch=mu_switch,
-                                          mu_controller=ctrl.mu_controller).rate}
-            for b in grid]
-    path, fmt = _resolve_output(args, doc)
-    _write_table(path, fmt, ["delay_bound", "throughput"], rows)
+    rows = sweep(SweepSpec("delay_bound", grid, node, ctrl, outputs=("throughput",)))
+    _write_table(cfg, ["delay_bound", "throughput"], rows)
     return 0
 
 
 def _cmd_sweep(args) -> int:
-    doc = _load_config(args.config)
-    node = _node_from_section(doc.get("node", {}), args)
-    ctrl = _controller_from_section(doc.get("controller", {}), args)
-    sim = _sim_from_section(doc.get("sim", {}), args)
-    spec = _sweep_from_section(doc.get("sweep", {}), node, ctrl, sim, args)
-    rows = sweep(spec)
+    cfg = _resolve_args(args, "node", "controller", "sim", "sweep")
+    spec = cfg.sweep
+    with _usage_errors():
+        rows = sweep(spec)
     columns = [spec.variable]
     if spec.variable != "delay_bound":
         columns.append("lambda")
@@ -603,135 +523,95 @@ def _cmd_sweep(args) -> int:
             if out == "simulated_mean":
                 columns.append("sim_ci_halfwidth")
     columns.append("status")
-    path, fmt = _resolve_output(args, doc)
-    _write_table(path, fmt, columns, rows)
+    _write_table(cfg, columns, rows)
     return 0
 
 
-def _figure_params(args) -> tuple[float, float, int]:
-    mu_switch = rate_from_us(args.mu_switch_us) if args.mu_switch is None \
-        else float(args.mu_switch)
-    mu_ctrl = rate_from_us(args.mu_controller_us) if args.mu_controller is None \
-        else float(args.mu_controller)
-    seed = args.seed if args.seed is not None else _env_seed()
-    return mu_switch, mu_ctrl, seed
+# sweep column -> figure column (fig2, fig3)
+_FIGURE_COLUMNS = {"rho_controller": "rho_c", "naive_mean": "naive_jackson_mean",
+                   "analytic_mean": "modified_jackson_mean", "simulated_mean": "sim_mean",
+                   "sim_ci_halfwidth": "sim_ci"}
+
+
+def _side_by_side(key: str, series: list[tuple[str, str, SweepSpec]]) -> list[dict]:
+    """One row per grid point from (column, label, one-output sweep) series
+    over a shared grid; a sweep status such as "analytic unstable: controller"
+    is reported as "<label> unstable: controller", joined with ';' per row."""
+    rows = [{key: value, "status": []} for value in series[0][2].grid]
+    for column, label, spec in series:
+        for row, point in zip(rows, sweep(spec)):
+            row[column] = point[spec.outputs[0]]
+            if point["status"] != "ok":
+                row["status"].append(f"{label} {point['status'].split(' ', 1)[1]}")
+    for row in rows:
+        row["status"] = ";".join(row["status"]) or "ok"
+    return rows
+
+
+@_usage_errors()
+def _figure_table(args, cfg: RunConfig) -> tuple[list[str], list[dict]]:
+    """Columns and rows of one canned figure; every series is one ``sweep``."""
+    node, ctrl = cfg.node, cfg.controller
+    rho_grid = _parse_grid(args.rho_grid)
+    q_set = _parse_float_list(args.q_set, "--q-set")
+
+    def rho_sweep(outputs, node=node, controller=ctrl, **kw) -> SweepSpec:
+        return SweepSpec("rho_controller", rho_grid, node, controller, outputs, sim=cfg.sim, **kw)
+
+    if args.name == "fig2":
+        spec = rho_sweep(("naive_mean", "analytic_mean", "simulated_mean"))
+        rows = [{_FIGURE_COLUMNS.get(k, k): v for k, v in r.items()} for r in sweep(spec)]
+        return (["rho_c", "naive_jackson_mean", "modified_jackson_mean", "sim_mean",
+                 "sim_ci", "status"], rows)
+    if args.name == "fig3":
+        rows = [{"q_nf": q, **{_FIGURE_COLUMNS.get(k, k): v for k, v in r.items()}}
+                for q in (0.2, 1.0)
+                for r in sweep(rho_sweep(("analytic_mean", "simulated_mean"),
+                                         replace(node, q_nf=q)))]
+        return (["q_nf", "rho_c", "modified_jackson_mean", "sim_mean", "sim_ci",
+                 "status"], rows)
+    key, status = "rho_c", ["status"]
+    if args.name == "fig4":
+        # common log grid spanning every q's knee through deep saturation
+        w0s = [zero_load_sojourn(q, node.mu_switch, ctrl.mu_controller) for q in q_set]
+        grid = _make_grid(1.05 * min(w0s), 100.0 * max(w0s), args.points, "log")
+        series = [(f"throughput_qnf_{q:g}", f"q_nf={q:g}",
+                   SweepSpec("delay_bound", grid, replace(node, q_nf=q), ctrl,
+                             ("throughput",)))
+                  for q in q_set]
+        key, status = "delay_bound", []
+    elif args.name == "fig5":
+        series = [(f"sojourn_mu_c_us_{v:g}", f"mu_c_us={v:g}",
+                   rho_sweep(("analytic_mean",), controller=ControllerParams(rate_from_us(v))))
+                  for v in _parse_float_list(args.mu_c_us_set, "--mu-c-us-set")]
+    else:  # fig6
+        label = f"{args.deadline_us / 1000.0:g}ms"
+        series = [(f"p_within_{label}_qnf_{q:g}", f"q_nf={q:g}",
+                   rho_sweep(("deadline_prob",), replace(node, q_nf=q),
+                             deadline=args.deadline_us * 1e-6))
+                  for q in q_set]
+    return [key] + [column for column, _, _ in series] + status, _side_by_side(key, series)
 
 
 def _cmd_figure(args) -> int:
-    name = args.name
-    if name not in _FIGURES:
-        raise CliError(f"unknown figure {name!r}; expected one of {_FIGURES}")
-    mu_switch, mu_ctrl, seed = _figure_params(args)
-    packets = 20_000 if args.quick else args.packets
-    sim = SimConfig(seed=seed, packets_per_replication=packets,
-                    replications=args.replications)
-    ctrl = ControllerParams(mu_ctrl)
-    path = args.output if args.output is not None else f"{name}.csv"
-    rho_grid = _parse_grid(args.rho_grid)
-    q_set = _parse_float_list(args.q_set, "--q-set") if args.q_set else list(_DEFAULT_Q_SET)
-
-    if name == "fig2":
-        spec = SweepSpec(variable="rho_controller", grid=rho_grid,
-                         node=NodeParams(1.0, mu_switch, args.q_nf),
-                         controller=ctrl,
-                         outputs=("naive_mean", "analytic_mean", "simulated_mean"),
-                         sim=sim)
-        rows = [{"rho_c": r["rho_controller"],
-                 "naive_jackson_mean": r["naive_mean"],
-                 "modified_jackson_mean": r["analytic_mean"],
-                 "sim_mean": r["simulated_mean"],
-                 "sim_ci": r["sim_ci_halfwidth"],
-                 "status": r["status"]} for r in sweep(spec)]
-        _write_table(path, args.format,
-                     ["rho_c", "naive_jackson_mean", "modified_jackson_mean",
-                      "sim_mean", "sim_ci", "status"], rows)
-    elif name == "fig3":
-        rows = []
-        for q in (0.2, 1.0):
-            spec = SweepSpec(variable="rho_controller", grid=rho_grid,
-                             node=NodeParams(1.0, mu_switch, q), controller=ctrl,
-                             outputs=("analytic_mean", "simulated_mean"), sim=sim)
-            for r in sweep(spec):
-                rows.append({"q_nf": q, "rho_c": r["rho_controller"],
-                             "modified_jackson_mean": r["analytic_mean"],
-                             "sim_mean": r["simulated_mean"],
-                             "sim_ci": r["sim_ci_halfwidth"], "status": r["status"]})
-        _write_table(path, args.format,
-                     ["q_nf", "rho_c", "modified_jackson_mean", "sim_mean",
-                      "sim_ci", "status"], rows)
-    elif name == "fig4":
-        # common log grid spanning every q's knee through deep saturation
-        w0s = [zero_load_sojourn(q, mu_switch, mu_ctrl) for q in q_set]
-        grid = _make_grid(1.05 * min(w0s), 100.0 * max(w0s), args.points, "log")
-        columns = ["delay_bound"] + [f"throughput_qnf_{q:g}" for q in q_set]
-        rows = []
-        for bound in grid:
-            row = {"delay_bound": bound}
-            for q in q_set:
-                row[f"throughput_qnf_{q:g}"] = max_throughput(
-                    bound, q_nf=q, mu_switch=mu_switch, mu_controller=mu_ctrl).rate
-            rows.append(row)
-        _write_table(path, args.format, columns, rows)
-    elif name == "fig5":
-        mu_c_us_set = (_parse_float_list(args.mu_c_us_set, "--mu-c-us-set")
-                       if args.mu_c_us_set else list(_DEFAULT_MU_C_US_SET))
-        columns = ["rho_c"] + [f"sojourn_mu_c_us_{v:g}" for v in mu_c_us_set] + ["status"]
-        rows = []
-        for rho_c in rho_grid:
-            row = {"rho_c": rho_c}
-            notes = []
-            for v in mu_c_us_set:
-                mu_c = rate_from_us(v)
-                lam = rho_c * mu_c / args.q_nf
-                node = NodeParams(lam, mu_switch, args.q_nf)
-                c = ControllerParams(mu_c)
-                try:
-                    row[f"sojourn_mu_c_us_{v:g}"] = mean_sojourn_openflow(
-                        node, c, solve_rates(node, c))
-                except UnstableSystemError as exc:
-                    row[f"sojourn_mu_c_us_{v:g}"] = None
-                    notes.append(f"mu_c_us={v:g} unstable: " + ", ".join(exc.stations))
-            row["status"] = ";".join(notes) if notes else "ok"
-            rows.append(row)
-        _write_table(path, args.format, columns, rows)
-    else:  # fig6
-        deadline = args.deadline_us * 1e-6
-        label = f"{args.deadline_us / 1000.0:g}ms"
-        columns = ["rho_c"] + [f"p_within_{label}_qnf_{q:g}" for q in q_set] + ["status"]
-        rows = []
-        for rho_c in rho_grid:
-            row = {"rho_c": rho_c}
-            notes = []
-            for q in q_set:
-                lam = rho_c * mu_ctrl / q
-                node = NodeParams(lam, mu_switch, q)
-                try:
-                    dist = build_distribution(node, ctrl, solve_rates(node, ctrl))
-                    row[f"p_within_{label}_qnf_{q:g}"] = prob_within_deadline(dist, deadline)
-                except UnstableSystemError as exc:
-                    row[f"p_within_{label}_qnf_{q:g}"] = None
-                    notes.append(f"q_nf={q:g} unstable: " + ", ".join(exc.stations))
-            row["status"] = ";".join(notes) if notes else "ok"
-            rows.append(row)
-        _write_table(path, args.format, columns, rows)
-    if path is not None:
-        print(f"wrote {path}")
+    flags = dict(vars(args), packets=20_000) if args.quick else vars(args)
+    # figure defaults are the resolver's lowest layer, so --mu-switch with
+    # --mu-switch-us still conflicts; rho sweeps back-solve the node's lambda
+    cfg = resolve({}, flags, ("node", "controller", "sim"), defaults={
+        "node": {"lambda": 1.0, "q_nf": 0.5, "mu_switch_us": 9.8},
+        "controller": {"mu_controller_us": 240.0},
+        "output": {"path": f"{args.name}.csv"}})
+    columns, rows = _figure_table(args, cfg)
+    _write_table(cfg, columns, rows)
+    print(f"wrote {cfg.output_path}")
     return 0
 
 
 def _cmd_validate(args) -> int:
-    numbers = None
-    if args.criteria:
-        try:
-            numbers = tuple(int(x) for x in args.criteria.split(","))
-        except ValueError as exc:
-            raise CliError("--criteria must be a comma-separated list of "
-                           "criterion numbers") from exc
-    seed = args.seed if args.seed is not None else _env_seed()
-    try:
+    numbers = _parse_float_list(args.criteria, "--criteria", int) if args.criteria else None
+    seed = _resolve_args(args, "sim").sim.seed
+    with _usage_errors():
         results = validation.run_criteria(numbers, quick=args.quick, seed=seed)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
     for res in results:
         print(res.line())
     failed = [r.number for r in results if not r.passed]
@@ -754,17 +634,14 @@ def _add_output_flags(p: _Parser) -> None:
 
 def _add_node_flags(p: _Parser) -> None:
     p.add_argument("--lam", type=float, help="external arrival rate (packets/s)")
-    p.add_argument("--q-nf", dest="q_nf", type=float, help="new-flow probability")
-    p.add_argument("--mu-switch", dest="mu_switch", type=float,
-                   help="switch service rate (packets/s)")
-    p.add_argument("--mu-switch-us", dest="mu_switch_us", type=float,
-                   help="mean switch service time (microseconds)")
+    p.add_argument("--q-nf", type=float, help="new-flow probability")
+    p.add_argument("--mu-switch", type=float, help="switch service rate (packets/s)")
+    p.add_argument("--mu-switch-us", type=float, help="mean switch service time (microseconds)")
 
 
 def _add_controller_flags(p: _Parser) -> None:
-    p.add_argument("--mu-controller", dest="mu_controller", type=float,
-                   help="controller service rate (responses/s)")
-    p.add_argument("--mu-controller-us", dest="mu_controller_us", type=float,
+    p.add_argument("--mu-controller", type=float, help="controller service rate (responses/s)")
+    p.add_argument("--mu-controller-us", type=float,
                    help="mean controller service time (microseconds)")
 
 
@@ -773,7 +650,7 @@ def _add_sim_flags(p: _Parser) -> None:
                                             f"or {_DEFAULT_SEED})")
     p.add_argument("--packets", type=int, help="packets per replication")
     p.add_argument("--replications", type=int, help="independent replications")
-    p.add_argument("--warmup-fraction", dest="warmup_fraction", type=float,
+    p.add_argument("--warmup-fraction", type=float,
                    help="fraction of departures discarded as warm-up")
 
 
@@ -787,11 +664,10 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("distribution", help="pdf/ccdf or quantile tables")
     _add_node_flags(p); _add_controller_flags(p); _add_output_flags(p)
-    p.add_argument("--t-max", dest="t_max", type=float, help="table horizon (seconds)")
+    p.add_argument("--t-max", type=float, help="table horizon (seconds)")
     p.add_argument("--points", type=int, default=200)
     p.add_argument("--quantiles", help="comma list of probabilities; emit quantile table")
-    p.add_argument("--deadline-us", dest="deadline_us", type=float,
-                   help="also print P(sojourn <= deadline)")
+    p.add_argument("--deadline-us", type=float, help="also print P(sojourn <= deadline)")
     p.set_defaults(fn=_cmd_distribution)
 
     p = sub.add_parser("simulate", help="discrete-event simulation of one node")
@@ -800,22 +676,21 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("chain", help="tandem chain sharing one controller")
     p.add_argument("--lam", help="comma list: external rate per node")
-    p.add_argument("--q-nf", dest="q_nf", help="comma list: new-flow probability per node")
-    p.add_argument("--mu-switch", dest="mu_switch", help="comma list (packets/s)")
-    p.add_argument("--mu-switch-us", dest="mu_switch_us", help="comma list (microseconds)")
+    p.add_argument("--q-nf", help="comma list: new-flow probability per node")
+    p.add_argument("--mu-switch", help="comma list (packets/s)")
+    p.add_argument("--mu-switch-us", help="comma list (microseconds)")
     _add_controller_flags(p)
     p.add_argument("--simulate", action="store_true", help="add DES columns")
     _add_sim_flags(p); _add_output_flags(p)
     p.set_defaults(fn=_cmd_chain)
 
     p = sub.add_parser("dimension", help="max admissible throughput for a delay bound")
-    p.add_argument("--q-nf", dest="q_nf", type=float)
-    p.add_argument("--mu-switch", dest="mu_switch", type=float)
-    p.add_argument("--mu-switch-us", dest="mu_switch_us", type=float)
+    p.add_argument("--q-nf", type=float)
+    p.add_argument("--mu-switch", type=float)
+    p.add_argument("--mu-switch-us", type=float)
     _add_controller_flags(p)
-    p.add_argument("--delay-bound-us", dest="delay_bound_us", type=float,
-                   help="single delay bound (microseconds)")
-    p.add_argument("--curve-points", dest="curve_points", type=int, default=40,
+    p.add_argument("--delay-bound-us", type=float, help="single delay bound (microseconds)")
+    p.add_argument("--curve-points", type=int, default=40,
                    help="points of the default bound grid when no single bound given")
     _add_output_flags(p)
     p.set_defaults(fn=_cmd_dimension)
@@ -831,25 +706,22 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("figure", help="emit the data file behind one canned figure")
     p.add_argument("name", choices=_FIGURES)
-    p.add_argument("--mu-switch", dest="mu_switch", type=float)
-    p.add_argument("--mu-switch-us", dest="mu_switch_us", type=float, default=9.8)
-    p.add_argument("--mu-controller", dest="mu_controller", type=float)
-    p.add_argument("--mu-controller-us", dest="mu_controller_us", type=float, default=240.0)
-    p.add_argument("--q-nf", dest="q_nf", type=float, default=0.5,
-                   help="new-flow probability (fig2, fig5)")
-    p.add_argument("--q-set", dest="q_set", help="comma list of q_nf values (fig4, fig6)")
-    p.add_argument("--mu-c-us-set", dest="mu_c_us_set",
+    for flag in ("--mu-switch", "--mu-switch-us", "--mu-controller", "--mu-controller-us"):
+        p.add_argument(flag, type=float)
+    p.add_argument("--q-nf", type=float, help="new-flow probability (fig2, fig5)")
+    p.add_argument("--q-set", default="0.2,0.5,1",
+                   help="comma list of q_nf values (fig4, fig6)")
+    p.add_argument("--mu-c-us-set", default="120,240,480",
                    help="comma list of controller service times in us (fig5)")
-    p.add_argument("--rho-grid", dest="rho_grid", default="0.1:0.9:9",
+    p.add_argument("--rho-grid", default="0.1:0.9:9",
                    help="controller-load grid (fig2, fig3, fig5, fig6)")
-    p.add_argument("--deadline-us", dest="deadline_us", type=float, default=500.0)
+    p.add_argument("--deadline-us", type=float, default=500.0)
     p.add_argument("--points", type=int, default=40, help="delay-bound grid size (fig4)")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--packets", type=int, default=200_000)
-    p.add_argument("--replications", type=int, default=5)
+    for flag in ("--seed", "--packets", "--replications"):
+        p.add_argument(flag, type=int)
     p.add_argument("--quick", action="store_true", help="small simulations (20k packets)")
     p.add_argument("--output", help="output file (default <name>.csv)")
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
+    p.add_argument("--format", choices=("csv", "json"))
     p.set_defaults(fn=_cmd_figure)
 
     p = sub.add_parser("validate", help="run the acceptance criteria")

@@ -3,6 +3,8 @@
 import csv
 import json
 
+import pytest
+
 from sdnqueue import cli
 from sdnqueue.analytic import ChainModel, ControllerParams, NodeParams, rate_from_us
 from sdnqueue.dimensioning import SweepSpec
@@ -375,3 +377,79 @@ class TestValidateCmd:
         out = capsys.readouterr().out
         assert rc == 3
         assert "[FAIL]" in out
+
+
+class TestFigureInputErrors:
+    @pytest.mark.parametrize("flags", [
+        ["fig5", "--q-nf", "0"],                 # no arrival rate gives controller load
+        ["fig6", "--q-set", "0,0.5"],
+        ["fig2", "--q-nf", "0"],
+        ["fig5", "--q-nf", "1.5"],               # q_nf outside [0, 1]
+        ["fig4", "--q-set", "0.5,1.5"],
+        ["fig2", "--packets", "5"],              # below the simulator's minimum
+        ["fig2", "--rho-grid", "0.5,0.3"],       # not increasing
+        ["fig5", "--rho-grid", "0.4,0.4"],
+        ["fig6", "--deadline-us", "-5"],
+        ["fig4", "--mu-switch", "1e5", "--mu-switch-us", "9.8"],    # both units
+        ["fig5", "--mu-controller", "4000", "--mu-controller-us", "240"],
+    ])
+    def test_usage_error_exit_one(self, flags, tmp_path, capsys):
+        out = tmp_path / "fig.csv"
+        rc = cli.main(["figure", *flags, "--output", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error: ")
+        assert not out.exists()
+
+
+class TestTableInputErrors:
+    @pytest.mark.parametrize("argv", [
+        ["distribution"] + NODE_FLAGS + ["--points", "1"],
+        ["dimension", "--q-nf", "0.5", "--mu-switch-us", "9.8",
+         "--mu-controller-us", "240", "--curve-points", "1"],
+        ["distribution"] + NODE_FLAGS + ["--t-max", "-0.001"],
+        ["distribution"] + NODE_FLAGS + ["--quantiles", "0.5,1.5"],
+        ["distribution"] + NODE_FLAGS + ["--deadline-us", "-5"],
+        ["dimension", "--q-nf", "0.5", "--mu-switch-us", "9.8",
+         "--mu-controller-us", "240", "--delay-bound-us", "0"],
+        ["sweep"] + NODE_FLAGS + ["--variable", "lambda", "--grid", "0,100"],
+    ])
+    def test_usage_error_exit_one(self, argv, capsys):
+        assert cli.main(argv) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+
+class TestOneResolver:
+    def test_dimension_rejects_unknown_node_key(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"node": {"q_nf": 0.5, "mu_switch_us": 9.8, "typo": 1},
+                                    "controller": {"mu_controller_us": 240.0}}))
+        rc = cli.main(["dimension", "--config", str(path), "--delay-bound-us", "500"])
+        assert rc == 1
+        assert "typo" in capsys.readouterr().err
+
+    def test_chain_reads_config_once(self, tmp_path, monkeypatch, capsys):
+        cfg = {"chain": {"nodes": [{"lambda": 2000.0, "q_nf": 0.2, "mu_switch_us": 9.8}]},
+               "controller": {"mu_controller_us": 240.0},
+               "sim": {"seed": 3, "packets_per_replication": 10000, "replications": 2}}
+        path = tmp_path / "chain.json"
+        path.write_text(json.dumps(cfg))
+        loads = []
+        load = cli._load_config
+        monkeypatch.setattr(cli, "_load_config", lambda p: loads.append(p) or load(p))
+        rc = cli.main(["chain", "--config", str(path), "--simulate",
+                       "--output", str(tmp_path / "chain.csv")])
+        capsys.readouterr()
+        assert rc == 0
+        assert loads == [str(path)]
+
+    def test_document_and_flags_resolve_alike(self):
+        doc = {"node": {"lambda": 2000.0, "q_nf": 0.5, "mu_switch_us": 9.8},
+               "controller": {"mu_controller_us": 240.0},
+               "sim": {"seed": 4, "packets_per_replication": 10000, "replications": 2}}
+        from_doc = cli.runconfig_from_dict(doc)
+        from_flags = cli.resolve({}, vars(cli.build_parser().parse_args(
+            ["simulate"] + NODE_FLAGS + ["--seed", "4", "--packets", "10000",
+                                         "--replications", "2"])),
+            ("node", "controller", "sim"))
+        assert from_doc == from_flags
