@@ -37,6 +37,7 @@ from .simulate import (
     ChainSimResult,
     SimConfig,
     SimResult,
+    SimulationInvariantError,
     run_chain,
     run_single_node,
 )
@@ -59,7 +60,8 @@ __all__ = [
     "mean_sojourn_openflow", "rate_from_us", "solve_chain", "solve_rates",
     "SojournDistribution", "build_distribution", "ccdf", "pdf",
     "prob_within_deadline", "quantile",
-    "ChainSimResult", "SimConfig", "SimResult", "run_chain", "run_single_node",
+    "ChainSimResult", "SimConfig", "SimResult", "SimulationInvariantError",
+    "run_chain", "run_single_node",
     "SweepSpec", "ThroughputResult", "default_delay_bound_grid",
     "max_throughput", "stability_supremum", "sweep", "zero_load_sojourn",
     "__version__",

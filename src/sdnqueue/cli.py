@@ -149,7 +149,10 @@ def resolve(doc: dict, flags: dict | None = None, want=None,
     _check_keys("config", doc, _SECTION_KEYS)
     for name, section in doc.items():
         _check_keys(name, section, _SECTION_KEYS[name])
-    for node_sec in doc.get("chain", {}).get("nodes", []):
+    nodes = doc.get("chain", {}).get("nodes", [])
+    if not isinstance(nodes, list):
+        raise CliError("config section 'chain' must give 'nodes' as a list of node objects")
+    for node_sec in nodes:
         _check_keys("node", node_sec, _SECTION_KEYS["node"])
     if "node" in doc and "chain" in doc:
         raise CliError("config must give either 'node' or 'chain', not both")
@@ -328,9 +331,18 @@ def _load_config(path: str | None) -> dict:
         raise CliError(f"config file {path} is not valid JSON: {exc}") from exc
 
 
-def _resolve_args(args, *want: str, defaults: dict | None = None) -> RunConfig:
-    """Resolve a parsed command line, reading its config file once."""
-    return resolve(_load_config(getattr(args, "config", None)), vars(args), want, defaults)
+def _resolve_args(args, *want: str, defaults: dict | None = None,
+                  report: bool = False) -> RunConfig:
+    """Resolve a parsed command line, reading its config file once.  A
+    ``report`` command prints text and writes its table only to a file, so a
+    table format without an output path is refused rather than ignored."""
+    doc = _load_config(getattr(args, "config", None))
+    cfg = resolve(doc, vars(args), want, defaults)
+    if (report and cfg.output_path is None
+            and _pick([vars(args), doc.get("output", {})], "format") is not None):
+        raise CliError("a table format needs an output path (--output or output.path); "
+                       "without one this command prints a text report")
+    return cfg
 
 
 # ---------------------------------------------------------------------------
@@ -372,7 +384,7 @@ def _write_table(cfg: RunConfig, columns: list[str], rows: list[dict]) -> None:
 # subcommands
 
 def _cmd_analyze(args) -> int:
-    cfg = _resolve_args(args, "node", "controller")
+    cfg = _resolve_args(args, "node", "controller", report=True)
     node, ctrl = cfg.node, cfg.controller
     rates = solve_rates(node, ctrl)
     print("parameters:")
@@ -431,7 +443,7 @@ def _cmd_distribution(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    cfg = _resolve_args(args, "node", "controller", "sim")
+    cfg = _resolve_args(args, "node", "controller", "sim", report=True)
     sim = cfg.sim
     res = run_single_node(cfg.node, cfg.controller, sim)
     print(f"replications        {sim.replications} x {sim.packets_per_replication} packets "
@@ -453,7 +465,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_chain(args) -> int:
-    cfg = _resolve_args(args, "chain", "controller", *(("sim",) if args.simulate else ()))
+    cfg = _resolve_args(args, "chain", "controller", *(("sim",) if args.simulate else ()),
+                        report=True)
     chain = cfg.chain
     solution = solve_chain(chain)
     print(f"controller: gamma {solution.gamma_controller:.6f} /s, "
@@ -485,7 +498,8 @@ def _cmd_chain(args) -> int:
 
 def _cmd_dimension(args) -> int:
     # dimensioning solves for the arrival rate: lambda only completes the node
-    cfg = _resolve_args(args, "node", "controller", defaults={"node": {"lambda": 1.0}})
+    cfg = _resolve_args(args, "node", "controller", defaults={"node": {"lambda": 1.0}},
+                        report=args.delay_bound_us is not None)
     node, ctrl = cfg.node, cfg.controller
     if args.delay_bound_us is not None:
         bound = args.delay_bound_us * 1e-6
@@ -594,12 +608,13 @@ def _figure_table(args, cfg: RunConfig) -> tuple[list[str], list[dict]]:
 
 
 def _cmd_figure(args) -> int:
-    flags = dict(vars(args), packets=20_000) if args.quick else vars(args)
     # figure defaults are the resolver's lowest layer, so --mu-switch with
-    # --mu-switch-us still conflicts; rho sweeps back-solve the node's lambda
-    cfg = resolve({}, flags, ("node", "controller", "sim"), defaults={
+    # --mu-switch-us still conflicts and --packets overrides --quick; rho
+    # sweeps back-solve the node's lambda
+    cfg = resolve({}, vars(args), ("node", "controller", "sim"), defaults={
         "node": {"lambda": 1.0, "q_nf": 0.5, "mu_switch_us": 9.8},
         "controller": {"mu_controller_us": 240.0},
+        "sim": {"packets_per_replication": 20_000} if args.quick else {},
         "output": {"path": f"{args.name}.csv"}})
     columns, rows = _figure_table(args, cfg)
     _write_table(cfg, columns, rows)

@@ -6,8 +6,8 @@ independently marked "new flow" with that node's q_nf on arrival, every switch
 visit is one FIFO exponential service, a new-flow packet goes from its first
 switch service to the controller's FIFO queue, receives one exponential service
 there, re-enters its entry node's queue for a second, freshly drawn service and
-only then proceeds downstream.  A packet visits the controller at most once
-(asserted on every visit).
+only then proceeds downstream, so a packet visits the controller once if it
+is a new flow and never otherwise.
 
 Engine design, fixed for reproducibility:
 
@@ -21,7 +21,15 @@ Engine design, fixed for reproducibility:
   been admitted and the system drains; the first ``warmup_fraction`` of
   departures is discarded from statistics;
 * retained sojourn samples are capped per run at 10**6 by uniform reservoir
-  sampling with its own streams.
+  sampling with its own streams;
+* the switches and the controller are stations of one event loop; a packet's
+  state (arrival time, entry node, new-flow mark, controller visited) lives in
+  the station queues only while the packet is in the system.
+
+Invariant checks raise :class:`SimulationInvariantError` explicitly, so they
+still run under ``python -O``.  Every departure is checked to have visited the
+controller exactly when it is a new flow; ``audit=True`` adds per-station FIFO
+order and packet conservation checks on every event.
 
 Identical (seed, config, parameters) give bit-identical results.  Replications
 run sequentially and are merged by replication index, so output never depends
@@ -93,6 +101,15 @@ class ChainSimResult:
 
     per_class: tuple[SimResult, ...]
     aggregate: SimResult
+
+
+class SimulationInvariantError(AssertionError):
+    """A simulator invariant failed: the engine, not the input, is at fault.
+
+    Raised by the always-on departure check and by the ``audit=True`` checks.
+    It is raised explicitly, so ``python -O`` keeps every check; as an
+    AssertionError it is also caught by ``except AssertionError`` handlers.
+    """
 
 
 class _Reservoir:
@@ -209,43 +226,39 @@ def _run_experiment(chain: ChainModel, cfg: SimConfig, audit: bool) -> ChainSimR
 def _run_replication(chain: ChainModel, n_packets: int, cutoff: int,
                      seed_seq: np.random.SeedSequence, audit: bool):
     """One replication; returns per-class sums/counts/visits/samples and the
-    departure-ordered measured sojourn list."""
-    n = len(chain.nodes)
-    lams = [nd.lam for nd in chain.nodes]
-    qs = [nd.q_nf for nd in chain.nodes]
-    switch_scales = [1.0 / nd.mu_switch for nd in chain.nodes]
-    ctrl_scale = 1.0 / chain.controller.mu_controller
+    departure-ordered measured sojourn list.
 
+    Switch k is station k and the controller is station n.  A packet is the
+    tuple (arrival time, entry node, new-flow mark, visited controller), held
+    only by the queues and ``busy``: per-packet state is dropped at departure.
+    """
+    n = len(chain.nodes)
+    qs = [nd.q_nf for nd in chain.nodes]
+    arr_scales = [1.0 / nd.lam for nd in chain.nodes]
+    svc_scales = [1.0 / nd.mu_switch for nd in chain.nodes]
+    svc_scales.append(1.0 / chain.controller.mu_controller)
+
+    # node i owns streams 3i (arrivals), 3i+1 (services), 3i+2 (marks); the
+    # controller's services use stream 3n
     streams = seed_seq.spawn(3 * n + 1)
     arr_rngs = [np.random.default_rng(streams[3 * i]) for i in range(n)]
-    svc_rngs = [np.random.default_rng(streams[3 * i + 1]) for i in range(n)]
     mark_rngs = [np.random.default_rng(streams[3 * i + 2]) for i in range(n)]
-    ctrl_rng = np.random.default_rng(streams[3 * n])
+    svc_rngs = [np.random.default_rng(s) for s in streams[1:3 * n:3] + [streams[3 * n]]]
 
-    arr_scales = [1.0 / l for l in lams]
     arr_bufs = [arr_rngs[i].exponential(arr_scales[i], _BLOCK).tolist() for i in range(n)]
     arr_idx = [0] * n
-    svc_bufs = [svc_rngs[i].exponential(switch_scales[i], _BLOCK).tolist() for i in range(n)]
-    svc_idx = [0] * n
     mark_bufs = [mark_rngs[i].random(_BLOCK).tolist() for i in range(n)]
     mark_idx = [0] * n
-    ctrl_buf = ctrl_rng.exponential(ctrl_scale, _BLOCK).tolist()
-    ctrl_idx = 0
+    svc_bufs = [svc_rngs[s].exponential(svc_scales[s], _BLOCK).tolist() for s in range(n + 1)]
+    svc_idx = [0] * (n + 1)
 
     heap: list[tuple[float, int, int]] = []
     push = heapq.heappush
     pop = heapq.heappop
     seq = 0
 
-    switch_q: list[deque[int]] = [deque() for _ in range(n)]
-    sw_busy = [-1] * n
-    ctrl_q: deque[int] = deque()
-    ct_busy = -1
-
-    arr_t: list[float] = []
-    entry: list[int] = []
-    newflow: list[bool] = []
-    visits: list[int] = []
+    queues: list[deque[tuple]] = [deque() for _ in range(n + 1)]
+    busy: list[tuple | None] = [None] * (n + 1)
 
     admitted = 0
     departed = 0
@@ -259,7 +272,7 @@ def _run_replication(chain: ChainModel, n_packets: int, cutoff: int,
     if audit:
         # FIFO audit: every join of a station's queue gets a per-station stamp;
         # service starts must consume stamps in increasing order.
-        stamp_q: list[deque[int]] = [deque() for _ in range(n + 1)]  # last is controller
+        stamp_q: list[deque[int]] = [deque() for _ in range(n + 1)]
         enq_counter = [0] * (n + 1)
         last_started = [-1] * (n + 1)
 
@@ -269,166 +282,103 @@ def _run_replication(chain: ChainModel, n_packets: int, cutoff: int,
         arr_idx[i] = 1
         seq += 1
 
-    two_n = 2 * n
+    # Event codes: i < n is an external arrival at node i; n + s is a service
+    # completion at station s.  Each event moves one packet to station `dest`
+    # (-1: it departs) and, for a completion, frees station `done`.
     while departed < n_packets:
         t, _, code = pop(heap)
         if code < n:
-            # external arrival at node `code`
-            i = code
-            if admitted < n_packets:
-                pid = admitted
-                admitted += 1
-                arr_t.append(t)
-                entry.append(i)
-                visits.append(0)
-                j = mark_idx[i]
-                if j == _BLOCK:
-                    mark_bufs[i] = mark_rngs[i].random(_BLOCK).tolist()
-                    j = 0
-                newflow.append(mark_bufs[i][j] < qs[i])
-                mark_idx[i] = j + 1
-                if sw_busy[i] < 0:
-                    sw_busy[i] = pid
-                    j = svc_idx[i]
-                    if j == _BLOCK:
-                        svc_bufs[i] = svc_rngs[i].exponential(switch_scales[i], _BLOCK).tolist()
-                        j = 0
-                    push(heap, (t + svc_bufs[i][j], seq, n + i))
-                    svc_idx[i] = j + 1
-                    seq += 1
-                    if audit:
-                        enq_counter[i] += 1
-                        assert enq_counter[i] > last_started[i]
-                        last_started[i] = enq_counter[i]
-                else:
-                    switch_q[i].append(pid)
-                    if audit:
-                        enq_counter[i] += 1
-                        stamp_q[i].append(enq_counter[i])
-                if admitted < n_packets:
-                    j = arr_idx[i]
-                    if j == _BLOCK:
-                        arr_bufs[i] = arr_rngs[i].exponential(arr_scales[i], _BLOCK).tolist()
-                        j = 0
-                    push(heap, (t + arr_bufs[i][j], seq, i))
-                    arr_idx[i] = j + 1
-                    seq += 1
-        elif code < two_n:
-            # switch service completion at node i
-            i = code - n
-            pid = sw_busy[i]
-            if newflow[pid] and visits[pid] == 0 and entry[pid] == i:
-                # first pass at the entry node of a new flow: to the controller
-                assert visits[pid] == 0, "packet would visit the controller twice"
-                visits[pid] = 1
-                if ct_busy < 0:
-                    ct_busy = pid
-                    j = ctrl_idx
-                    if j == _BLOCK:
-                        ctrl_buf = ctrl_rng.exponential(ctrl_scale, _BLOCK).tolist()
-                        j = 0
-                    push(heap, (t + ctrl_buf[j], seq, two_n))
-                    ctrl_idx = j + 1
-                    seq += 1
-                    if audit:
-                        enq_counter[n] += 1
-                        assert enq_counter[n] > last_started[n]
-                        last_started[n] = enq_counter[n]
-                else:
-                    ctrl_q.append(pid)
-                    if audit:
-                        enq_counter[n] += 1
-                        stamp_q[n].append(enq_counter[n])
-            elif i + 1 < n:
-                # continue downstream
-                k = i + 1
-                if sw_busy[k] < 0:
-                    sw_busy[k] = pid
-                    j = svc_idx[k]
-                    if j == _BLOCK:
-                        svc_bufs[k] = svc_rngs[k].exponential(switch_scales[k], _BLOCK).tolist()
-                        j = 0
-                    push(heap, (t + svc_bufs[k][j], seq, n + k))
-                    svc_idx[k] = j + 1
-                    seq += 1
-                    if audit:
-                        enq_counter[k] += 1
-                        assert enq_counter[k] > last_started[k]
-                        last_started[k] = enq_counter[k]
-                else:
-                    switch_q[k].append(pid)
-                    if audit:
-                        enq_counter[k] += 1
-                        stamp_q[k].append(enq_counter[k])
+            if admitted == n_packets:
+                continue
+            admitted += 1
+            dest = code
+            j = mark_idx[dest]
+            if j == _BLOCK:
+                mark_bufs[dest] = mark_rngs[dest].random(_BLOCK).tolist()
+                j = 0
+            pkt = (t, dest, mark_bufs[dest][j] < qs[dest], False)
+            mark_idx[dest] = j + 1
+        else:
+            done = code - n
+            pkt = busy[done]
+            if done == n:
+                # back from the controller for a second service at the entry node
+                dest = pkt[1]
+                pkt = (pkt[0], dest, pkt[2], True)
+            elif pkt[2] and not pkt[3]:
+                dest = n  # a new flow's first pass, which is at its entry node
+            elif done + 1 < n:
+                dest = done + 1
             else:
-                # departure
-                idx = departed
+                dest = -1
+                if pkt[3] != pkt[2]:
+                    raise SimulationInvariantError(
+                        f"packet entering at node {pkt[1]} departs with new-flow mark "
+                        f"{pkt[2]} but controller visit {pkt[3]}")
                 departed += 1
-                if idx >= cutoff:
-                    soj = t - arr_t[pid]
-                    cls = entry[pid]
+                if departed > cutoff:
+                    soj = t - pkt[0]
+                    cls = pkt[1]
                     c_sums[cls] += soj
                     c_counts[cls] += 1
-                    c_visits[cls] += visits[pid]
+                    c_visits[cls] += pkt[3]
                     c_samples[cls].append(soj)
                     all_samples.append(soj)
-            if switch_q[i]:
-                nxt = switch_q[i].popleft()
-                sw_busy[i] = nxt
-                j = svc_idx[i]
+        if dest >= 0:
+            # join `dest`: start its service at once if it is idle
+            if audit:
+                enq_counter[dest] += 1
+                stamp_q[dest].append(enq_counter[dest])
+            if busy[dest] is None:
+                busy[dest] = pkt
+                j = svc_idx[dest]
                 if j == _BLOCK:
-                    svc_bufs[i] = svc_rngs[i].exponential(switch_scales[i], _BLOCK).tolist()
+                    svc_bufs[dest] = svc_rngs[dest].exponential(svc_scales[dest], _BLOCK).tolist()
                     j = 0
-                push(heap, (t + svc_bufs[i][j], seq, n + i))
-                svc_idx[i] = j + 1
+                push(heap, (t + svc_bufs[dest][j], seq, n + dest))
+                svc_idx[dest] = j + 1
                 seq += 1
                 if audit:
-                    stamp = stamp_q[i].popleft()
-                    assert stamp > last_started[i], "switch FIFO order violated"
-                    last_started[i] = stamp
+                    _check_fifo(stamp_q[dest].popleft(), last_started, dest, n)
             else:
-                sw_busy[i] = -1
+                queues[dest].append(pkt)
+        if code < n:
+            if admitted < n_packets:
+                j = arr_idx[dest]
+                if j == _BLOCK:
+                    arr_bufs[dest] = arr_rngs[dest].exponential(arr_scales[dest], _BLOCK).tolist()
+                    j = 0
+                push(heap, (t + arr_bufs[dest][j], seq, dest))
+                arr_idx[dest] = j + 1
+                seq += 1
+        elif queues[done]:
+            # restart `done` with the head of its queue
+            busy[done] = queues[done].popleft()
+            j = svc_idx[done]
+            if j == _BLOCK:
+                svc_bufs[done] = svc_rngs[done].exponential(svc_scales[done], _BLOCK).tolist()
+                j = 0
+            push(heap, (t + svc_bufs[done][j], seq, code))
+            svc_idx[done] = j + 1
+            seq += 1
+            if audit:
+                _check_fifo(stamp_q[done].popleft(), last_started, done, n)
         else:
-            # controller service completion: back to the entry node's queue
-            pid = ct_busy
-            i = entry[pid]
-            if sw_busy[i] < 0:
-                sw_busy[i] = pid
-                j = svc_idx[i]
-                if j == _BLOCK:
-                    svc_bufs[i] = svc_rngs[i].exponential(switch_scales[i], _BLOCK).tolist()
-                    j = 0
-                push(heap, (t + svc_bufs[i][j], seq, n + i))
-                svc_idx[i] = j + 1
-                seq += 1
-                if audit:
-                    enq_counter[i] += 1
-                    assert enq_counter[i] > last_started[i]
-                    last_started[i] = enq_counter[i]
-            else:
-                switch_q[i].append(pid)
-                if audit:
-                    enq_counter[i] += 1
-                    stamp_q[i].append(enq_counter[i])
-            if ctrl_q:
-                nxt = ctrl_q.popleft()
-                ct_busy = nxt
-                j = ctrl_idx
-                if j == _BLOCK:
-                    ctrl_buf = ctrl_rng.exponential(ctrl_scale, _BLOCK).tolist()
-                    j = 0
-                push(heap, (t + ctrl_buf[j], seq, two_n))
-                ctrl_idx = j + 1
-                seq += 1
-                if audit:
-                    stamp = stamp_q[n].popleft()
-                    assert stamp > last_started[n], "controller FIFO order violated"
-                    last_started[n] = stamp
-            else:
-                ct_busy = -1
+            busy[done] = None
         if audit:
-            in_system = (sum(len(qd) for qd in switch_q) + len(ctrl_q)
-                         + sum(1 for b in sw_busy if b >= 0) + (1 if ct_busy >= 0 else 0))
-            assert admitted == departed + in_system, "packet conservation violated"
+            in_system = (sum(len(qd) for qd in queues)
+                         + sum(1 for b in busy if b is not None))
+            if admitted != departed + in_system:
+                raise SimulationInvariantError(
+                    f"packet conservation violated: {admitted} admitted, {departed} "
+                    f"departed, {in_system} in the system")
 
     return c_sums, c_counts, c_visits, c_samples, all_samples
+
+
+def _check_fifo(stamp: int, last_started: list[int], station: int, n: int) -> None:
+    """Audit: a station starts its queue's joins in the order they joined."""
+    if stamp <= last_started[station]:
+        where = "controller" if station == n else f"switch {station}"
+        raise SimulationInvariantError(f"FIFO order violated at the {where}")
+    last_started[station] = stamp

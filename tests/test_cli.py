@@ -413,6 +413,9 @@ class TestTableInputErrors:
         ["dimension", "--q-nf", "0.5", "--mu-switch-us", "9.8",
          "--mu-controller-us", "240", "--delay-bound-us", "0"],
         ["sweep"] + NODE_FLAGS + ["--variable", "lambda", "--grid", "0,100"],
+        ["analyze"] + NODE_FLAGS + ["--format", "json"],      # a format but no file
+        ["simulate"] + NODE_FLAGS + ["--packets", "10000", "--replications", "2",
+                                     "--format", "csv"],
     ])
     def test_usage_error_exit_one(self, argv, capsys):
         assert cli.main(argv) == 1
@@ -442,6 +445,25 @@ class TestOneResolver:
         capsys.readouterr()
         assert rc == 0
         assert loads == [str(path)]
+
+    @pytest.mark.parametrize("nodes", [5, None])
+    def test_chain_nodes_must_be_a_list(self, nodes, tmp_path, capsys):
+        path = tmp_path / "chain.json"
+        path.write_text(json.dumps({"chain": {"nodes": nodes},
+                                    "controller": {"mu_controller_us": 240.0}}))
+        assert cli.main(["chain", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "'chain'" in err
+
+    def test_packets_flag_overrides_quick(self, tmp_path, monkeypatch, capsys):
+        sims = []
+        monkeypatch.setattr(cli, "sweep", lambda spec: sims.append(spec.sim) or [])
+        for extra, packets in ((["--packets", "50000"], 50_000), ([], 20_000)):
+            assert cli.main(["figure", "fig2", "--quick", *extra,
+                             "--output", str(tmp_path / "fig2.csv")]) == 0
+            assert [sim.packets_per_replication for sim in sims] == [packets]
+            sims.clear()
+        capsys.readouterr()
 
     def test_document_and_flags_resolve_alike(self):
         doc = {"node": {"lambda": 2000.0, "q_nf": 0.5, "mu_switch_us": 9.8},

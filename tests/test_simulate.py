@@ -1,8 +1,17 @@
 """Discrete-event simulator: statistics, semantics, determinism, audits."""
 
+import hashlib
+import os
+import subprocess
+import sys
+import textwrap
+from collections import deque
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from sdnqueue import SimulationInvariantError, simulate
 from sdnqueue.analytic import ChainModel, ControllerParams, NodeParams, rate_from_us
 from sdnqueue.simulate import SimConfig, run_chain, run_single_node
 
@@ -107,6 +116,34 @@ class TestDeterminism:
         assert np.array_equal(single.empirical_ccdf, chain.aggregate.empirical_ccdf)
         assert chain.per_class[0].per_replication_means == single.per_replication_means
 
+    # Recorded from the simulator before its event loop was rewritten: any
+    # change to the draw order, the heap order or the routing moves these bits.
+    PINNED_PATHS = {
+        "single node, q_nf 0.5": (
+            (NodeParams(2000.0, MU_L, 0.5),),
+            (0.0001734843895353559, 0.0001703256299922072), 0.5008888888888889,
+            "dfe513fd240cb1fe76d4e56de720a6aed09a266f4774d2d8c00651450073ab88"),
+        "saturated controller": (
+            (NodeParams(1.3 * MU_C, MU_L, 1.0),),
+            (0.2633715363622898, 0.3141414101489826), 1.0,
+            "67354d93b9256bb29820c17a8d936e901826dc40a58c9929150d5ba427b2a0fb"),
+        "3-node chain": (
+            (NodeParams(2000.0, MU_L, 0.3), NodeParams(1500.0, MU_L, 0.8),
+             NodeParams(500.0, MU_L, 0.0)),
+            (0.00023168368334199133, 0.00022711786473370753), 0.4537777777777778,
+            "51055a7e466e374796bdc00989a2f82c94f36c77b4dc9092b98f7ca17d7108ef"),
+    }
+
+    @pytest.mark.parametrize("audit", [False, True])
+    @pytest.mark.parametrize("case", sorted(PINNED_PATHS))
+    def test_sample_path_pinned(self, case, audit):
+        nodes, means, visit_fraction, ccdf_sha256 = self.PINNED_PATHS[case]
+        cfg = SimConfig(seed=3, packets_per_replication=10_000, replications=2)
+        res = run_chain(ChainModel(nodes=nodes, controller=CTRL), cfg, audit=audit).aggregate
+        assert res.per_replication_means == means
+        assert res.controller_visit_fraction == visit_fraction
+        assert hashlib.sha256(res.empirical_ccdf.tobytes()).hexdigest() == ccdf_sha256
+
 
 class TestChainSim:
     def test_tandem_against_closed_form(self):
@@ -162,6 +199,49 @@ class TestChainSim:
         audited = run_single_node(node, CTRL, cfg, audit=True)
         assert plain.mean_sojourn == audited.mean_sojourn
         assert np.array_equal(plain.empirical_ccdf, audited.empirical_ccdf)
+
+
+class _LifoDeque(deque):
+    """A queue that serves its newest entry first: breaks every FIFO station."""
+
+    def popleft(self):
+        return self.pop()
+
+
+class TestInvariantChecks:
+    def test_fifo_violation_raises(self, monkeypatch):
+        monkeypatch.setattr(simulate, "deque", _LifoDeque)
+        cfg = SimConfig(seed=3, packets_per_replication=10_000, replications=2)
+        with pytest.raises(SimulationInvariantError, match="FIFO order violated"):
+            run_single_node(NodeParams(1.3 * MU_C, MU_L, 1.0), CTRL, cfg, audit=True)
+
+    def test_fifo_violation_raises_under_optimize(self):
+        # `python -O` strips assert statements; the checks must not be asserts
+        script = textwrap.dedent("""
+            from collections import deque
+            from sdnqueue import SimulationInvariantError, simulate
+            from sdnqueue.analytic import ControllerParams, NodeParams, rate_from_us
+
+            class LifoDeque(deque):
+                def popleft(self):
+                    return self.pop()
+
+            simulate.deque = LifoDeque
+            mu_c = rate_from_us(240.0)
+            cfg = simulate.SimConfig(seed=3, packets_per_replication=10_000, replications=2)
+            assert False, "assert statements must be stripped under -O"
+            try:
+                simulate.run_single_node(NodeParams(1.3 * mu_c, rate_from_us(9.8), 1.0),
+                                         ControllerParams(mu_c), cfg, audit=True)
+            except SimulationInvariantError as exc:
+                print("raised:", exc)
+        """)
+        src = Path(__file__).resolve().parents[1] / "src"
+        proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True,
+                              text=True, env=dict(os.environ, PYTHONPATH=str(src)),
+                              timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("raised: FIFO order violated")
 
 
 class TestReservoir:
