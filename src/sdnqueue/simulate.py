@@ -24,12 +24,27 @@ Engine design, fixed for reproducibility:
   sampling with its own streams;
 * the switches and the controller are stations of one event loop; a packet's
   state (arrival time, entry node, new-flow mark, controller visited) lives in
-  the station queues only while the packet is in the system.
+  the station queues only while the packet is in the system;
+* a single node without ``audit`` runs Lindley's recursion instead (Lindley
+  1952): one loop with no event list.  Each switch visit is
+  ``free = max(join, free) + service``, the same float operation the event
+  loop performs at a service start, over the time-ordered merge of arrivals
+  and controller returns.  The controller serves only first passes, which
+  leave the FIFO switch in order, so each return is computed when its first
+  pass ends and is known before any later arrival is reached.  It draws the
+  same streams in the same blocks and order (marks per arrival, switch
+  services per join, controller services per first pass) and emits
+  departures in time order, so it gives the event loop's bits.  The one
+  exception: an exact float tie between a return and an arrival is served
+  arrival-first, where the event loop orders by sequence number.
 
 Invariant checks raise :class:`SimulationInvariantError` explicitly, so they
-still run under ``python -O``.  Every departure is checked to have visited the
-controller exactly when it is a new flow; ``audit=True`` adds per-station FIFO
-order and packet conservation checks on every event.
+still run under ``python -O``.  In the event loop every departure is checked
+to have visited the controller exactly when it is a new flow; ``audit=True``
+adds per-station FIFO order and packet conservation checks on every event
+and always runs the event loop, so it is also the oracle for the Lindley
+loop.  In the Lindley loop routing is control flow, not packet state, so
+there is no per-departure check; tests hold it to the event loop's bits.
 
 Identical (seed, config, parameters) give bit-identical results.  Replications
 run sequentially and are merged by replication index, so output never depends
@@ -39,6 +54,8 @@ on scheduling.
 from __future__ import annotations
 
 import heapq
+import itertools
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 
@@ -106,7 +123,7 @@ class ChainSimResult:
 class SimulationInvariantError(AssertionError):
     """A simulator invariant failed: the engine, not the input, is at fault.
 
-    Raised by the always-on departure check and by the ``audit=True`` checks.
+    Raised by the event loop's departure check and by the ``audit=True`` checks.
     It is raised explicitly, so ``python -O`` keeps every check; as an
     AssertionError it is also caught by ``except AssertionError`` handlers.
     """
@@ -121,18 +138,16 @@ class _Reservoir:
         self.cap = cap
         self.rng = rng
         self.seen = 0
-        self.items: list[float] = []
+        self.items = np.empty(0, dtype=np.float64)
 
-    def extend(self, values: list[float]) -> None:
-        items = self.items
+    def extend(self, values: list[float] | np.ndarray) -> None:
+        values = np.asarray(values, dtype=np.float64)
         cap = self.cap
-        start = 0
-        if len(items) < cap:
-            take = min(cap - len(items), len(values))
-            items.extend(values[:take])
+        take = min(cap - len(self.items), len(values))
+        if take > 0:
+            self.items = np.concatenate((self.items, values[:take]))
             self.seen += take
-            start = take
-        m = len(values) - start
+        m = len(values) - take
         if m <= 0:
             return
         # Algorithm R, vectorized: sample i (0-based global index `seen`)
@@ -140,13 +155,11 @@ class _Reservoir:
         idx = self.seen + np.arange(1, m + 1, dtype=np.float64)
         slots = (self.rng.random(m) * idx).astype(np.int64)
         mask = slots < cap
-        arr = np.asarray(items)
-        arr[slots[mask]] = np.asarray(values[start:], dtype=np.float64)[mask]
-        self.items = arr.tolist()
+        self.items[slots[mask]] = values[take:][mask]
         self.seen += m
 
     def sorted_array(self) -> np.ndarray:
-        return np.sort(np.asarray(self.items, dtype=np.float64))
+        return np.sort(self.items)
 
 
 def run_single_node(node: NodeParams, ctrl: ControllerParams, cfg: SimConfig,
@@ -154,8 +167,9 @@ def run_single_node(node: NodeParams, ctrl: ControllerParams, cfg: SimConfig,
     """Simulate one node with its controller; returns the aggregate statistics.
 
     Equivalent to a 1-node :func:`run_chain` (same seed gives the identical
-    sample path).  No stability requirement: saturated runs are allowed and
-    simply show growing delays.
+    sample path).  Runs the Lindley loop, or the checked event loop when
+    ``audit`` is set; both give the same bits.  No stability requirement:
+    saturated runs are allowed and simply show growing delays.
     """
     chain = ChainModel(nodes=(node,), controller=ctrl)
     return _run_experiment(chain, cfg, audit).aggregate
@@ -226,13 +240,16 @@ def _run_experiment(chain: ChainModel, cfg: SimConfig, audit: bool) -> ChainSimR
 def _run_replication(chain: ChainModel, n_packets: int, cutoff: int,
                      seed_seq: np.random.SeedSequence, audit: bool):
     """One replication; returns per-class sums/counts/visits/samples and the
-    departure-ordered measured sojourn list.
+    departure-ordered measured sojourns.  A single node without ``audit``
+    goes to :func:`_run_lindley`.
 
     Switch k is station k and the controller is station n.  A packet is the
     tuple (arrival time, entry node, new-flow mark, visited controller), held
     only by the queues and ``busy``: per-packet state is dropped at departure.
     """
     n = len(chain.nodes)
+    if n == 1 and not audit:
+        return _run_lindley(chain.nodes[0], chain.controller, n_packets, cutoff, seed_seq)
     qs = [nd.q_nf for nd in chain.nodes]
     arr_scales = [1.0 / nd.lam for nd in chain.nodes]
     svc_scales = [1.0 / nd.mu_switch for nd in chain.nodes]
@@ -382,3 +399,70 @@ def _check_fifo(stamp: int, last_started: list[int], station: int, n: int) -> No
         where = "controller" if station == n else f"switch {station}"
         raise SimulationInvariantError(f"FIFO order violated at the {where}")
     last_started[station] = stamp
+
+
+def _run_lindley(node: NodeParams, ctrl: ControllerParams, n_packets: int, cutoff: int,
+                 seed_seq: np.random.SeedSequence):
+    """One single-node replication by Lindley's recursion, with the event
+    loop's bits (see the module docstring); returns what
+    :func:`_run_replication` returns.
+
+    A first pass that starts at or after arrival ``a`` returns after ``a``, so
+    when ``a`` is reached every earlier return is already in ``returns``; an
+    exact tie is served arrival-first.
+    """
+    # the event loop's streams and blocks for n = 1; switch services are drawn
+    # in join order, controller services in first-pass order
+    arr_rng, svc_rng, mark_rng, ctl_rng = (np.random.default_rng(s) for s in seed_seq.spawn(4))
+    svc_scale = 1.0 / node.mu_switch
+    ctl_scale = 1.0 / ctrl.mu_controller
+    q = node.q_nf
+    arrivals = itertools.islice(
+        itertools.chain.from_iterable(_arrival_blocks(arr_rng, 1.0 / node.lam)), n_packets)
+    marks = _values(lambda: (mark_rng.random(_BLOCK) < q).tolist())
+    next_svc = _values(lambda: svc_rng.exponential(svc_scale, _BLOCK).tolist()).__next__
+    next_ctl = _values(lambda: ctl_rng.exponential(ctl_scale, _BLOCK).tolist()).__next__
+
+    returns: deque[tuple[float, float]] = deque()  # (back from the controller, arrival)
+    sojourns: list[float] = []  # in departure order
+    new_at: list[int] = []  # positions of the new flows in `sojourns`
+    free = cfree = 0.0
+    for a, new in zip(arrivals, marks):
+        while returns and returns[0][0] < a:
+            r, a0 = returns.popleft()
+            free = (r if r > free else free) + next_svc()
+            new_at.append(len(sojourns))
+            sojourns.append(free - a0)
+        free = (a if a > free else free) + next_svc()
+        if new:
+            cfree = (free if free > cfree else cfree) + next_ctl()
+            returns.append((cfree, a))
+        else:
+            sojourns.append(free - a)
+    for r, a0 in returns:  # arrivals have stopped: the returns drain in order
+        free = (r if r > free else free) + next_svc()
+        new_at.append(len(sojourns))
+        sojourns.append(free - a0)
+
+    measured = np.array(sojourns[cutoff:])
+    visits = len(new_at) - bisect_left(new_at, cutoff)
+    total = float(np.cumsum(measured)[-1])  # sequential, as the event loop adds
+    return [total], [len(measured)], [visits], [measured], measured
+
+
+def _values(draw_block):
+    """The values of ``draw_block()`` in order; a block is drawn when the last
+    one runs out."""
+    return itertools.chain.from_iterable(iter(draw_block, None))
+
+
+def _arrival_blocks(rng: np.random.Generator, scale: float):
+    """Arrival times block by block: cumsum adds the gaps one at a time, as the
+    event loop's ``t + gap`` does."""
+    t = 0.0
+    while True:
+        gaps = rng.exponential(scale, _BLOCK)
+        gaps[0] += t
+        times = np.cumsum(gaps)
+        t = times[-1]
+        yield times.tolist()

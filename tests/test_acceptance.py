@@ -82,8 +82,8 @@ def test_criterion_09_two_node_chain_consistency():
 
 def test_criterion_10_simulator_invariants():
     # audited runs enforce packet conservation, per-queue FIFO order and the
-    # at-most-once controller visit; identical seeds give byte-identical CSV
-    # across consecutive invocations; < 1 min
+    # controller visited exactly when a new flow; identical seeds give
+    # byte-identical CSV across consecutive invocations; < 1 min
     _run(10)
 
 

@@ -180,8 +180,9 @@ class TestChainSim:
         assert 0.0 < agg < 0.5  # roughly lam_2 / (lam_1 + lam_2)
 
     def test_audited_runs_hold_invariants(self):
-        # audit mode asserts packet conservation, per-queue FIFO order and
-        # the at-most-once controller visit on every event
+        # audit mode checks packet conservation and per-queue FIFO order on
+        # every event and, at departure, the controller visited exactly when
+        # a new flow
         audit_cfg = SimConfig(seed=3, packets_per_replication=10_000, replications=2)
         run_single_node(NodeParams(2000.0, MU_L, 0.5), CTRL, audit_cfg, audit=True)
         run_single_node(NodeParams(1.3 * MU_C, MU_L, 1.0), CTRL, audit_cfg, audit=True)
@@ -199,6 +200,40 @@ class TestChainSim:
         audited = run_single_node(node, CTRL, cfg, audit=True)
         assert plain.mean_sojourn == audited.mean_sojourn
         assert np.array_equal(plain.empirical_ccdf, audited.empirical_ccdf)
+
+
+class TestEngineEquivalence:
+    """A single node without audit runs the Lindley loop; ``audit=True`` runs
+    the event loop.  Both must give the same bits.  2 x 40k packets make the
+    arrival, mark, switch and controller draws cross a block refill."""
+
+    CASES = {
+        "paper q 0.2, rho_c 0.5": (NodeParams(0.5 * MU_C / 0.2, MU_L, 0.2), CTRL, 0.1),
+        "paper q 0.2, rho_c 0.9": (NodeParams(0.9 * MU_C / 0.2, MU_L, 0.2), CTRL, 0.1),
+        "paper q 1.0, rho_c 0.5": (NodeParams(0.5 * MU_C, MU_L, 1.0), CTRL, 0.1),
+        "paper q 1.0, rho_c 0.9": (NodeParams(0.9 * MU_C, MU_L, 1.0), CTRL, 0.1),
+        "q 0, switch rho 0.9": (NodeParams(0.9 * MU_L, MU_L, 0.0), CTRL, 0.1),
+        "q 0.5, switch rho 0.99, 10 us controller": (
+            NodeParams(0.99 * MU_L / 1.5, MU_L, 0.5), ControllerParams(rate_from_us(10.0)), 0.1),
+        "saturated controller": (NodeParams(1.2 * MU_C, MU_L, 1.0), CTRL, 0.1),
+        "saturated switch": (
+            NodeParams(1.3 * MU_L, MU_L, 0.1), ControllerParams(rate_from_us(10.0)), 0.1),
+        "no warm-up": (NodeParams(2000.0, MU_L, 0.5), CTRL, 0.0),
+        "warm-up 0.3": (NodeParams(2000.0, MU_L, 0.5), CTRL, 0.3),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_lindley_loop_matches_event_loop(self, case):
+        node, ctrl, warmup = self.CASES[case]
+        cfg = SimConfig(seed=17, packets_per_replication=40_000, replications=2,
+                        warmup_fraction=warmup)
+        fast = run_single_node(node, ctrl, cfg)
+        des = run_single_node(node, ctrl, cfg, audit=True)
+        assert fast.per_replication_means == des.per_replication_means
+        assert fast.mean_sojourn == des.mean_sojourn
+        assert fast.ci_halfwidth == des.ci_halfwidth
+        assert fast.controller_visit_fraction == des.controller_visit_fraction
+        assert fast.empirical_ccdf.tobytes() == des.empirical_ccdf.tobytes()
 
 
 class _LifoDeque(deque):
@@ -262,3 +297,15 @@ class TestReservoir:
         r = _Reservoir(1000, np.random.default_rng(2))
         r.extend([3.0, 1.0, 2.0])
         assert list(r.sorted_array()) == [1.0, 2.0, 3.0]
+
+    def test_over_cap_pinned(self):
+        # recorded from the list-backed reservoir: the replacement draws and
+        # slots must not move when the storage changes
+        from sdnqueue.simulate import _Reservoir
+        r = _Reservoir(1000, np.random.default_rng(7))
+        for k in range(5):
+            r.extend(list(np.random.default_rng(100 + k).random(737)))
+        assert len(r.items) == 1000
+        assert r.seen == 5 * 737
+        assert (hashlib.sha256(r.sorted_array().tobytes()).hexdigest()
+                == "79e059244af91e07ee500011c9b9fecf899dfc8f86823b98485d2824c0f95e2d")
