@@ -28,10 +28,8 @@ SWEEP_VARIABLES = ("lambda", "rho_controller", "q_nf", "mu_controller", "delay_b
 SWEEP_OUTPUTS = ("analytic_mean", "naive_mean", "simulated_mean", "deadline_prob",
                  "throughput")
 
-# Bisection stops when the bracket is narrower than this fraction of the
-# stability supremum; the bracket top stays one decade clear of the stability
-# margin so the delay formula is still evaluable there.
-_THROUGHPUT_REL_TOL = 1e-6
+# The returned rate stays this fraction of the stability supremum below it,
+# so the delay formula is still evaluable there.
 _SUP_MARGIN = 1e-8
 
 
@@ -65,9 +63,18 @@ def max_throughput(delay_bound: float, *, q_nf: float, mu_switch: float,
                    mu_controller: float) -> ThroughputResult:
     """Largest arrival rate whose mean sojourn stays within ``delay_bound``.
 
-    The mean sojourn is strictly increasing in the arrival rate on the stable
-    interval, so plain bisection converges; the answer is accurate to
-    1e-6 of the stability supremum.  An infeasible bound (below the zero-load
+    With p_l = (1+q)/mu_l and p_c = q/mu_c, the reciprocal saturation rates of
+    the switch and the controller, the mean sojourn is
+    W(lam) = 1/(1/p_l - lam) + 1/(1/p_c - lam), and W = B at the smaller root
+    of a quadratic, written so that no subtraction cancels:
+
+        rate = (B - w0) / (B w0/2 - p_l p_c + hypot(B (p_l - p_c)/2, p_l p_c))
+
+    where w0 = p_l + p_c is the zero-load sojourn.  The rate is capped
+    ``_SUP_MARGIN`` of the stability supremum below it, then stepped down by
+    one ulp of the supremum while :func:`mean_sojourn_openflow` puts it above
+    the bound, so it always meets the bound and lies within a few such ulps
+    of the exact root.  An infeasible bound (at or below the zero-load
     sojourn) yields a flagged zero-rate result rather than an exception.
     """
     if not delay_bound > 0.0:
@@ -82,18 +89,12 @@ def max_throughput(delay_bound: float, *, q_nf: float, mu_switch: float,
         node = NodeParams(lam, mu_switch, q_nf)
         return mean_sojourn_openflow(node, ctrl, solve_rates(node, ctrl))
 
-    hi = lam_sup * (1.0 - _SUP_MARGIN)
-    if sojourn(hi) <= delay_bound:
-        return ThroughputResult(rate=hi, feasible=True)
-    lo = 0.0
-    tol = _THROUGHPUT_REL_TOL * lam_sup
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if sojourn(mid) <= delay_bound:
-            lo = mid
-        else:
-            hi = mid
-    return ThroughputResult(rate=lo, feasible=True)
+    p_l, p_c, b = (1.0 + q_nf) / mu_switch, q_nf / mu_controller, delay_bound
+    rate = (b - w0) / (0.5 * b * w0 - p_l * p_c + math.hypot(0.5 * b * (p_l - p_c), p_l * p_c))
+    rate = min(rate, lam_sup * (1.0 - _SUP_MARGIN))
+    while rate > 0.0 and sojourn(rate) > b:
+        rate = max(rate - math.ulp(lam_sup), 0.0)
+    return ThroughputResult(rate=rate, feasible=True)
 
 
 def default_delay_bound_grid(q_nf: float, mu_switch: float, mu_controller: float,

@@ -86,23 +86,6 @@ def build_distribution(node: NodeParams, ctrl: ControllerParams,
                                d=d, q_nf=q, degenerate=degenerate)
 
 
-def _phi(x: np.ndarray) -> np.ndarray:
-    """(e^-x - 1 + x) / x^2, series-evaluated near 0 to avoid cancellation."""
-    x = np.asarray(x, dtype=float)
-    out = np.empty_like(x)
-    small = np.abs(x) < _PHI_SERIES_CUTOFF
-    if np.any(small):
-        xs = x[small]
-        acc = np.full_like(xs, _PHI_COEFFS[-1])
-        for c in reversed(_PHI_COEFFS[:-1]):
-            acc = acc * xs + c
-        out[small] = acc
-    if not np.all(small):
-        xb = x[~small]
-        out[~small] = (np.exp(-xb) - 1.0 + xb) / (xb * xb)
-    return out
-
-
 def _validate_times(t) -> tuple[np.ndarray, bool]:
     arr = np.asarray(t, dtype=float)
     if np.any(arr < 0.0):
@@ -111,49 +94,48 @@ def _validate_times(t) -> tuple[np.ndarray, bool]:
     return (arr.reshape(1) if scalar else arr), scalar
 
 
+def _detour(dist: SojournDistribution, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """e^(-a_l t) and the detour term h = e^(-a_l t) (a_l t)^2 phi(x).
+
+    phi is series-evaluated for |x| < 0.5, where its closed form cancels;
+    beyond, h = (a_l/(a_c - a_l))^2 (e^(-a_c t) - e_l + x e_l), which never
+    forms e^(-x) and so cannot overflow when a_c << a_l.
+    """
+    a_l, a_c = dist.a_switch, dist.a_controller
+    x = (a_c - a_l) * t
+    e_l = np.exp(-a_l * t)
+    h = np.empty_like(t)
+    small = np.abs(x) < _PHI_SERIES_CUTOFF
+    if np.any(small):
+        xs = x[small]
+        phi = np.full_like(xs, _PHI_COEFFS[-1])
+        for c in reversed(_PHI_COEFFS[:-1]):
+            phi = phi * xs + c
+        alt = a_l * t[small]
+        h[small] = e_l[small] * alt * alt * phi
+    if not np.all(small):
+        big = ~small
+        r = a_l / (a_c - a_l)
+        eb = e_l[big]
+        h[big] = r * r * (np.exp(-a_c * t[big]) - eb + x[big] * eb)
+    return e_l, h
+
+
 def pdf(dist: SojournDistribution, t):
     """Sojourn-time density at t (seconds); accepts scalars or arrays."""
     arr, scalar = _validate_times(t)
-    a_l, a_c, q = dist.a_switch, dist.a_controller, dist.q_nf
-    x = (a_c - a_l) * arr
-    e_l = np.exp(-a_l * arr)
-    small = np.abs(x) < _PHI_SERIES_CUTOFF
-    out = np.empty_like(arr)
-    if np.any(small):
-        ts = arr[small]
-        out[small] = e_l[small] * ((1.0 - q) * a_l
-                                   + q * a_l * a_l * a_c * ts * ts * _phi(x[small]))
-    if not np.all(small):
-        big = ~small
-        tb = arr[big]
-        gap = a_c - a_l
-        e_c = np.exp(-a_c * tb)
-        bracket = e_c - e_l[big] + x[big] * e_l[big]
-        out[big] = (1.0 - q) * a_l * e_l[big] + q * a_l * a_l * a_c * bracket / (gap * gap)
+    e_l, h = _detour(dist, arr)
+    q = dist.q_nf
+    out = (1.0 - q) * dist.a_switch * e_l + q * dist.a_controller * h
     return float(out[0]) if scalar else out
 
 
 def ccdf(dist: SojournDistribution, t):
     """P(sojourn > t); 1 at t = 0, nonincreasing, -> 0 as t -> inf."""
     arr, scalar = _validate_times(t)
-    a_l, a_c, q = dist.a_switch, dist.a_controller, dist.q_nf
-    x = (a_c - a_l) * arr
-    e_l = np.exp(-a_l * arr)
-    small = np.abs(x) < _PHI_SERIES_CUTOFF
-    out = np.empty_like(arr)
-    if np.any(small):
-        ts = arr[small]
-        alt = a_l * ts
-        out[small] = e_l[small] * ((1.0 - q)
-                                   + q * (1.0 + alt + alt * alt * _phi(x[small])))
-    if not np.all(small):
-        big = ~small
-        tb = arr[big]
-        gap = a_c - a_l
-        e_c = np.exp(-a_c * tb)
-        bracket = (a_l * a_l * e_c
-                   + (gap * a_c * (a_l * tb + 1.0) - a_l * a_c) * e_l[big])
-        out[big] = (1.0 - q) * e_l[big] + q * bracket / (gap * gap)
+    e_l, h = _detour(dist, arr)
+    q = dist.q_nf
+    out = e_l * (1.0 + q * dist.a_switch * arr) + q * h
     return float(out[0]) if scalar else out
 
 
@@ -164,38 +146,39 @@ def prob_within_deadline(dist: SojournDistribution, deadline: float) -> float:
     return 1.0 - float(ccdf(dist, deadline))
 
 
-# Bisection width at which the quantile search stops (absolute seconds); a
-# Newton polish afterwards drives the residual in probability space to
-# machine level, which plain t-space bisection cannot guarantee when the
-# density is of order 1e5/s.
-_QUANTILE_T_TOL = 1e-12
-
-
 def quantile(dist: SojournDistribution, p: float) -> float:
-    """Smallest t with P(sojourn <= t) >= p, for p in [0, 1)."""
+    """Smallest t with P(sojourn <= t) >= p, for p in [0, 1).
+
+    Doubling from the mean brackets the root of ccdf(t) = 1 - p.  Newton steps
+    on its logarithm, which is nearly linear in the tail, then run inside the
+    bracket, which every evaluation narrows; a step that would leave it (or a
+    zero density, as at t = 0 with q_nf = 1) is replaced by bisection.  The
+    search stops when a step no longer moves t or no float is left strictly
+    inside the bracket.
+    """
     if not 0.0 <= p < 1.0:
         raise ValueError(f"p must be in [0, 1), got {p}")
     if p == 0.0:
         return 0.0
     target = 1.0 - p  # ccdf value at the quantile
+    lo, tail = 0.0, 1.0  # the bracket's left end and its ccdf
     hi = dist.mean()
-    while float(ccdf(dist, hi)) > target:
+    while (c := float(ccdf(dist, hi))) > target:
+        lo, tail = hi, c
         hi *= 2.0
-    lo = 0.0
-    while hi - lo > _QUANTILE_T_TOL:
-        mid = 0.5 * (lo + hi)
-        if float(ccdf(dist, mid)) > target:
-            lo = mid
-        else:
-            hi = mid
-    t = 0.5 * (lo + hi)
-    for _ in range(3):
+    t = lo
+    while True:
         density = float(pdf(dist, t))
-        if density <= 0.0:
-            break
-        step = (float(ccdf(dist, t)) - target) / density
-        t_new = t + step
-        if t_new < 0.0 or not math.isfinite(t_new):
-            break
+        t_new = t + math.log(tail / target) * tail / density if density > 0.0 else math.nan
+        if t_new == t:
+            return t
+        if not lo < t_new < hi:
+            t_new = 0.5 * (lo + hi)
+            if not lo < t_new < hi:
+                return t
         t = t_new
-    return t
+        tail = float(ccdf(dist, t))
+        if tail > target:
+            lo = t
+        else:
+            hi = t

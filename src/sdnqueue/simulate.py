@@ -114,7 +114,11 @@ class SimResult:
 
 @dataclass(eq=False)
 class ChainSimResult:
-    """Per-class results (class i enters at node i) plus the aggregate."""
+    """Per-class results (class i enters at node i) plus the aggregate.
+
+    A single node has one class, which is the aggregate: ``per_class[0]`` is
+    ``aggregate``.
+    """
 
     per_class: tuple[SimResult, ...]
     aggregate: SimResult
@@ -191,8 +195,12 @@ def _run_experiment(chain: ChainModel, cfg: SimConfig, audit: bool) -> ChainSimR
     root = np.random.SeedSequence(cfg.seed)
     children = root.spawn(reps + n + 1)
     rep_seeds = children[:reps]
+    # a single node's one class is the aggregate, so only a chain keeps
+    # per-class statistics; the aggregate keeps stream reps + n either way, so
+    # its bits do not depend on that
+    classes = range(n if n > 1 else 0)
     class_reservoirs = [_Reservoir(SAMPLE_CAP, np.random.default_rng(children[reps + i]))
-                        for i in range(n)]
+                        for i in classes]
     agg_reservoir = _Reservoir(SAMPLE_CAP, np.random.default_rng(children[reps + n]))
 
     cutoff = int(cfg.warmup_fraction * cfg.packets_per_replication)
@@ -207,7 +215,7 @@ def _run_experiment(chain: ChainModel, cfg: SimConfig, audit: bool) -> ChainSimR
         (c_sums, c_counts, c_visits, c_samples, all_samples
          ) = _run_replication(chain, cfg.packets_per_replication, cutoff,
                               rep_seeds[r], audit)
-        for i in range(n):
+        for i in classes:
             class_rep_means[i].append(c_sums[i] / c_counts[i] if c_counts[i] else float("nan"))
             class_counts[i] += c_counts[i]
             class_visits[i] += c_visits[i]
@@ -231,9 +239,10 @@ def _run_experiment(chain: ChainModel, cfg: SimConfig, audit: bool) -> ChainSimR
             controller_visit_fraction=visits / count if count else float("nan"),
         )
 
-    per_class = tuple(_result(class_rep_means[i], class_reservoirs[i],
-                              class_visits[i], class_counts[i]) for i in range(n))
     aggregate = _result(agg_rep_means, agg_reservoir, agg_visits, agg_count)
+    per_class = (tuple(_result(class_rep_means[i], class_reservoirs[i], class_visits[i],
+                               class_counts[i]) for i in classes)
+                 if n > 1 else (aggregate,))
     return ChainSimResult(per_class=per_class, aggregate=aggregate)
 
 

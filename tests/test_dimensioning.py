@@ -1,12 +1,14 @@
 """Throughput inversion and one-variable sweeps."""
 
 import math
+from decimal import Decimal, localcontext
 
 import pytest
 
 from sdnqueue.analytic import ControllerParams, NodeParams, mean_sojourn_openflow, \
     rate_from_us, solve_rates
 from sdnqueue.dimensioning import (
+    _SUP_MARGIN,
     SweepSpec,
     default_delay_bound_grid,
     max_throughput,
@@ -74,6 +76,63 @@ class TestMaxThroughput:
     def test_bad_bound_rejected(self):
         with pytest.raises(ValueError):
             max_throughput(0.0, q_nf=0.5, mu_switch=MU_L, mu_controller=MU_C)
+
+
+def exact_root(bound, q, mu_l, mu_c):
+    """Smaller root of W(lam) = bound at 50 digits, from the float inputs.
+
+    W = p_l/(1 - p_l lam) + p_c/(1 - p_c lam) with p_l = (1+q)/mu_l and
+    p_c = q/mu_c gives p_l p_c B lam^2 - (B w0 - 2 p_l p_c) lam + B - w0 = 0.
+    """
+    with localcontext() as ctx:
+        ctx.prec = 50
+        b, q, mu_l, mu_c = (Decimal(v) for v in (bound, q, mu_l, mu_c))
+        p_l, p_c = (1 + q) / mu_l, q / mu_c
+        a2, a1, a0 = b * p_l * p_c, b * (p_l + p_c) - 2 * p_l * p_c, b - (p_l + p_c)
+        return 2 * a0 / (a1 + (a1 * a1 - 4 * a2 * a0).sqrt())
+
+
+class TestMaxThroughputExact:
+    # (q_nf, mu_switch, mu_controller): no detour, full detour, equal poles
+    # (1+q)/mu_l = q/mu_c, a switch bottleneck and a controller bottleneck
+    CASES = {
+        "q 0": (0.0, MU_L, MU_C),
+        "q 1": (1.0, MU_L, MU_C),
+        "equal poles": (0.5, MU_L, MU_L / 3.0),
+        "switch bottleneck": (0.2, MU_L, 50.0 * MU_C),
+        "controller bottleneck": (0.5, MU_L, MU_C),
+    }
+    # bound / w0, from the first float above w0 to the _SUP_MARGIN plateau
+    FACTORS = (None, 1.0 + 1e-12, 1.0 + 1e-6, 1.05, 2.0, 10.0, 1e3, 1e6, 1e8, 1e9)
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_matches_exact_root_and_meets_bound(self, case):
+        q, mu_l, mu_c = self.CASES[case]
+        w0 = zero_load_sojourn(q, mu_l, mu_c)
+        sup = stability_supremum(q, mu_l, mu_c)
+        cap = sup * (1.0 - _SUP_MARGIN)
+        ctrl = ControllerParams(mu_c)
+        for factor in self.FACTORS:
+            bound = math.nextafter(w0, math.inf) if factor is None else factor * w0
+            res = max_throughput(bound, q_nf=q, mu_switch=mu_l, mu_controller=mu_c)
+            assert res.feasible
+            assert 0.0 <= res.rate <= cap
+            if res.rate > 0.0:  # W(0) = w0 < bound
+                node = NodeParams(res.rate, mu_l, q)
+                assert mean_sojourn_openflow(node, ctrl, solve_rates(node, ctrl)) <= bound
+            root = exact_root(bound, q, mu_l, mu_c)
+            ulps = abs(Decimal(res.rate) - root) / Decimal(math.ulp(sup))
+            if res.rate == cap:
+                assert root >= Decimal(cap) - 4 * Decimal(math.ulp(sup)), (case, factor)
+            else:
+                assert ulps <= 4, (case, factor, float(ulps))
+
+    def test_plateau_is_reached(self):
+        q, mu_l, mu_c = self.CASES["controller bottleneck"]
+        sup = stability_supremum(q, mu_l, mu_c)
+        res = max_throughput(1e9 * zero_load_sojourn(q, mu_l, mu_c), q_nf=q,
+                             mu_switch=mu_l, mu_controller=mu_c)
+        assert res.rate == sup * (1.0 - _SUP_MARGIN)
 
 
 class TestSweepSpec:

@@ -1,6 +1,7 @@
 """Sojourn-time distribution: coefficients, pdf/ccdf, quantiles, deadlines."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -256,6 +257,39 @@ class TestDeadlinesAndQuantiles:
         ps = np.linspace(0.0, 0.999, 40)
         ts = [quantile(d, float(p)) for p in ps]
         assert all(b >= a for a, b in zip(ts, ts[1:]))
+
+
+class TestKernelAndQuantileExtremes:
+    # one law per hazard: q_nf = 1 has pdf(0) = 0, so the quantile search
+    # cannot take a Newton step from t = 0; equal effective rates; and a
+    # controller rate far below or far above the switch rate
+    LAWS = {
+        "q 1": (2000.0, MU_L, 1.0, MU_C),
+        "degenerate": (1000.0, 10000.0, 0.5, 9000.0),
+        "a_c << a_l": (100.0, 1e6, 0.5, 1e3),
+        "a_c >> a_l": (1000.0, 1e4, 0.5, 1e7),
+    }
+    PS = (1e-9, 1e-3, 0.1, 0.5, 0.9, 0.99, 0.999, 1.0 - 1e-6, 1.0 - 1e-9, 1.0 - 1e-12)
+
+    def test_kernel_finite_when_a_c_far_below_a_l(self):
+        _, _, d = make_dist(*self.LAWS["a_c << a_l"])
+        assert d.a_switch > 1e3 * d.a_controller
+        ts = np.array([0.0, 1.0 / d.a_switch, 0.5 / d.a_controller, 1e3 / d.a_controller])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for values in (pdf(d, ts), ccdf(d, ts)):
+                assert np.all(np.isfinite(values))
+                assert np.all(values >= 0.0)
+
+    @pytest.mark.parametrize("law", sorted(LAWS))
+    def test_quantile_residual_at_machine_level(self, law):
+        _, _, d = make_dist(*self.LAWS[law])
+        assert d.degenerate == (law == "degenerate")
+        if law == "q 1":
+            assert pdf(d, 0.0) == 0.0
+        for p in self.PS:
+            t = quantile(d, p)
+            assert abs(ccdf(d, t) - (1.0 - p)) <= 1e-14, (law, p, t)
 
 
 def test_law_matches_simulation_ccdf():

@@ -116,6 +116,19 @@ class TestDeterminism:
         assert np.array_equal(single.empirical_ccdf, chain.aggregate.empirical_ccdf)
         assert chain.per_class[0].per_replication_means == single.per_replication_means
 
+    def test_one_node_class_is_the_aggregate_over_the_cap(self, monkeypatch):
+        # 18,000 measured sojourns against a 1000-sample cap: the one class
+        # shares the aggregate's reservoir, whose bits were recorded before
+        # the class stopped keeping a second one
+        monkeypatch.setattr(simulate, "SAMPLE_CAP", 1000)
+        node = NodeParams(2000.0, MU_L, 0.5)
+        res = run_chain(ChainModel(nodes=(node,), controller=CTRL),
+                        SimConfig(seed=5, packets_per_replication=10_000, replications=2))
+        assert res.per_class == (res.aggregate,)
+        assert len(res.aggregate.empirical_ccdf) == 1000
+        assert (hashlib.sha256(res.aggregate.empirical_ccdf.tobytes()).hexdigest()
+                == "31d5565a6d806c6f5ba304834bfe8fba5329f8e2d0b12fa92a879aa8a73bdc19")
+
     # Recorded from the simulator before its event loop was rewritten: any
     # change to the draw order, the heap order or the routing moves these bits.
     PINNED_PATHS = {
