@@ -22,6 +22,11 @@ Engine design, fixed for reproducibility:
   departures is discarded from statistics;
 * retained sojourn samples are capped per run at 10**6 by uniform reservoir
   sampling with its own streams;
+* each replication hands its departures to the statistics in blocks of
+  ``_BLOCK``, which drop the warm-up, carry the running sums and feed the
+  reservoirs, so a run's memory is bounded by ``SAMPLE_CAP`` samples per
+  reservoir plus one block (and the packets in the system), whatever its
+  packet budget;
 * the switches and the controller are stations of one event loop; a packet's
   state (arrival time, entry node, new-flow mark, controller visited) lives in
   the station queues only while the packet is in the system;
@@ -134,7 +139,11 @@ class SimulationInvariantError(AssertionError):
 
 
 class _Reservoir:
-    """Uniform reservoir of at most ``cap`` samples, fed in a fixed order."""
+    """Uniform reservoir of at most ``cap`` samples, fed in a fixed order.
+
+    ``items`` is allocated once, at ``cap``; its first ``min(seen, cap)``
+    entries are the samples.
+    """
 
     __slots__ = ("cap", "rng", "seen", "items")
 
@@ -142,14 +151,14 @@ class _Reservoir:
         self.cap = cap
         self.rng = rng
         self.seen = 0
-        self.items = np.empty(0, dtype=np.float64)
+        self.items = np.empty(cap, dtype=np.float64)
 
     def extend(self, values: list[float] | np.ndarray) -> None:
         values = np.asarray(values, dtype=np.float64)
         cap = self.cap
-        take = min(cap - len(self.items), len(values))
+        take = min(max(cap - self.seen, 0), len(values))
         if take > 0:
-            self.items = np.concatenate((self.items, values[:take]))
+            self.items[self.seen:self.seen + take] = values[:take]
             self.seen += take
         m = len(values) - take
         if m <= 0:
@@ -163,7 +172,64 @@ class _Reservoir:
         self.seen += m
 
     def sorted_array(self) -> np.ndarray:
-        return np.sort(self.items)
+        """The samples in ascending order, as an array of their own.  A full
+        reservoir is sorted in place and returned, so call this once, after
+        the last :meth:`extend`."""
+        if self.seen < self.cap:
+            return np.sort(self.items[:self.seen])
+        self.items.sort()
+        return self.items
+
+
+class _Tally:
+    """One replication's measured statistics, fed its departures in blocks.
+
+    Each block lists, in departure order, the sojourns, the positions of the
+    new flows among them and, for a chain, each departure's class.  The first
+    ``skip`` departures are warm-up and dropped.  The rest go to the run's
+    reservoirs, and each class's sum carries from block to block: the running
+    total is added to the block's first sojourn before ``np.cumsum``, so the
+    sum makes the same sequential additions as ``total += sojourn`` would.
+    """
+
+    __slots__ = ("skip", "sums", "counts", "visits", "agg", "classes")
+
+    def __init__(self, n: int, skip: int, agg: _Reservoir, classes: list[_Reservoir]):
+        self.skip = skip
+        self.sums = [0.0] * n
+        self.counts = [0] * n
+        self.visits = [0] * n
+        self.agg = agg
+        self.classes = classes  # empty for a single node, whose class is `agg`
+
+    def take(self, sojourns: list[float], new_at: list[int] | range,
+             cls: list[int] | None = None) -> None:
+        skip = self.skip
+        if skip >= len(sojourns):
+            self.skip = skip - len(sojourns)
+            return
+        self.skip = 0
+        x = np.array(sojourns)[skip:]
+        self.agg.extend(x)
+        if not self.classes:
+            self._add(0, x, len(new_at) - bisect_left(new_at, skip))
+            return
+        c = np.array(cls)
+        new = np.asarray(new_at, dtype=np.intp)
+        new_cls = c[new[new >= skip]]
+        c = c[skip:]
+        for i, reservoir in enumerate(self.classes):
+            xi = x[c == i]
+            reservoir.extend(xi)
+            self._add(i, xi, int(np.count_nonzero(new_cls == i)))
+
+    def _add(self, i: int, x: np.ndarray, visits: int) -> None:
+        # x has been fed to the reservoirs, so the carry goes in in place
+        if len(x):
+            x[0] += self.sums[i]
+            self.sums[i] = float(np.cumsum(x)[-1])
+            self.counts[i] += len(x)
+            self.visits[i] += visits
 
 
 def run_single_node(node: NodeParams, ctrl: ControllerParams, cfg: SimConfig,
@@ -199,11 +265,13 @@ def _run_experiment(chain: ChainModel, cfg: SimConfig, audit: bool) -> ChainSimR
     # per-class statistics; the aggregate keeps stream reps + n either way, so
     # its bits do not depend on that
     classes = range(n if n > 1 else 0)
-    class_reservoirs = [_Reservoir(SAMPLE_CAP, np.random.default_rng(children[reps + i]))
-                        for i in classes]
-    agg_reservoir = _Reservoir(SAMPLE_CAP, np.random.default_rng(children[reps + n]))
-
     cutoff = int(cfg.warmup_fraction * cfg.packets_per_replication)
+    # every admitted packet departs, so the run measures exactly this many
+    cap = min(SAMPLE_CAP, reps * (cfg.packets_per_replication - cutoff))
+    class_reservoirs = [_Reservoir(cap, np.random.default_rng(children[reps + i]))
+                        for i in classes]
+    agg_reservoir = _Reservoir(cap, np.random.default_rng(children[reps + n]))
+
     class_rep_means: list[list[float]] = [[] for _ in range(n)]
     agg_rep_means: list[float] = []
     class_counts = [0] * n
@@ -212,19 +280,17 @@ def _run_experiment(chain: ChainModel, cfg: SimConfig, audit: bool) -> ChainSimR
     agg_visits = 0
 
     for r in range(reps):
-        (c_sums, c_counts, c_visits, c_samples, all_samples
-         ) = _run_replication(chain, cfg.packets_per_replication, cutoff,
-                              rep_seeds[r], audit)
+        tally = _Tally(n, cutoff, agg_reservoir, class_reservoirs)
+        c_sums, c_counts, c_visits = _run_replication(chain, cfg.packets_per_replication,
+                                                      tally, rep_seeds[r], audit)
         for i in classes:
             class_rep_means[i].append(c_sums[i] / c_counts[i] if c_counts[i] else float("nan"))
             class_counts[i] += c_counts[i]
             class_visits[i] += c_visits[i]
-            class_reservoirs[i].extend(c_samples[i])
         measured = sum(c_counts)
         agg_rep_means.append(sum(c_sums) / measured if measured else float("nan"))
         agg_count += measured
         agg_visits += sum(c_visits)
-        agg_reservoir.extend(all_samples)
 
     def _result(means: list[float], reservoir: _Reservoir, visits: int,
                 count: int) -> SimResult:
@@ -246,11 +312,12 @@ def _run_experiment(chain: ChainModel, cfg: SimConfig, audit: bool) -> ChainSimR
     return ChainSimResult(per_class=per_class, aggregate=aggregate)
 
 
-def _run_replication(chain: ChainModel, n_packets: int, cutoff: int,
+def _run_replication(chain: ChainModel, n_packets: int, tally: _Tally,
                      seed_seq: np.random.SeedSequence, audit: bool):
-    """One replication; returns per-class sums/counts/visits/samples and the
-    departure-ordered measured sojourns.  A single node without ``audit``
-    goes to :func:`_run_lindley`.
+    """One replication; feeds its departures to ``tally`` every ``_BLOCK``
+    departures and returns the per-class sums, counts and visits of the
+    measured ones.  A single node without ``audit`` goes to
+    :func:`_run_lindley`.
 
     Switch k is station k and the controller is station n.  A packet is the
     tuple (arrival time, entry node, new-flow mark, visited controller), held
@@ -258,7 +325,7 @@ def _run_replication(chain: ChainModel, n_packets: int, cutoff: int,
     """
     n = len(chain.nodes)
     if n == 1 and not audit:
-        return _run_lindley(chain.nodes[0], chain.controller, n_packets, cutoff, seed_seq)
+        return _run_lindley(chain.nodes[0], chain.controller, n_packets, tally, seed_seq)
     qs = [nd.q_nf for nd in chain.nodes]
     arr_scales = [1.0 / nd.lam for nd in chain.nodes]
     svc_scales = [1.0 / nd.mu_switch for nd in chain.nodes]
@@ -289,11 +356,10 @@ def _run_replication(chain: ChainModel, n_packets: int, cutoff: int,
     admitted = 0
     departed = 0
 
-    c_sums = [0.0] * n
-    c_counts = [0] * n
-    c_visits = [0] * n
-    c_samples: list[list[float]] = [[] for _ in range(n)]
-    all_samples: list[float] = []
+    # this block's departures: sojourns, new-flow positions, classes
+    sojourns: list[float] = []
+    new_at: list[int] = []
+    classes: list[int] = []
 
     if audit:
         # FIFO audit: every join of a station's queue gets a per-station stamp;
@@ -342,14 +408,15 @@ def _run_replication(chain: ChainModel, n_packets: int, cutoff: int,
                         f"packet entering at node {pkt[1]} departs with new-flow mark "
                         f"{pkt[2]} but controller visit {pkt[3]}")
                 departed += 1
-                if departed > cutoff:
-                    soj = t - pkt[0]
-                    cls = pkt[1]
-                    c_sums[cls] += soj
-                    c_counts[cls] += 1
-                    c_visits[cls] += pkt[3]
-                    c_samples[cls].append(soj)
-                    all_samples.append(soj)
+                if pkt[3]:
+                    new_at.append(len(sojourns))
+                sojourns.append(t - pkt[0])
+                classes.append(pkt[1])
+                if len(sojourns) == _BLOCK:
+                    tally.take(sojourns, new_at, classes)
+                    sojourns.clear()
+                    new_at.clear()
+                    classes.clear()
         if dest >= 0:
             # join `dest`: start its service at once if it is idle
             if audit:
@@ -399,7 +466,8 @@ def _run_replication(chain: ChainModel, n_packets: int, cutoff: int,
                     f"packet conservation violated: {admitted} admitted, {departed} "
                     f"departed, {in_system} in the system")
 
-    return c_sums, c_counts, c_visits, c_samples, all_samples
+    tally.take(sojourns, new_at, classes)
+    return tally.sums, tally.counts, tally.visits
 
 
 def _check_fifo(stamp: int, last_started: list[int], station: int, n: int) -> None:
@@ -410,11 +478,11 @@ def _check_fifo(stamp: int, last_started: list[int], station: int, n: int) -> No
     last_started[station] = stamp
 
 
-def _run_lindley(node: NodeParams, ctrl: ControllerParams, n_packets: int, cutoff: int,
+def _run_lindley(node: NodeParams, ctrl: ControllerParams, n_packets: int, tally: _Tally,
                  seed_seq: np.random.SeedSequence):
     """One single-node replication by Lindley's recursion, with the event
-    loop's bits (see the module docstring); returns what
-    :func:`_run_replication` returns.
+    loop's bits (see the module docstring); feeds ``tally`` once per block of
+    arrivals and returns what :func:`_run_replication` returns.
 
     A first pass that starts at or after arrival ``a`` returns after ``a``, so
     when ``a`` is reached every earlier return is already in ``returns``; an
@@ -426,37 +494,43 @@ def _run_lindley(node: NodeParams, ctrl: ControllerParams, n_packets: int, cutof
     svc_scale = 1.0 / node.mu_switch
     ctl_scale = 1.0 / ctrl.mu_controller
     q = node.q_nf
-    arrivals = itertools.islice(
-        itertools.chain.from_iterable(_arrival_blocks(arr_rng, 1.0 / node.lam)), n_packets)
-    marks = _values(lambda: (mark_rng.random(_BLOCK) < q).tolist())
     next_svc = _values(lambda: svc_rng.exponential(svc_scale, _BLOCK).tolist()).__next__
     next_ctl = _values(lambda: ctl_rng.exponential(ctl_scale, _BLOCK).tolist()).__next__
 
     returns: deque[tuple[float, float]] = deque()  # (back from the controller, arrival)
-    sojourns: list[float] = []  # in departure order
+    sojourns: list[float] = []  # this block's departures, in order
     new_at: list[int] = []  # positions of the new flows in `sojourns`
     free = cfree = 0.0
-    for a, new in zip(arrivals, marks):
-        while returns and returns[0][0] < a:
+    left = n_packets
+    for times in _arrival_blocks(arr_rng, 1.0 / node.lam):
+        if left < _BLOCK:
+            times = times[:left]
+        left -= len(times)
+        for a, new in zip(times, (mark_rng.random(_BLOCK) < q).tolist()):
+            while returns and returns[0][0] < a:
+                r, a0 = returns.popleft()
+                free = (r if r > free else free) + next_svc()
+                new_at.append(len(sojourns))
+                sojourns.append(free - a0)
+            free = (a if a > free else free) + next_svc()
+            if new:
+                cfree = (free if free > cfree else cfree) + next_ctl()
+                returns.append((cfree, a))
+            else:
+                sojourns.append(free - a)
+        tally.take(sojourns, new_at)
+        sojourns.clear()
+        new_at.clear()
+        if not left:
+            break
+    while returns:  # arrivals have stopped: the returns drain in order
+        for _ in range(min(_BLOCK, len(returns))):
             r, a0 = returns.popleft()
             free = (r if r > free else free) + next_svc()
-            new_at.append(len(sojourns))
             sojourns.append(free - a0)
-        free = (a if a > free else free) + next_svc()
-        if new:
-            cfree = (free if free > cfree else cfree) + next_ctl()
-            returns.append((cfree, a))
-        else:
-            sojourns.append(free - a)
-    for r, a0 in returns:  # arrivals have stopped: the returns drain in order
-        free = (r if r > free else free) + next_svc()
-        new_at.append(len(sojourns))
-        sojourns.append(free - a0)
-
-    measured = np.array(sojourns[cutoff:])
-    visits = len(new_at) - bisect_left(new_at, cutoff)
-    total = float(np.cumsum(measured)[-1])  # sequential, as the event loop adds
-    return [total], [len(measured)], [visits], [measured], measured
+        tally.take(sojourns, range(len(sojourns)))
+        sojourns.clear()
+    return tally.sums, tally.counts, tally.visits
 
 
 def _values(draw_block):

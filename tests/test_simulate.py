@@ -7,13 +7,16 @@ import sys
 import textwrap
 from collections import deque
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sdnqueue import SimulationInvariantError, simulate
 from sdnqueue.analytic import ChainModel, ControllerParams, NodeParams, rate_from_us
-from sdnqueue.simulate import SimConfig, run_chain, run_single_node
+from sdnqueue.simulate import SimConfig, _Reservoir, run_chain, run_single_node
 
 MU_L = rate_from_us(9.8)
 MU_C = rate_from_us(240.0)
@@ -249,6 +252,91 @@ class TestEngineEquivalence:
         assert fast.empirical_ccdf.tobytes() == des.empirical_ccdf.tobytes()
 
 
+@st.composite
+def _chains(draw):
+    """Random chains of 1-3 nodes, from idle to saturated switches and
+    controller."""
+    n = draw(st.integers(1, 3))
+    mu_l = draw(st.floats(2e4, 2e5))
+    nodes = tuple(NodeParams(draw(st.floats(0.05, 1.2)) * mu_l / n, mu_l,
+                             draw(st.floats(0.0, 1.0)))
+                  for _ in range(n))
+    return ChainModel(nodes=nodes, controller=ControllerParams(draw(st.floats(1e3, 1e5))))
+
+
+def _bits(res: simulate.ChainSimResult) -> list[bytes]:
+    # bytes, so a NaN compares equal to itself
+    return [np.array([r.mean_sojourn, r.ci_halfwidth, r.controller_visit_fraction,
+                      *r.per_replication_means]).tobytes() + r.empirical_ccdf.tobytes()
+            for r in (res.aggregate, *res.per_class)]
+
+
+class TestEngineProperties:
+    @settings(max_examples=10, derandomize=True, database=None, deadline=None)
+    @given(chain=_chains(), seed=st.integers(0, 2 ** 64 - 1),
+           warmup=st.floats(0.0, 0.49), block=st.integers(1, 5000))
+    def test_engines_and_block_size_do_not_move_bits(self, chain, seed, warmup, block):
+        # a single node runs the Lindley loop without audit and the event
+        # loop with it; both stream their departures in blocks of _BLOCK,
+        # whose size must not change any bit either
+        cfg = SimConfig(seed=seed, packets_per_replication=10_000, replications=2,
+                        warmup_fraction=warmup)
+        want = _bits(run_chain(chain, cfg))
+        assert _bits(run_chain(chain, cfg, audit=True)) == want
+        with mock.patch.object(simulate, "_BLOCK", block):
+            assert _bits(run_chain(chain, cfg)) == want
+
+
+class TestFlatMemory:
+    """Peak memory does not grow with the packet budget.  The reservoir is
+    capped at 1000 samples in the child, so only the budget differs between
+    its two runs.  The peak is the child's own VmHWM: its ``ru_maxrss`` starts
+    at the peak of the process that launched it (Linux keeps it across exec),
+    which under pytest hides tens of MB of growth."""
+
+    SCRIPT = textwrap.dedent("""
+        import resource, sys
+        from sdnqueue import simulate
+        from sdnqueue.analytic import ChainModel, ControllerParams, NodeParams, rate_from_us
+
+        simulate.SAMPLE_CAP = 1000
+        n_nodes, small, large = map(int, sys.argv[1:])
+        node = NodeParams(2000.0, rate_from_us(9.8), 0.5)
+        chain = ChainModel(nodes=(node,) * n_nodes, controller=ControllerParams(rate_from_us(240.0)))
+
+        def peak_mb():
+            try:
+                with open("/proc/self/status") as fh:
+                    return next(int(ln.split()[1]) for ln in fh if ln.startswith("VmHWM:")) / 1024
+            except OSError:  # no procfs: ru_maxrss is in bytes on macOS
+                return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 2 ** 20
+
+        def peak_after(packets):
+            cfg = simulate.SimConfig(seed=1, packets_per_replication=packets, replications=2)
+            simulate.run_chain(chain, cfg)
+            return peak_mb()
+
+        base = peak_after(10_000)
+        print(peak_after(small) - base, peak_after(large) - base)
+    """)
+
+    # Growth at the large budget less growth at the small one, in MB.  Kept
+    # as per-replication lists, the samples made it ~74 MB at 2 x 1e6
+    # single-node packets and ~22 MB at 2 x 2.5e5 chain packets.
+    BOUND_MB = 5.0
+
+    @pytest.mark.parametrize("n_nodes, small, large", [(1, 100_000, 1_000_000),
+                                                        (2, 25_000, 250_000)])
+    def test_peak_rss_flat_in_packet_budget(self, n_nodes, small, large):
+        src = Path(__file__).resolve().parents[1] / "src"
+        proc = subprocess.run([sys.executable, "-c", self.SCRIPT, str(n_nodes), str(small),
+                               str(large)], capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=str(src)), timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        grow_small, grow_large = map(float, proc.stdout.split())
+        assert grow_large - grow_small <= self.BOUND_MB, (grow_small, grow_large)
+
+
 class _LifoDeque(deque):
     """A queue that serves its newest entry first: breaks every FIFO station."""
 
@@ -322,3 +410,21 @@ class TestReservoir:
         assert r.seen == 5 * 737
         assert (hashlib.sha256(r.sorted_array().tobytes()).hexdigest()
                 == "79e059244af91e07ee500011c9b9fecf899dfc8f86823b98485d2824c0f95e2d")
+
+    @settings(max_examples=100, derandomize=True, database=None, deadline=None)
+    @given(cap=st.integers(1, 300), over=st.sampled_from(["below", "at", "over"]),
+           data=st.data())
+    def test_chunked_feed_matches_one_call(self, cap, over, data):
+        # the simulator feeds each replication in blocks, so a split of one
+        # stream must keep every replacement draw and slot
+        length = {"below": data.draw(st.integers(0, cap - 1)), "at": cap,
+                  "over": data.draw(st.integers(cap + 1, 5 * cap))}[over]
+        cuts = sorted(data.draw(st.lists(st.integers(0, length), max_size=10)))
+        values = np.random.default_rng(length).random(length)
+        whole = _Reservoir(cap, np.random.default_rng(cap))
+        whole.extend(values)
+        split = _Reservoir(cap, np.random.default_rng(cap))
+        for lo, hi in zip([0, *cuts], [*cuts, length]):
+            split.extend(values[lo:hi])
+        assert split.seen == whole.seen == length
+        assert split.sorted_array().tobytes() == whole.sorted_array().tobytes()
