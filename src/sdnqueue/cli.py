@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import os
@@ -669,7 +670,9 @@ def _add_sim_flags(p: _Parser) -> None:
                    help="fraction of departures discarded as warm-up")
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The CLI's parser, built on first use and shared by every later call."""
     parser = _Parser(prog="sdnqueue", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 

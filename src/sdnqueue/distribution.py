@@ -12,6 +12,15 @@ ccdf are therefore evaluated through an algebraically identical regrouping
 
 with x = (a_c - a_l) t and phi(x) = (e^(-x) - 1 + x) / x^2, which is uniformly
 stable and passes continuously through the equal-rates (Erlang-3) limit.
+
+A scalar time (a float, an int, a numpy scalar or a 0-d array) is evaluated
+in Python float arithmetic, with numpy's exp for both exponentials; an array
+is evaluated elementwise in fixed blocks of _CHUNK times, into one output of
+the input's shape.  Both paths run the same formulas in the same order, so a
+scalar gives the same bits as the same time inside an array, at any block
+size.  (math.exp is not used: the platform's libm can differ from numpy's
+exp in the last bit.)
+
 The coefficient fields b1/b2/d keep the classical partial-fraction values and
 are reported for inspection; b1 can be negative, so the mixture must never be
 sampled from, only summed.
@@ -30,9 +39,15 @@ from .analytic import ControllerParams, NodeParams, SolvedRates, UnstableSystemE
 # as degenerate (evaluation itself never divides by the gap).
 DEGENERATE_TOL = 1e-9
 
-# phi(x) Maclaurin coefficients 1/(k+2)! with alternating sign, |x| < 0.5.
+# phi(x) Maclaurin coefficients 1/(k+2)! with alternating sign, |x| < 0.5,
+# and the order Horner's rule takes them in after the highest.
 _PHI_COEFFS = [(-1.0) ** k / math.factorial(k + 2) for k in range(14)]
+_PHI_HORNER = _PHI_COEFFS[-2::-1]
 _PHI_SERIES_CUTOFF = 0.5
+
+# Times per block of an array evaluation.  Elementwise arithmetic gives the
+# same bits at any block size; a block's temporaries stay small and in cache.
+_CHUNK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -86,57 +101,98 @@ def build_distribution(node: NodeParams, ctrl: ControllerParams,
                                d=d, q_nf=q, degenerate=degenerate)
 
 
-def _validate_times(t) -> tuple[np.ndarray, bool]:
-    arr = np.asarray(t, dtype=float)
-    if np.any(arr < 0.0):
-        raise ValueError("time must be >= 0")
-    scalar = arr.ndim == 0
-    return (arr.reshape(1) if scalar else arr), scalar
+def _series(e_l, alt, x):
+    """Detour term h = e_l alt^2 phi(x) by phi's Maclaurin series, for |x| < 0.5."""
+    phi = _PHI_COEFFS[-1]
+    for c in _PHI_HORNER:
+        phi = phi * x + c
+    return e_l * alt * alt * phi
 
 
-def _detour(dist: SojournDistribution, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """e^(-a_l t) and the detour term h = e^(-a_l t) (a_l t)^2 phi(x).
+def _closed(e_l, e_c, x, r):
+    """Detour term h = r^2 (e^(-a_c t) - e_l + x e_l), r = a_l/(a_c - a_l), for |x| >= 0.5.
 
-    phi is series-evaluated for |x| < 0.5, where its closed form cancels;
-    beyond, h = (a_l/(a_c - a_l))^2 (e^(-a_c t) - e_l + x e_l), which never
-    forms e^(-x) and so cannot overflow when a_c << a_l.
+    It never forms e^(-x), so it cannot overflow when a_c << a_l.
     """
+    return r * r * (e_c - e_l + x * e_l)
+
+
+def _ratio(dist: SojournDistribution) -> float:
+    """a_l/(a_c - a_l).  Equal rates give |x| >= 0.5 only at a non-finite t,
+    whose value is then NaN like any other law's."""
+    gap = dist.a_controller - dist.a_switch
+    return dist.a_switch / gap if gap else math.nan
+
+
+def _detour_at(dist: SojournDistribution, t: float) -> tuple[float, float]:
+    """e^(-a_l t) and the detour term h at one time, in float arithmetic."""
+    a_l, a_c = dist.a_switch, dist.a_controller
+    x = (a_c - a_l) * t
+    e_l = float(np.exp(-a_l * t))
+    if abs(x) < _PHI_SERIES_CUTOFF:
+        return e_l, _series(e_l, a_l * t, x)
+    return e_l, _closed(e_l, float(np.exp(-a_c * t)), x, _ratio(dist))
+
+
+def _detour_on(dist: SojournDistribution, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """e^(-a_l t) and the detour term h elementwise over a 1-d block of times."""
     a_l, a_c = dist.a_switch, dist.a_controller
     x = (a_c - a_l) * t
     e_l = np.exp(-a_l * t)
-    h = np.empty_like(t)
     small = np.abs(x) < _PHI_SERIES_CUTOFF
-    if np.any(small):
-        xs = x[small]
-        phi = np.full_like(xs, _PHI_COEFFS[-1])
-        for c in reversed(_PHI_COEFFS[:-1]):
-            phi = phi * xs + c
-        alt = a_l * t[small]
-        h[small] = e_l[small] * alt * alt * phi
-    if not np.all(small):
-        big = ~small
-        r = a_l / (a_c - a_l)
-        eb = e_l[big]
-        h[big] = r * r * (np.exp(-a_c * t[big]) - eb + x[big] * eb)
+    if small.all():
+        return e_l, _series(e_l, a_l * t, x)
+    far = ~small
+    if far.all():
+        return e_l, _closed(e_l, np.exp(-a_c * t), x, _ratio(dist))
+    h = np.empty_like(t)
+    h[small] = _series(e_l[small], a_l * t[small], x[small])
+    h[far] = _closed(e_l[far], np.exp(-a_c * t[far]), x[far], _ratio(dist))
     return e_l, h
+
+
+def _evaluate(dist: SojournDistribution, t, value):
+    """value(dist, t, e_l, h) at a scalar time, as a float, or elementwise over
+    an array of times, in blocks of _CHUNK, into an array of t's shape."""
+    if not isinstance(t, (float, int)):
+        t = np.asarray(t, dtype=float)
+        if t.ndim:
+            return _evaluate_blocks(dist, t, value)
+    t = float(t)
+    if t < 0.0:
+        raise ValueError("time must be >= 0")
+    return value(dist, t, *_detour_at(dist, t))
+
+
+def _evaluate_blocks(dist: SojournDistribution, t: np.ndarray, value) -> np.ndarray:
+    if np.any(t < 0.0):
+        raise ValueError("time must be >= 0")
+    out = np.empty(t.shape)
+    flat_t, flat_out = t.reshape(-1), out.reshape(-1)
+    for i in range(0, flat_t.size, _CHUNK):
+        block = flat_t[i:i + _CHUNK]
+        flat_out[i:i + _CHUNK] = value(dist, block, *_detour_on(dist, block))
+    return out
+
+
+def _pdf_value(dist, t, e_l, h):
+    q = dist.q_nf
+    return (1.0 - q) * dist.a_switch * e_l + q * dist.a_controller * h
+
+
+def _ccdf_value(dist, t, e_l, h):
+    q = dist.q_nf
+    return e_l * (1.0 + q * dist.a_switch * t) + q * h
 
 
 def pdf(dist: SojournDistribution, t):
     """Sojourn-time density at t (seconds); accepts scalars or arrays."""
-    arr, scalar = _validate_times(t)
-    e_l, h = _detour(dist, arr)
-    q = dist.q_nf
-    out = (1.0 - q) * dist.a_switch * e_l + q * dist.a_controller * h
-    return float(out[0]) if scalar else out
+    return _evaluate(dist, t, _pdf_value)
 
 
 def ccdf(dist: SojournDistribution, t):
     """P(sojourn > t); 1 at t = 0, nonincreasing, -> 0 as t -> inf."""
-    arr, scalar = _validate_times(t)
-    e_l, h = _detour(dist, arr)
-    q = dist.q_nf
-    out = e_l * (1.0 + q * dist.a_switch * arr) + q * h
-    return float(out[0]) if scalar else out
+    return _evaluate(dist, t, _ccdf_value)
 
 
 def prob_within_deadline(dist: SojournDistribution, deadline: float) -> float:
@@ -163,12 +219,12 @@ def quantile(dist: SojournDistribution, p: float) -> float:
     target = 1.0 - p  # ccdf value at the quantile
     lo, tail = 0.0, 1.0  # the bracket's left end and its ccdf
     hi = dist.mean()
-    while (c := float(ccdf(dist, hi))) > target:
+    while (c := ccdf(dist, hi)) > target:
         lo, tail = hi, c
         hi *= 2.0
     t = lo
     while True:
-        density = float(pdf(dist, t))
+        density = pdf(dist, t)
         t_new = t + math.log(tail / target) * tail / density if density > 0.0 else math.nan
         if t_new == t:
             return t
@@ -177,7 +233,7 @@ def quantile(dist: SojournDistribution, p: float) -> float:
             if not lo < t_new < hi:
                 return t
         t = t_new
-        tail = float(ccdf(dist, t))
+        tail = ccdf(dist, t)
         if tail > target:
             lo = t
         else:

@@ -2,6 +2,10 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -475,3 +479,32 @@ class TestOneResolver:
                                          "--replications", "2"])),
             ("node", "controller", "sim"))
         assert from_doc == from_flags
+
+
+class TestParserReuse:
+    """The parser is built once per process; a parse that failed or printed
+    help must leave nothing behind for the next call."""
+
+    SEQUENCE = [["analyze"] + NODE_FLAGS,
+                ["analyze", "--no-such-flag"],
+                ["analyze", "--help"],
+                ["analyze"] + NODE_FLAGS]
+
+    @staticmethod
+    def _fresh_process(argv):
+        src = Path(__file__).resolve().parents[1] / "src"
+        proc = subprocess.run([sys.executable, "-m", "sdnqueue", *argv], capture_output=True,
+                              text=True, env=dict(os.environ, PYTHONPATH=str(src), COLUMNS="80"),
+                              timeout=60)
+        return proc.returncode, proc.stdout, proc.stderr
+
+    def test_calls_in_one_process_match_fresh_processes(self, monkeypatch, capsys):
+        monkeypatch.setenv("COLUMNS", "80")
+        assert cli.build_parser() is cli.build_parser()
+        for argv in self.SEQUENCE:
+            try:
+                rc = cli.main(argv)
+            except SystemExit as exc:  # --help
+                rc = exc.code
+            out, err = capsys.readouterr()
+            assert (rc, out, err) == self._fresh_process(argv), argv

@@ -1,14 +1,24 @@
 """Sojourn-time distribution: coefficients, pdf/ccdf, quantiles, deadlines."""
 
+import hashlib
 import math
+import os
+import subprocess
+import sys
+import textwrap
 import warnings
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from sdnqueue.analytic import ControllerParams, NodeParams, UnstableSystemError, \
     mean_sojourn_openflow, rate_from_us, solve_rates
+from sdnqueue import distribution
 from sdnqueue.distribution import (
     SojournDistribution,
     build_distribution,
@@ -308,3 +318,173 @@ def test_law_matches_simulation_ccdf():
     i = np.arange(len(s))
     ks = max(np.max(cdf_vals - i / len(s)), np.max((i + 1) / len(s) - cdf_vals))
     assert ks < 0.02
+
+
+@st.composite
+def _laws(draw):
+    """(node, ctrl, law) at a random stable point: q_nf at and between its
+    ends, a controller from 10^4 times slower to 10^3 times faster than the
+    switch, and effective rates up to 10^-6 apart."""
+    q = draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0))
+    mu_l = draw(st.floats(1e3, 1e6))
+    load = draw(st.floats(0.01, 0.99))
+    gap = draw(st.none() | st.floats(-1e-6, 1e-6))
+    if gap is None:
+        mu_c = mu_l * 10.0 ** draw(st.floats(-4.0, 3.0))
+        lam = load * min(mu_l / (1.0 + q), mu_c / q if q else math.inf)
+    else:
+        lam = load * mu_l / (1.0 + q)
+        mu_c = (mu_l - (1.0 + q) * lam) * (1.0 + gap) + q * lam
+    return make_dist(lam, mu_l, q, mu_c)
+
+
+def _scale(d: SojournDistribution) -> float:
+    """The law's slower time scale; 60 of them reach far into the tail."""
+    return 1.0 / min(d.a_switch, d.a_controller)
+
+
+def _bits(value) -> bytes:
+    return np.asarray(value, dtype=float).tobytes()
+
+
+class TestScalarAndArrayPaths:
+    """A scalar is evaluated in floats and an array in blocks of _CHUNK; both
+    must give the bits of the same time inside an array."""
+
+    @settings(max_examples=150, derandomize=True, database=None, deadline=None)
+    @given(law=_laws(), u=st.floats(0.0, 60.0), n=st.integers(0, 2))
+    def test_scalar_matches_array_element(self, law, u, n):
+        _, _, d = law
+        t = u * _scale(d)
+        for f in (pdf, ccdf):
+            for scalar, same in ((t, t), (np.float64(t), t), (np.array(t), t), (n, n)):
+                got = f(d, scalar)
+                assert type(got) is float
+                assert _bits(got) == _bits(f(d, np.array([same]))[0]), (f.__name__, scalar)
+
+    @settings(max_examples=30, derandomize=True, database=None, deadline=None)
+    @given(law=_laws(), chunk=st.integers(1, 5000))
+    def test_block_size_does_not_move_bits(self, law, chunk):
+        _, _, d = law
+        grids = [np.linspace(0.0, 60.0 * _scale(d), n) for n in (chunk - 1, chunk, chunk + 1)]
+        grids += [grids[2].reshape(1, -1), np.zeros((0,)), np.zeros((2, 0))]
+        square = np.linspace(0.0, 60.0 * _scale(d), 3 * chunk).reshape(3, chunk)
+        for f in (pdf, ccdf):
+            want = [f(d, ts) for ts in grids]
+            with mock.patch.object(distribution, "_CHUNK", chunk):
+                got = [f(d, ts) for ts in grids]
+                transposed = f(d, square.T)  # not contiguous: read in C order
+            assert [v.shape for v in got] == [ts.shape for ts in grids]
+            assert [_bits(v) for v in got] == [_bits(v) for v in want]
+            assert _bits(transposed) == _bits(f(d, square).T)
+
+    @settings(max_examples=30, derandomize=True, database=None, deadline=None)
+    @given(law=_laws())
+    def test_nan_passes_through(self, law):
+        _, _, d = law
+        for f in (pdf, ccdf):
+            assert math.isnan(f(d, math.nan))
+            assert np.isnan(f(d, np.array([0.0, math.nan]))[1])
+
+    def test_nan_passes_through_at_equal_rates(self):
+        # the closed-form branch divides by the rate gap, which is zero here;
+        # only a non-finite time reaches it
+        _, _, d = make_dist(1000.0, 10000.0, 0.5, 9000.0)
+        assert d.a_controller == d.a_switch
+        for f in (pdf, ccdf):
+            assert math.isnan(f(d, math.nan))
+            assert np.isnan(f(d, np.array([math.nan]))).all()
+
+
+class TestLawProperties:
+    @settings(max_examples=100, derandomize=True, database=None, deadline=None)
+    @given(law=_laws(), p=st.floats(0.0, 1.0, exclude_max=True))
+    def test_law_is_a_distribution_with_the_path_mean(self, law, p):
+        node, ctrl, d = law
+        ts = np.concatenate([[0.0], np.geomspace(1e-9, 60.0, 400)]) * _scale(d)
+        assert np.all(pdf(d, ts) >= 0.0)
+        tail = ccdf(d, ts)
+        assert tail[0] == ccdf(d, 0.0) == 1.0
+        # At q_nf = 1 the law leaves 1 as t^3, and e_l (1 + a_l t) + q h
+        # cancels to within a few ulps of 1 near t = 0: rises of up to
+        # 4.4e-16 there, none below 0.999.  The bound is TestCcdf's.
+        assert np.all(np.diff(tail) <= 1e-15)
+        t = quantile(d, p)
+        assert abs(ccdf(d, t) - (1.0 - p)) <= 1e-14, (p, t)
+        assert d.mean() == mean_sojourn_openflow(node, ctrl, solve_rates(node, ctrl))
+
+
+# Laws for the pinned digests: the paper's point, q_nf at both ends, equal
+# and nearly equal effective rates, a controller far slower and far faster
+# than the switch, and a nearly saturated switch.
+PIN_LAWS = [(2000.0, MU_L, 0.5, MU_C), (2000.0, MU_L, 0.0, MU_C), (2000.0, MU_L, 1.0, MU_C),
+            (1000.0, 10000.0, 0.5, 9000.0), (1000.0, 10000.0, 0.5, 9000.0 * (1.0 + 1e-7)),
+            (100.0, 1e6, 0.5, 1e3), (1000.0, 1e4, 0.5, 1e7), (0.99 * MU_L / 1.3, MU_L, 0.3, 1e6)]
+PIN_LEVELS = (1e-9, 1e-3, 0.1, 0.5, 0.9, 0.99, 0.999, 1.0 - 1e-6, 1.0 - 1e-9)
+
+
+def _law_digests() -> dict[str, str]:
+    """SHA-256 of pdf and ccdf over a fixed grid of times, of the same
+    functions at scalar times, and of quantiles at fixed levels, over PIN_LAWS."""
+    parts: dict[str, list[bytes]] = {"pdf": [], "ccdf": [], "scalar": [], "quantile": []}
+    for args in PIN_LAWS:
+        _, _, d = make_dist(*args)
+        ts = np.concatenate([np.linspace(0.0, 60.0, 1001), np.geomspace(1e-9, 60.0, 200)])
+        ts *= _scale(d)
+        parts["pdf"].append(_bits(pdf(d, ts)))
+        parts["ccdf"].append(_bits(ccdf(d, ts)))
+        parts["scalar"].append(_bits([f(d, float(t)) for t in ts[::7] for f in (pdf, ccdf)]))
+        parts["quantile"].append(_bits([quantile(d, p) for p in PIN_LEVELS]))
+    return {k: hashlib.sha256(b"".join(v)).hexdigest() for k, v in parts.items()}
+
+
+class TestPinnedBits:
+    # Recorded when every time still went through one whole-array kernel; a
+    # change to any formula, its order of operations or the exp used moves
+    # these bits.  They are numpy's exp on x86-64 with numpy 2.4.
+    DIGESTS = {
+        "pdf": "ec5f138eb4a9f7467d4724499d66cfd4b43134b7fd9a62fd9d86c0968de8eba0",
+        "ccdf": "e51839ee37521d0300cb1346ab67d3d59d1a377667a11b0109e3d0b95a8fad6e",
+        "scalar": "b720fae4d1989eb01e3af7211a64f9c307a96cc2933e0ae41b26e5823b2e221d",
+        "quantile": "2b76298c68a24fe13728e8427f0284febb014ef814262de324a69e24c7eb59ff",
+    }
+
+    def test_law_digests_pinned(self):
+        assert _law_digests() == self.DIGESTS
+
+
+class TestVectorMemory:
+    """An array is evaluated in fixed blocks: the peak growth of one 1e6-point
+    ccdf is its 8 MB output plus the blocks' small temporaries.  Evaluated in
+    one piece, its temporaries took ~55 MB."""
+
+    SCRIPT = textwrap.dedent("""
+        import resource
+        import numpy as np
+        from sdnqueue.analytic import ControllerParams, NodeParams, rate_from_us, solve_rates
+        from sdnqueue.distribution import build_distribution, ccdf
+
+        def peak_mb():
+            try:
+                with open("/proc/self/status") as fh:
+                    return next(int(ln.split()[1]) for ln in fh if ln.startswith("VmHWM:")) / 1024
+            except OSError:  # no procfs: ru_maxrss is in bytes on macOS
+                return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 2 ** 20
+
+        node, ctrl = NodeParams(2000.0, rate_from_us(9.8), 0.5), ControllerParams(rate_from_us(240.0))
+        dist = build_distribution(node, ctrl, solve_rates(node, ctrl))
+        ts = np.linspace(0.0, 0.01, 1_000_000)
+        ccdf(dist, ts[:1000])
+        base = peak_mb()
+        ccdf(dist, ts)
+        print(peak_mb() - base)
+    """)
+
+    BOUND_MB = 16.0  # twice the output
+
+    def test_peak_growth_of_a_large_ccdf(self):
+        src = Path(__file__).resolve().parents[1] / "src"
+        proc = subprocess.run([sys.executable, "-c", self.SCRIPT], capture_output=True,
+                              text=True, env=dict(os.environ, PYTHONPATH=str(src)), timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert float(proc.stdout) <= self.BOUND_MB
