@@ -13,6 +13,9 @@ ccdf are therefore evaluated through an algebraically identical regrouping
 with x = (a_c - a_l) t and phi(x) = (e^(-x) - 1 + x) / x^2, which is uniformly
 stable and passes continuously through the equal-rates (Erlang-3) limit.
 
+Both pdf and ccdf vanish at t = inf, where the formulas would form 0 * inf, so
+an infinite time gives 0 without evaluating them.
+
 A scalar time (a float, an int, a numpy scalar or a 0-d array) is evaluated
 in Python float arithmetic, with numpy's exp for both exponentials; an array
 is evaluated elementwise in fixed blocks of _CHUNK times, into one output of
@@ -161,12 +164,19 @@ def _evaluate(dist: SojournDistribution, t, value):
     t = float(t)
     if t < 0.0:
         raise ValueError("time must be >= 0")
+    if t == math.inf:
+        return 0.0
     return value(dist, t, *_detour_at(dist, t))
 
 
 def _evaluate_blocks(dist: SojournDistribution, t: np.ndarray, value) -> np.ndarray:
     if np.any(t < 0.0):
         raise ValueError("time must be >= 0")
+    at_inf = t == math.inf
+    if at_inf.any():
+        out = np.zeros(t.shape)
+        out[~at_inf] = _evaluate_blocks(dist, t[~at_inf], value)
+        return out
     out = np.empty(t.shape)
     flat_t, flat_out = t.reshape(-1), out.reshape(-1)
     for i in range(0, flat_t.size, _CHUNK):

@@ -11,8 +11,6 @@ is a new flow and never otherwise.
 
 Engine design, fixed for reproducibility:
 
-* future-event list: binary heap keyed by (event_time, sequence number); the
-  monotonically increasing sequence number breaks time ties deterministically;
 * one named random stream per stochastic source (per-node arrivals, per-node
   switch services, per-node flow marking, controller services), all spawned
   from the master seed, so a parameter change in one source never shifts the
@@ -27,29 +25,46 @@ Engine design, fixed for reproducibility:
   reservoirs, so a run's memory is bounded by ``SAMPLE_CAP`` samples per
   reservoir plus one block (and the packets in the system), whatever its
   packet budget;
-* the switches and the controller are stations of one event loop; a packet's
-  state (arrival time, entry node, new-flow mark, controller visited) lives in
-  the station queues only while the packet is in the system;
-* a single node without ``audit`` runs Lindley's recursion instead (Lindley
-  1952): one loop with no event list.  Each switch visit is
+* a packet's state (arrival time, entry node, new-flow mark, progress along
+  its route) is held only while the packet is in the system.
+
+Three engines run a replication, and all give the same bits:
+
+* the event loop, which runs whenever ``audit`` is set: the switches and the
+  controller are stations of one future-event list, a binary heap keyed by
+  (event time, sequence number), so time ties go in event order;
+* a single node without ``audit`` runs Lindley's recursion (Lindley 1952):
+  one loop with no event list.  Each switch visit is
   ``free = max(join, free) + service``, the same float operation the event
   loop performs at a service start, over the time-ordered merge of arrivals
   and controller returns.  The controller serves only first passes, which
   leave the FIFO switch in order, so each return is computed when its first
-  pass ends and is known before any later arrival is reached.  It draws the
-  same streams in the same blocks and order (marks per arrival, switch
-  services per join, controller services per first pass) and emits
-  departures in time order, so it gives the event loop's bits.  The one
-  exception: an exact float tie between a return and an arrival is served
-  arrival-first, where the event loop orders by sequence number.
+  pass ends and is known before any later arrival is reached;
+* a chain without ``audit`` runs the join-ordered loop, Lindley's recursion
+  at every station.  Each station is a FIFO single server, so its
+  completions leave in join order and each is known at its join,
+  ``max(join, free) + service``.  The loop keeps each station's unrouted
+  completions in order, routes the earliest one before the next external
+  arrival (to the controller, back to its entry node, downstream, or out)
+  and computes the completion of the station it joins; a final pass at the
+  last node departs at its join, in departure order.
+
+The two Lindley loops draw the event loop's streams in the same blocks and
+order (marks per arrival, services per join, which is each station's
+service-start order) and emit departures in time order.  They differ from it
+only at exact float ties, which have probability zero and which they order by
+fixed rules where the event loop orders by sequence number: a controller
+return or other completion tied with an arrival goes after the arrival, two
+classes' tied arrivals go lower class first, and two tied completions lower
+station first.
 
 Invariant checks raise :class:`SimulationInvariantError` explicitly, so they
-still run under ``python -O``.  In the event loop every departure is checked
-to have visited the controller exactly when it is a new flow; ``audit=True``
-adds per-station FIFO order and packet conservation checks on every event
-and always runs the event loop, so it is also the oracle for the Lindley
-loop.  In the Lindley loop routing is control flow, not packet state, so
-there is no per-departure check; tests hold it to the event loop's bits.
+still run under ``python -O``.  The event loop checks that every departure
+visited the controller exactly when it is a new flow, and per-station FIFO
+order and packet conservation on every event; it is the oracle for both
+Lindley loops.  In those loops routing is control flow, not packet state, so
+there is nothing per packet to check; tests hold them to the event loop's
+bits.
 
 Identical (seed, config, parameters) give bit-identical results.  Replications
 run sequentially and are merged by replication index, so output never depends
@@ -60,6 +75,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
@@ -132,7 +148,7 @@ class ChainSimResult:
 class SimulationInvariantError(AssertionError):
     """A simulator invariant failed: the engine, not the input, is at fault.
 
-    Raised by the event loop's departure check and by the ``audit=True`` checks.
+    Raised by the checks of the event loop, which runs when ``audit=True``.
     It is raised explicitly, so ``python -O`` keeps every check; as an
     AssertionError it is also caught by ``except AssertionError`` handlers.
     """
@@ -223,6 +239,15 @@ class _Tally:
             reservoir.extend(xi)
             self._add(i, xi, int(np.count_nonzero(new_cls == i)))
 
+    def flush(self, sojourns: list[float], new_at: list[int],
+              cls: list[int] | None = None) -> None:
+        """:meth:`take` a block held in lists, then empty them for the next."""
+        self.take(sojourns, new_at, cls)
+        sojourns.clear()
+        new_at.clear()
+        if cls is not None:
+            cls.clear()
+
     def _add(self, i: int, x: np.ndarray, visits: int) -> None:
         # x has been fed to the reservoirs, so the carry goes in in place
         if len(x):
@@ -251,6 +276,9 @@ def run_chain(chain: ChainModel, cfg: SimConfig, audit: bool = False) -> ChainSi
     External class-i packets enter node i; new-flow marking applies only at a
     packet's entry node; controller returns rejoin the entry node's queue and
     then transit every downstream node with one FIFO exponential service each.
+    A chain of two or more nodes runs the join-ordered loop, a single node the
+    Lindley loop, or either the checked event loop when ``audit`` is set; all
+    give the same bits.
     """
     return _run_experiment(chain, cfg, audit)
 
@@ -316,16 +344,19 @@ def _run_replication(chain: ChainModel, n_packets: int, tally: _Tally,
                      seed_seq: np.random.SeedSequence, audit: bool):
     """One replication; feeds its departures to ``tally`` every ``_BLOCK``
     departures and returns the per-class sums, counts and visits of the
-    measured ones.  A single node without ``audit`` goes to
-    :func:`_run_lindley`.
+    measured ones.  Without ``audit`` a single node goes to
+    :func:`_run_lindley` and a chain to :func:`_run_joins`; with it, the
+    checked event loop below runs, the oracle for both.
 
     Switch k is station k and the controller is station n.  A packet is the
     tuple (arrival time, entry node, new-flow mark, visited controller), held
     only by the queues and ``busy``: per-packet state is dropped at departure.
     """
     n = len(chain.nodes)
-    if n == 1 and not audit:
-        return _run_lindley(chain.nodes[0], chain.controller, n_packets, tally, seed_seq)
+    if not audit:
+        if n == 1:
+            return _run_lindley(chain.nodes[0], chain.controller, n_packets, tally, seed_seq)
+        return _run_joins(chain, n_packets, tally, seed_seq)
     qs = [nd.q_nf for nd in chain.nodes]
     arr_scales = [1.0 / nd.lam for nd in chain.nodes]
     svc_scales = [1.0 / nd.mu_switch for nd in chain.nodes]
@@ -361,12 +392,11 @@ def _run_replication(chain: ChainModel, n_packets: int, tally: _Tally,
     new_at: list[int] = []
     classes: list[int] = []
 
-    if audit:
-        # FIFO audit: every join of a station's queue gets a per-station stamp;
-        # service starts must consume stamps in increasing order.
-        stamp_q: list[deque[int]] = [deque() for _ in range(n + 1)]
-        enq_counter = [0] * (n + 1)
-        last_started = [-1] * (n + 1)
+    # FIFO audit: every join of a station's queue gets a per-station stamp;
+    # service starts must consume stamps in increasing order.
+    stamp_q: list[deque[int]] = [deque() for _ in range(n + 1)]
+    enq_counter = [0] * (n + 1)
+    last_started = [-1] * (n + 1)
 
     # kick off one pending arrival per class
     for i in range(n):
@@ -413,15 +443,11 @@ def _run_replication(chain: ChainModel, n_packets: int, tally: _Tally,
                 sojourns.append(t - pkt[0])
                 classes.append(pkt[1])
                 if len(sojourns) == _BLOCK:
-                    tally.take(sojourns, new_at, classes)
-                    sojourns.clear()
-                    new_at.clear()
-                    classes.clear()
+                    tally.flush(sojourns, new_at, classes)
         if dest >= 0:
             # join `dest`: start its service at once if it is idle
-            if audit:
-                enq_counter[dest] += 1
-                stamp_q[dest].append(enq_counter[dest])
+            enq_counter[dest] += 1
+            stamp_q[dest].append(enq_counter[dest])
             if busy[dest] is None:
                 busy[dest] = pkt
                 j = svc_idx[dest]
@@ -431,8 +457,7 @@ def _run_replication(chain: ChainModel, n_packets: int, tally: _Tally,
                 push(heap, (t + svc_bufs[dest][j], seq, n + dest))
                 svc_idx[dest] = j + 1
                 seq += 1
-                if audit:
-                    _check_fifo(stamp_q[dest].popleft(), last_started, dest, n)
+                _check_fifo(stamp_q[dest].popleft(), last_started, dest, n)
             else:
                 queues[dest].append(pkt)
         if code < n:
@@ -454,17 +479,15 @@ def _run_replication(chain: ChainModel, n_packets: int, tally: _Tally,
             push(heap, (t + svc_bufs[done][j], seq, code))
             svc_idx[done] = j + 1
             seq += 1
-            if audit:
-                _check_fifo(stamp_q[done].popleft(), last_started, done, n)
+            _check_fifo(stamp_q[done].popleft(), last_started, done, n)
         else:
             busy[done] = None
-        if audit:
-            in_system = (sum(len(qd) for qd in queues)
-                         + sum(1 for b in busy if b is not None))
-            if admitted != departed + in_system:
-                raise SimulationInvariantError(
-                    f"packet conservation violated: {admitted} admitted, {departed} "
-                    f"departed, {in_system} in the system")
+        in_system = (sum(len(qd) for qd in queues)
+                     + sum(1 for b in busy if b is not None))
+        if admitted != departed + in_system:
+            raise SimulationInvariantError(
+                f"packet conservation violated: {admitted} admitted, {departed} "
+                f"departed, {in_system} in the system")
 
     tally.take(sojourns, new_at, classes)
     return tally.sums, tally.counts, tally.visits
@@ -494,8 +517,8 @@ def _run_lindley(node: NodeParams, ctrl: ControllerParams, n_packets: int, tally
     svc_scale = 1.0 / node.mu_switch
     ctl_scale = 1.0 / ctrl.mu_controller
     q = node.q_nf
-    next_svc = _values(lambda: svc_rng.exponential(svc_scale, _BLOCK).tolist()).__next__
-    next_ctl = _values(lambda: ctl_rng.exponential(ctl_scale, _BLOCK).tolist()).__next__
+    next_svc = _exponentials(svc_rng, svc_scale)
+    next_ctl = _exponentials(ctl_rng, ctl_scale)
 
     returns: deque[tuple[float, float]] = deque()  # (back from the controller, arrival)
     sojourns: list[float] = []  # this block's departures, in order
@@ -506,7 +529,7 @@ def _run_lindley(node: NodeParams, ctrl: ControllerParams, n_packets: int, tally
         if left < _BLOCK:
             times = times[:left]
         left -= len(times)
-        for a, new in zip(times, (mark_rng.random(_BLOCK) < q).tolist()):
+        for a, new in zip(times.tolist(), (mark_rng.random(_BLOCK) < q).tolist()):
             while returns and returns[0][0] < a:
                 r, a0 = returns.popleft()
                 free = (r if r > free else free) + next_svc()
@@ -518,9 +541,7 @@ def _run_lindley(node: NodeParams, ctrl: ControllerParams, n_packets: int, tally
                 returns.append((cfree, a))
             else:
                 sojourns.append(free - a)
-        tally.take(sojourns, new_at)
-        sojourns.clear()
-        new_at.clear()
+        tally.flush(sojourns, new_at)
         if not left:
             break
     while returns:  # arrivals have stopped: the returns drain in order
@@ -533,10 +554,122 @@ def _run_lindley(node: NodeParams, ctrl: ControllerParams, n_packets: int, tally
     return tally.sums, tally.counts, tally.visits
 
 
-def _values(draw_block):
-    """The values of ``draw_block()`` in order; a block is drawn when the last
-    one runs out."""
-    return itertools.chain.from_iterable(iter(draw_block, None))
+def _run_joins(chain: ChainModel, n_packets: int, tally: _Tally,
+               seed_seq: np.random.SeedSequence):
+    """One chain replication in join order, with the event loop's bits (see
+    the module docstring); feeds ``tally`` every ``_BLOCK`` departures and
+    returns what :func:`_run_replication` returns.
+
+    ``pending[s]`` holds station s's unrouted completions in completion order,
+    each as (time, station it joins next, arrival time, class, new-flow mark),
+    and ``heads[s]`` the first one's time (inf when there is none).  Before an
+    arrival is joined, every completion strictly earlier is routed, earliest
+    first and the lower station first on a tie; each routing joins one
+    station and queues the completion that join makes, which is later than
+    it.  A final pass at the last node departs at its join.
+    """
+    n = len(chain.nodes)
+    last = n - 1
+    # the event loop's streams; services are drawn in join order, which is
+    # each FIFO station's service-start order
+    streams = seed_seq.spawn(3 * n + 1)
+    arrivals = _merged_arrivals(chain.nodes, [streams[3 * i] for i in range(n)],
+                                [streams[3 * i + 2] for i in range(n)], n_packets)
+    scales = [1.0 / nd.mu_switch for nd in chain.nodes] + [1.0 / chain.controller.mu_controller]
+    draw = [_exponentials(np.random.default_rng(s), scale)
+            for s, scale in zip(streams[1:3 * n:3] + [streams[3 * n]], scales)]
+
+    pending: list[deque[tuple]] = [deque() for _ in range(n + 1)]
+    heads = [math.inf] * (n + 1)
+    free = [0.0] * (n + 1)
+    sojourns: list[float] = []  # this block's departures: sojourns,
+    new_at: list[int] = []  # positions of the new flows among them,
+    classes: list[int] = []  # and classes
+    t = math.inf  # the earliest head
+    for times, cls, marks in arrivals:
+        for a, c, new in zip(times, cls, marks):
+            while t < a:
+                k = heads.index(t)
+                queue = pending[k]
+                _, s, a0, c0, new0 = queue.popleft()
+                heads[k] = queue[0][0] if queue else math.inf
+                f = free[s]
+                free[s] = f = (t if t > f else f) + draw[s]()
+                if s == last:  # a second pass or a transit: the final pass
+                    if new0:
+                        new_at.append(len(sojourns))
+                    sojourns.append(f - a0)
+                    classes.append(c0)
+                    if len(sojourns) == _BLOCK:
+                        tally.flush(sojourns, new_at, classes)
+                else:
+                    if not pending[s]:
+                        heads[s] = f
+                    pending[s].append((f, c0 if s == n else s + 1, a0, c0, new0))
+                t = min(heads)
+            if c == n:  # the sentinel after the last admitted arrival: drained
+                break
+            f = free[c]
+            free[c] = f = (a if a > f else f) + draw[c]()
+            if new:
+                s = n
+            elif c < last:
+                s = c + 1
+            else:  # a local packet at the last node: its only pass
+                sojourns.append(f - a)
+                classes.append(c)
+                if len(sojourns) == _BLOCK:
+                    tally.flush(sojourns, new_at, classes)
+                continue
+            if not pending[c]:
+                heads[c] = f
+                if f < t:
+                    t = f
+            pending[c].append((f, s, a, c, new))
+    tally.take(sojourns, new_at, classes)
+    return tally.sums, tally.counts, tally.visits
+
+
+def _merged_arrivals(nodes, arr_seeds, mark_seeds, n_packets: int):
+    """The first ``n_packets`` external arrivals of every class in time order,
+    chunk by chunk, as lists of times, classes and new-flow marks; then one
+    sentinel chunk, (inf, len(nodes), False).
+
+    Each class draws its arrival times and marks one ``_BLOCK`` at a time, as
+    the event loop does; a chunk is every drawn arrival up to the earliest
+    last time of a class's block, sorted stably, so an exact tie between two
+    classes goes to the lower class first.
+    """
+    n = len(nodes)
+    blocks = [_arrival_blocks(np.random.default_rng(s), 1.0 / nd.lam)
+              for s, nd in zip(arr_seeds, nodes)]
+    mark_rngs = [np.random.default_rng(s) for s in mark_seeds]
+    times = [np.empty(0)] * n
+    marks = [np.empty(0, dtype=bool)] * n
+    ids = np.arange(n)
+    left = n_packets
+    while left:
+        for i in range(n):
+            if not len(times[i]):
+                times[i] = next(blocks[i])
+                marks[i] = mark_rngs[i].random(_BLOCK) < nodes[i].q_nf
+        end = min(t[-1] for t in times)
+        cut = [int(np.searchsorted(t, end, side="right")) for t in times]
+        merged = np.concatenate([t[:k] for t, k in zip(times, cut)])
+        order = np.argsort(merged, kind="stable")[:left]
+        left -= len(order)
+        yield (merged[order].tolist(), np.repeat(ids, cut)[order].tolist(),
+               np.concatenate([m[:k] for m, k in zip(marks, cut)])[order].tolist())
+        times = [t[k:] for t, k in zip(times, cut)]
+        marks = [m[k:] for m, k in zip(marks, cut)]
+    yield [math.inf], [n], [False]
+
+
+def _exponentials(rng: np.random.Generator, scale: float):
+    """The next of ``rng``'s exponential draws, per call; a block of
+    ``_BLOCK`` is drawn when the last one runs out."""
+    blocks = iter(lambda: rng.exponential(scale, _BLOCK).tolist(), None)
+    return itertools.chain.from_iterable(blocks).__next__
 
 
 def _arrival_blocks(rng: np.random.Generator, scale: float):
@@ -548,4 +681,4 @@ def _arrival_blocks(rng: np.random.Generator, scale: float):
         gaps[0] += t
         times = np.cumsum(gaps)
         t = times[-1]
-        yield times.tolist()
+        yield times

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sdnqueue.analytic import (
     ChainModel,
@@ -294,3 +296,30 @@ def test_rate_from_us():
     assert rate_from_us(240.0) == pytest.approx(1e6 / 240.0, rel=1e-15)
     with pytest.raises(ValueError):
         rate_from_us(0.0)
+
+
+class TestOneNodeChainProperties:
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(q=st.floats(0.0, 1.0), mu_l=st.floats(2.0, 7.0).map(lambda e: 10.0 ** e),
+           mu_c=st.floats(2.0, 7.0).map(lambda e: 10.0 ** e), load=st.floats(0.01, 1.2))
+    def test_one_node_chain_is_the_single_node(self, q, mu_l, mu_c, load):
+        # load is the busier station's, up to saturated
+        lam = load * min(mu_l / (1.0 + q), mu_c / q if q else math.inf)
+        node, ctrl = NodeParams(lam, mu_l, q), ControllerParams(mu_c)
+        chain = ChainModel(nodes=(node,), controller=ctrl)
+        sol = solve_chain(chain)
+        rates = solve_rates(node, ctrl)
+        assert sol.nodes == (rates,)
+        assert sol.gamma_controller == rates.gamma_controller
+        assert sol.rho_controller == rates.rho_controller
+        if not rates.stable:
+            with pytest.raises(UnstableSystemError):
+                chain_sojourn(chain, sol)
+            return
+        # The chain form multiplies by the reciprocal entry delay and weights
+        # the one class by lam / lam; each may round once, so the two forms
+        # agree to within 1-2 ulps, not bit for bit.
+        want = mean_sojourn_openflow(node, ctrl, rates)
+        got = chain_sojourn(chain, sol)
+        for w in (*got.per_class, got.aggregate):
+            assert abs(w - want) <= 4 * math.ulp(want), (w, want)

@@ -180,6 +180,11 @@ class TestDistributionCmd:
         assert header == ["p", "quantile"]
         assert float(rows[0][1]) < float(rows[1][1])
 
+    def test_deadline_at_infinity(self, capsys):
+        rc = cli.main(["distribution"] + NODE_FLAGS + ["--deadline-us", "inf"])
+        assert rc == 0
+        assert "P(sojourn <= inf us) = 1.000000" in capsys.readouterr().out
+
     def test_unstable_exit_two(self, capsys):
         rc = cli.main(["distribution", "--lam", "30000", "--q-nf", "0.5",
                        "--mu-switch-us", "9.8", "--mu-controller-us", "240"])
@@ -283,6 +288,16 @@ class TestSweepCmd:
         assert "naive unstable" in rows[1][4]
         assert rows[2][2] == ""         # true model saturated beyond rho_c=1
         assert "analytic unstable" in rows[2][4]
+
+    def test_deadline_prob_at_infinity(self, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        rc = cli.main(["sweep"] + NODE_FLAGS +
+                      ["--variable", "lambda", "--grid", "1000,2000",
+                       "--outputs", "deadline_prob", "--deadline", "inf", "--output", str(out)])
+        capsys.readouterr()
+        assert rc == 0
+        header, rows = read_csv(out)
+        assert [(r[header.index("deadline_prob")], r[-1]) for r in rows] == [("1.0", "ok")] * 2
 
     def test_grid_expression(self, tmp_path, capsys):
         out = tmp_path / "sweep.csv"

@@ -4,6 +4,8 @@ import math
 from decimal import Decimal, localcontext
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sdnqueue.analytic import ControllerParams, NodeParams, mean_sojourn_openflow, \
     rate_from_us, solve_rates
@@ -133,6 +135,33 @@ class TestMaxThroughputExact:
         res = max_throughput(1e9 * zero_load_sojourn(q, mu_l, mu_c), q_nf=q,
                              mu_switch=mu_l, mu_controller=mu_c)
         assert res.rate == sup * (1.0 - _SUP_MARGIN)
+
+
+def _log_uniform(lo_exp: float, hi_exp: float):
+    return st.floats(lo_exp, hi_exp).map(lambda e: 10.0 ** e)
+
+
+class TestMaxThroughputProperties:
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(q=st.floats(0.0, 1.0), mu_l=_log_uniform(2.0, 7.0), mu_c=_log_uniform(2.0, 7.0),
+           factors=st.lists(_log_uniform(-0.3, 10.0), min_size=2, max_size=2))
+    def test_monotone_meets_bound_below_supremum(self, q, mu_l, mu_c, factors):
+        # bounds from half the zero-load sojourn w0 to 1e10 w0, past the
+        # _SUP_MARGIN plateau
+        w0 = zero_load_sojourn(q, mu_l, mu_c)
+        sup = stability_supremum(q, mu_l, mu_c)
+        ctrl = ControllerParams(mu_c)
+        bounds = sorted(f * w0 for f in factors)
+        rates = []
+        for bound in bounds:
+            res = max_throughput(bound, q_nf=q, mu_switch=mu_l, mu_controller=mu_c)
+            assert res.feasible == (bound > w0)
+            assert 0.0 <= res.rate < sup
+            if res.rate > 0.0:
+                node = NodeParams(res.rate, mu_l, q)
+                assert mean_sojourn_openflow(node, ctrl, solve_rates(node, ctrl)) <= bound
+            rates.append(res.rate)
+        assert rates[0] <= rates[1]
 
 
 class TestSweepSpec:

@@ -396,6 +396,37 @@ class TestScalarAndArrayPaths:
             assert np.isnan(f(d, np.array([math.nan]))).all()
 
 
+    @settings(max_examples=30, derandomize=True, database=None, deadline=None)
+    @given(law=_laws())
+    def test_zero_at_infinity(self, law):
+        # both laws vanish at t = inf, where the formulas would form 0 * inf;
+        # the finite times of the same array keep their bits
+        _, _, d = law
+        ts = np.array([0.0, _scale(d), math.inf, 30.0 * _scale(d), math.nan])
+        finite = [0, 1, 3]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for f in (pdf, ccdf):
+                for scalar in (math.inf, np.float64(math.inf), np.array(math.inf)):
+                    got = f(d, scalar)
+                    assert type(got) is float and got == 0.0
+                got = f(d, ts)
+                assert got[2] == 0.0 and np.isnan(got[4])
+                assert _bits(got[finite]) == _bits(f(d, ts[finite]))
+                assert _bits(f(d, ts.reshape(1, -1))) == _bits(got.reshape(1, -1))
+            assert prob_within_deadline(d, math.inf) == 1.0
+
+    def test_zero_at_infinity_at_equal_rates(self):
+        _, _, d = make_dist(1000.0, 10000.0, 0.5, 9000.0)
+        assert d.a_controller == d.a_switch
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for f in (pdf, ccdf):
+                assert f(d, math.inf) == 0.0
+                assert f(d, np.array([math.inf]))[0] == 0.0
+            assert prob_within_deadline(d, math.inf) == 1.0
+
+
 class TestLawProperties:
     @settings(max_examples=100, derandomize=True, database=None, deadline=None)
     @given(law=_laws(), p=st.floats(0.0, 1.0, exclude_max=True))

@@ -219,9 +219,10 @@ class TestChainSim:
 
 
 class TestEngineEquivalence:
-    """A single node without audit runs the Lindley loop; ``audit=True`` runs
-    the event loop.  Both must give the same bits.  2 x 40k packets make the
-    arrival, mark, switch and controller draws cross a block refill."""
+    """Without audit a single node runs the Lindley loop and a chain the
+    join-ordered loop; ``audit=True`` runs the event loop.  All must give the
+    same bits.  2 x 40k packets make the arrival, mark, switch and controller
+    draws cross a block refill."""
 
     CASES = {
         "paper q 0.2, rho_c 0.5": (NodeParams(0.5 * MU_C / 0.2, MU_L, 0.2), CTRL, 0.1),
@@ -238,18 +239,56 @@ class TestEngineEquivalence:
         "warm-up 0.3": (NodeParams(2000.0, MU_L, 0.5), CTRL, 0.3),
     }
 
-    @pytest.mark.parametrize("case", sorted(CASES))
-    def test_lindley_loop_matches_event_loop(self, case):
-        node, ctrl, warmup = self.CASES[case]
-        cfg = SimConfig(seed=17, packets_per_replication=40_000, replications=2,
-                        warmup_fraction=warmup)
-        fast = run_single_node(node, ctrl, cfg)
-        des = run_single_node(node, ctrl, cfg, audit=True)
+    SYMMETRIC = (NodeParams(3000.0, MU_L, 0.5), NodeParams(3000.0, MU_L, 0.5))
+    FAST_CTRL = ControllerParams(rate_from_us(10.0))
+    CHAIN_CASES = {
+        "criterion 9 symmetric": (SYMMETRIC, CTRL, 0.1),
+        "criterion 9 asymmetric": (
+            (NodeParams(2000.0, MU_L, 0.2), NodeParams(1000.0, MU_L, 1.0)), CTRL, 0.1),
+        # switch loads 0.33, 0.55 and 0.81
+        "3 nodes, last switch rho 0.81": (
+            (NodeParams(0.25 * MU_L, MU_L, 0.3), NodeParams(0.25 * MU_L, MU_L, 0.2),
+             NodeParams(0.28 * MU_L, MU_L, 0.1)), FAST_CTRL, 0.1),
+        "saturated controller": (
+            (NodeParams(0.7 * MU_C, MU_L, 1.0), NodeParams(0.7 * MU_C, MU_L, 1.0)), CTRL, 0.1),
+        # the second switch carries 0.5 + 0.6 * 1.1 = 1.16 of its rate
+        "saturated switch": (
+            (NodeParams(0.5 * MU_L, MU_L, 0.1), NodeParams(0.6 * MU_L, MU_L, 0.1)),
+            FAST_CTRL, 0.1),
+        "no warm-up": (SYMMETRIC, CTRL, 0.0),
+        "warm-up 0.3": (SYMMETRIC, CTRL, 0.3),
+    }
+
+    @staticmethod
+    def _assert_same_bits(fast, des):
         assert fast.per_replication_means == des.per_replication_means
         assert fast.mean_sojourn == des.mean_sojourn
         assert fast.ci_halfwidth == des.ci_halfwidth
         assert fast.controller_visit_fraction == des.controller_visit_fraction
         assert fast.empirical_ccdf.tobytes() == des.empirical_ccdf.tobytes()
+
+    @staticmethod
+    def _cfg(warmup):
+        return SimConfig(seed=17, packets_per_replication=40_000, replications=2,
+                         warmup_fraction=warmup)
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_lindley_loop_matches_event_loop(self, case):
+        node, ctrl, warmup = self.CASES[case]
+        cfg = self._cfg(warmup)
+        self._assert_same_bits(run_single_node(node, ctrl, cfg),
+                               run_single_node(node, ctrl, cfg, audit=True))
+
+    @pytest.mark.parametrize("case", sorted(CHAIN_CASES))
+    def test_join_loop_matches_event_loop(self, case):
+        nodes, ctrl, warmup = self.CHAIN_CASES[case]
+        chain = ChainModel(nodes=nodes, controller=ctrl)
+        cfg = self._cfg(warmup)
+        fast = run_chain(chain, cfg)
+        des = run_chain(chain, cfg, audit=True)
+        assert len(fast.per_class) == len(des.per_class) == len(nodes)
+        for f, d in zip((fast.aggregate, *fast.per_class), (des.aggregate, *des.per_class)):
+            self._assert_same_bits(f, d)
 
 
 @st.composite
@@ -276,9 +315,10 @@ class TestEngineProperties:
     @given(chain=_chains(), seed=st.integers(0, 2 ** 64 - 1),
            warmup=st.floats(0.0, 0.49), block=st.integers(1, 5000))
     def test_engines_and_block_size_do_not_move_bits(self, chain, seed, warmup, block):
-        # a single node runs the Lindley loop without audit and the event
-        # loop with it; both stream their departures in blocks of _BLOCK,
-        # whose size must not change any bit either
+        # without audit a single node runs the Lindley loop and a chain the
+        # join-ordered loop; with it, both run the event loop.  Every engine
+        # streams its departures in blocks of _BLOCK, whose size must not
+        # change any bit either
         cfg = SimConfig(seed=seed, packets_per_replication=10_000, replications=2,
                         warmup_fraction=warmup)
         want = _bits(run_chain(chain, cfg))
@@ -335,6 +375,28 @@ class TestFlatMemory:
         assert proc.returncode == 0, proc.stderr
         grow_small, grow_large = map(float, proc.stdout.split())
         assert grow_large - grow_small <= self.BOUND_MB, (grow_small, grow_large)
+
+
+    @pytest.mark.parametrize("audit", [False, True])
+    def test_chain_blocks_bounded_while_draining(self, monkeypatch, audit):
+        # with the controller at load 1.4, about 2,800 new flows of each
+        # replication are still queued when arrivals stop, so the drain
+        # alone makes several blocks: every block, the drain's too, holds at
+        # most _BLOCK departures, and every admitted packet departs once
+        monkeypatch.setattr(simulate, "_BLOCK", 1000)
+        sizes = []
+        take = simulate._Tally.take
+
+        def spy(tally, sojourns, new_at, cls=None):
+            sizes.append(len(sojourns))
+            take(tally, sojourns, new_at, cls)
+
+        monkeypatch.setattr(simulate._Tally, "take", spy)
+        chain = ChainModel(nodes=(NodeParams(0.7 * MU_C, MU_L, 1.0),) * 2, controller=CTRL)
+        run_chain(chain, SimConfig(seed=2, packets_per_replication=10_000, replications=2),
+                  audit=audit)
+        assert sum(sizes) == 2 * 10_000
+        assert max(sizes) <= 1000
 
 
 class _LifoDeque(deque):
