@@ -27,6 +27,7 @@ import csv
 import functools
 import json
 import math
+import numbers
 import os
 import sys
 from contextlib import contextmanager
@@ -178,8 +179,11 @@ def resolve(doc: dict, flags: dict | None = None, want=None,
         fmt = _pick(layers("output"), "format", "csv")
         if fmt not in ("csv", "json"):
             raise CliError(f"output format must be 'csv' or 'json', got {fmt!r}")
+        path = _pick(layers("output"), "path")
+        if not isinstance(path, (str, type(None))):
+            raise CliError(f"output path must be a string, got {path!r}")
         return RunConfig(node=node, chain=chain, controller=ctrl, sim=sim, sweep=spec,
-                         output_path=_pick(layers("output"), "path"), output_format=fmt)
+                         output_path=path, output_format=fmt)
 
 
 runconfig_from_dict = resolve  # a config document read on its own
@@ -194,13 +198,31 @@ def _check_keys(section: str, d: dict, allowed) -> None:
                            f"allowed: {sorted(allowed)}")
 
 
-def _pick(layers: list[dict], key: str, default=None, required: str = ""):
+def _pick(layers: list[dict], key: str, default=None, required: str = "", kind=None):
+    """The first value given for ``key``, read as a ``kind`` (float or int)
+    when one is named."""
     for section in layers:
         if section.get(key) is not None:
-            return section[key]
+            return section[key] if kind is None else _number(section[key], key, kind)
     if required:
         raise CliError(f"missing {key!r} ({required})")
     return default
+
+
+def _number(value, key: str, kind=float):
+    """``value`` as a ``kind``, or a usage error naming ``key``.  A number
+    or a numeric string is read; an int must be whole, so 2e5 reads as 200000
+    and 20000.5 is refused."""
+    if kind is int and isinstance(value, float) and value.is_integer():
+        value = int(value)
+    allowed = numbers.Integral if kind is int else numbers.Real
+    try:
+        if isinstance(value, bool) or not isinstance(value, (allowed, str)):
+            raise TypeError
+        return kind(value)
+    except (TypeError, ValueError):
+        what = "an integer" if kind is int else "a number"
+        raise CliError(f"{key!r} must be {what}, got {value!r}") from None
 
 
 def _rate(layers: list[dict], rate_key: str, us_key: str, what: str) -> float:
@@ -209,18 +231,18 @@ def _rate(layers: list[dict], rate_key: str, us_key: str, what: str) -> float:
         if rate is not None and us is not None:
             raise CliError(f"give either {rate_key!r} or {us_key!r}, not both")
         if rate is not None:
-            return float(rate)
+            return _number(rate, rate_key)
         if us is not None:
-            return rate_from_us(float(us))
+            return rate_from_us(_number(us, us_key))
     raise CliError(f"missing {what}: set {rate_key!r} (per second) or "
                    f"{us_key!r} (microseconds)")
 
 
 def _node(layers: list[dict]) -> NodeParams:
-    lam = _pick(layers, "lambda", required="external arrival rate, per second")
-    q_nf = _pick(layers, "q_nf", required="new-flow probability")
+    lam = _pick(layers, "lambda", required="external arrival rate, per second", kind=float)
+    q_nf = _pick(layers, "q_nf", required="new-flow probability", kind=float)
     mu = _rate(layers, "mu_switch", "mu_switch_us", "switch service rate")
-    return NodeParams(lam=float(lam), mu_switch=mu, q_nf=float(q_nf))
+    return NodeParams(lam=lam, mu_switch=mu, q_nf=q_nf)
 
 
 def _chain(flags: dict, doc: dict, ctrl: ControllerParams) -> ChainModel:
@@ -259,12 +281,12 @@ def _env_seed() -> int:
 def _sim(layers: list[dict]) -> SimConfig:
     # the environment is read only when no flag or file gives a seed, so a
     # malformed value there cannot fail a run that does not use it
-    seed = _pick(layers, "seed")
-    return SimConfig(seed=int(_env_seed() if seed is None else seed),
-                     packets_per_replication=int(_pick(layers, "packets_per_replication",
-                                                       200_000)),
-                     replications=int(_pick(layers, "replications", 5)),
-                     warmup_fraction=float(_pick(layers, "warmup_fraction", 0.1)))
+    seed = _pick(layers, "seed", kind=int)
+    return SimConfig(seed=_env_seed() if seed is None else seed,
+                     packets_per_replication=_pick(layers, "packets_per_replication", 200_000,
+                                                   kind=int),
+                     replications=_pick(layers, "replications", 5, kind=int),
+                     warmup_fraction=_pick(layers, "warmup_fraction", 0.1, kind=float))
 
 
 def _sweep(layers: list[dict], node: NodeParams, ctrl: ControllerParams,
@@ -274,9 +296,11 @@ def _sweep(layers: list[dict], node: NodeParams, ctrl: ControllerParams,
     outputs = _pick(layers, "outputs", ("analytic_mean",))
     if isinstance(outputs, str):
         outputs = [s.strip() for s in outputs.split(",")]
+    if not (isinstance(outputs, (list, tuple)) and all(isinstance(o, str) for o in outputs)):
+        raise CliError(f"sweep 'outputs' must be a list of names, got {outputs!r}")
     return SweepSpec(variable=str(variable), grid=_parse_grid(raw_grid), node=node,
                      controller=ctrl, outputs=tuple(outputs),
-                     deadline=float(_pick(layers, "deadline", 5e-4)), sim=sim)
+                     deadline=_pick(layers, "deadline", 5e-4, kind=float), sim=sim)
 
 
 def _parse_grid(raw) -> tuple[float, ...]:
@@ -288,14 +312,17 @@ def _parse_grid(raw) -> tuple[float, ...]:
     if isinstance(raw, dict):
         _check_keys("sweep.grid", raw, {"start", "stop", "count", "spacing"})
         try:
-            start, stop = float(raw["start"]), float(raw["stop"])
-            count = int(raw.get("count", 10))
+            start, stop = _number(raw["start"], "start"), _number(raw["stop"], "stop")
         except KeyError as exc:
             raise CliError(f"sweep.grid needs {exc.args[0]!r}") from exc
+        count = _number(raw.get("count", 10), "count", int)
         return _make_grid(start, stop, count, raw.get("spacing", "linear"))
     if isinstance(raw, str):
         raw = raw.split(",")
-    return tuple(float(x) for x in raw)
+    if not isinstance(raw, (list, tuple)):
+        raise CliError("sweep 'grid' must be a list of numbers, a start:stop:count[:log] "
+                       f"string or an object, got {raw!r}")
+    return tuple(_number(x, "grid") for x in raw)
 
 
 def _make_grid(start: float, stop: float, count: int, spacing: str) -> tuple[float, ...]:

@@ -14,17 +14,23 @@ Engine design, fixed for reproducibility:
 * one named random stream per stochastic source (per-node arrivals, per-node
   switch services, per-node flow marking, controller services), all spawned
   from the master seed, so a parameter change in one source never shifts the
-  draws of another;
+  draws of another.  One stream layer, :func:`_streams`, spawns a
+  replication's 3n + 1 streams and every engine takes its generators from
+  it; every stream is drawn ``_BLOCK`` values at a time, and one helper,
+  :func:`_draws`, hands out a block's values one per call and draws the next
+  block when it runs out;
 * per replication, arrivals stop once ``packets_per_replication`` packets have
   been admitted and the system drains; the first ``warmup_fraction`` of
   departures is discarded from statistics;
 * retained sojourn samples are capped per run at 10**6 by uniform reservoir
   sampling with its own streams;
-* each replication hands its departures to the statistics in blocks of
-  ``_BLOCK``, which drop the warm-up, carry the running sums and feed the
-  reservoirs, so a run's memory is bounded by ``SAMPLE_CAP`` samples per
-  reservoir plus one block (and the packets in the system), whatever its
-  packet budget;
+* each replication hands its departures to the statistics in blocks, which
+  drop the warm-up, carry the running sums and feed the reservoirs: every
+  ``_BLOCK`` departures, except that the single-node loop hands over one
+  block per block of ``_BLOCK`` arrivals, which holds a few departures more
+  or fewer (see :func:`_run_replication`).  So a run's memory is bounded by
+  ``SAMPLE_CAP`` samples per reservoir plus about one block (and the packets
+  in the system), whatever its packet budget;
 * a packet's state (arrival time, entry node, new-flow mark, progress along
   its route) is held only while the packet is in the system.
 
@@ -73,9 +79,11 @@ on scheduling.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 import math
+import numbers
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
@@ -99,6 +107,10 @@ class SimConfig:
     warmup_fraction: float = 0.1
 
     def __post_init__(self):
+        for name in ("seed", "packets_per_replication", "replications"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if not 0 <= self.seed < 2 ** 64:
             raise ValueError(f"seed must be a 64-bit unsigned int, got {self.seed}")
         if self.packets_per_replication < 10_000:
@@ -309,8 +321,8 @@ def _run_experiment(chain: ChainModel, cfg: SimConfig, audit: bool) -> ChainSimR
 
     for r in range(reps):
         tally = _Tally(n, cutoff, agg_reservoir, class_reservoirs)
-        c_sums, c_counts, c_visits = _run_replication(chain, cfg.packets_per_replication,
-                                                      tally, rep_seeds[r], audit)
+        _run_replication(chain, cfg.packets_per_replication, tally, rep_seeds[r], audit)
+        c_sums, c_counts, c_visits = tally.sums, tally.counts, tally.visits
         for i in classes:
             class_rep_means[i].append(c_sums[i] / c_counts[i] if c_counts[i] else float("nan"))
             class_counts[i] += c_counts[i]
@@ -341,45 +353,43 @@ def _run_experiment(chain: ChainModel, cfg: SimConfig, audit: bool) -> ChainSimR
 
 
 def _run_replication(chain: ChainModel, n_packets: int, tally: _Tally,
-                     seed_seq: np.random.SeedSequence, audit: bool):
-    """One replication; feeds its departures to ``tally`` every ``_BLOCK``
-    departures and returns the per-class sums, counts and visits of the
-    measured ones.  Without ``audit`` a single node goes to
-    :func:`_run_lindley` and a chain to :func:`_run_joins`; with it, the
-    checked event loop below runs, the oracle for both.
+                     seed_seq: np.random.SeedSequence, audit: bool) -> None:
+    """One replication, its measured departures fed to ``tally``.  With
+    ``audit`` the checked event loop runs, :func:`_run_events`, the oracle for
+    the other two; without it a single node runs :func:`_run_lindley` and a
+    chain :func:`_run_joins`.
+
+    The event loop and the join-ordered loop hand ``tally`` a block every
+    ``_BLOCK`` departures.  The single-node loop hands it one block per block
+    of ``_BLOCK`` arrivals, which holds a few departures more or fewer, as
+    controller returns leave after later arrivals (at ``_BLOCK`` = 1000 and
+    controller load 0.9, blocks of 975 to 1019), and then its drain in blocks
+    of at most ``_BLOCK``: counting its departures one by one would slow it.
+    """
+    engine = _run_events if audit else _run_lindley if len(chain.nodes) == 1 else _run_joins
+    engine(chain, n_packets, tally, seed_seq)
+
+
+def _run_events(chain: ChainModel, n_packets: int, tally: _Tally,
+                seed_seq: np.random.SeedSequence) -> None:
+    """One replication by the checked event loop (see the module docstring).
 
     Switch k is station k and the controller is station n.  A packet is the
     tuple (arrival time, entry node, new-flow mark, visited controller), held
     only by the queues and ``busy``: per-packet state is dropped at departure.
+    Each arrival time is the previous one plus a gap, one addition per event,
+    so the Lindley loops' ``cumsum`` of the same gaps is checked against it.
     """
     n = len(chain.nodes)
-    if not audit:
-        if n == 1:
-            return _run_lindley(chain.nodes[0], chain.controller, n_packets, tally, seed_seq)
-        return _run_joins(chain, n_packets, tally, seed_seq)
+    arr_rngs, mark_rngs, services = _streams(chain, seed_seq)
+    gaps = [_exponentials(rng, 1.0 / nd.lam) for rng, nd in zip(arr_rngs, chain.nodes)]
+    marks = [_draws(rng.random) for rng in mark_rngs]
     qs = [nd.q_nf for nd in chain.nodes]
-    arr_scales = [1.0 / nd.lam for nd in chain.nodes]
-    svc_scales = [1.0 / nd.mu_switch for nd in chain.nodes]
-    svc_scales.append(1.0 / chain.controller.mu_controller)
-
-    # node i owns streams 3i (arrivals), 3i+1 (services), 3i+2 (marks); the
-    # controller's services use stream 3n
-    streams = seed_seq.spawn(3 * n + 1)
-    arr_rngs = [np.random.default_rng(streams[3 * i]) for i in range(n)]
-    mark_rngs = [np.random.default_rng(streams[3 * i + 2]) for i in range(n)]
-    svc_rngs = [np.random.default_rng(s) for s in streams[1:3 * n:3] + [streams[3 * n]]]
-
-    arr_bufs = [arr_rngs[i].exponential(arr_scales[i], _BLOCK).tolist() for i in range(n)]
-    arr_idx = [0] * n
-    mark_bufs = [mark_rngs[i].random(_BLOCK).tolist() for i in range(n)]
-    mark_idx = [0] * n
-    svc_bufs = [svc_rngs[s].exponential(svc_scales[s], _BLOCK).tolist() for s in range(n + 1)]
-    svc_idx = [0] * (n + 1)
 
     heap: list[tuple[float, int, int]] = []
     push = heapq.heappush
     pop = heapq.heappop
-    seq = 0
+    seq = itertools.count()
 
     queues: list[deque[tuple]] = [deque() for _ in range(n + 1)]
     busy: list[tuple | None] = [None] * (n + 1)
@@ -398,15 +408,24 @@ def _run_replication(chain: ChainModel, n_packets: int, tally: _Tally,
     enq_counter = [0] * (n + 1)
     last_started = [-1] * (n + 1)
 
+    def start(s: int, t: float) -> None:
+        # station s starts serving the head of its queue at time t
+        busy[s] = queues[s].popleft()
+        push(heap, (t + services[s](), next(seq), n + s))
+        stamp = stamp_q[s].popleft()
+        if stamp <= last_started[s]:
+            where = "controller" if s == n else f"switch {s}"
+            raise SimulationInvariantError(f"FIFO order violated at the {where}")
+        last_started[s] = stamp
+
     # kick off one pending arrival per class
     for i in range(n):
-        push(heap, (arr_bufs[i][0], seq, i))
-        arr_idx[i] = 1
-        seq += 1
+        push(heap, (gaps[i](), next(seq), i))
 
     # Event codes: i < n is an external arrival at node i; n + s is a service
     # completion at station s.  Each event moves one packet to station `dest`
-    # (-1: it departs) and, for a completion, frees station `done`.
+    # (-1: it departs) and, for a completion, frees station `done`.  A join
+    # starts its station before the next arrival or the restart is pushed.
     while departed < n_packets:
         t, _, code = pop(heap)
         if code < n:
@@ -414,12 +433,7 @@ def _run_replication(chain: ChainModel, n_packets: int, tally: _Tally,
                 continue
             admitted += 1
             dest = code
-            j = mark_idx[dest]
-            if j == _BLOCK:
-                mark_bufs[dest] = mark_rngs[dest].random(_BLOCK).tolist()
-                j = 0
-            pkt = (t, dest, mark_bufs[dest][j] < qs[dest], False)
-            mark_idx[dest] = j + 1
+            pkt = (t, dest, marks[dest]() < qs[dest], False)
         else:
             done = code - n
             pkt = busy[done]
@@ -445,41 +459,17 @@ def _run_replication(chain: ChainModel, n_packets: int, tally: _Tally,
                 if len(sojourns) == _BLOCK:
                     tally.flush(sojourns, new_at, classes)
         if dest >= 0:
-            # join `dest`: start its service at once if it is idle
+            # join `dest`, served at once if it is idle
             enq_counter[dest] += 1
             stamp_q[dest].append(enq_counter[dest])
+            queues[dest].append(pkt)
             if busy[dest] is None:
-                busy[dest] = pkt
-                j = svc_idx[dest]
-                if j == _BLOCK:
-                    svc_bufs[dest] = svc_rngs[dest].exponential(svc_scales[dest], _BLOCK).tolist()
-                    j = 0
-                push(heap, (t + svc_bufs[dest][j], seq, n + dest))
-                svc_idx[dest] = j + 1
-                seq += 1
-                _check_fifo(stamp_q[dest].popleft(), last_started, dest, n)
-            else:
-                queues[dest].append(pkt)
+                start(dest, t)
         if code < n:
             if admitted < n_packets:
-                j = arr_idx[dest]
-                if j == _BLOCK:
-                    arr_bufs[dest] = arr_rngs[dest].exponential(arr_scales[dest], _BLOCK).tolist()
-                    j = 0
-                push(heap, (t + arr_bufs[dest][j], seq, dest))
-                arr_idx[dest] = j + 1
-                seq += 1
+                push(heap, (t + gaps[dest](), next(seq), dest))
         elif queues[done]:
-            # restart `done` with the head of its queue
-            busy[done] = queues[done].popleft()
-            j = svc_idx[done]
-            if j == _BLOCK:
-                svc_bufs[done] = svc_rngs[done].exponential(svc_scales[done], _BLOCK).tolist()
-                j = 0
-            push(heap, (t + svc_bufs[done][j], seq, code))
-            svc_idx[done] = j + 1
-            seq += 1
-            _check_fifo(stamp_q[done].popleft(), last_started, done, n)
+            start(done, t)
         else:
             busy[done] = None
         in_system = (sum(len(qd) for qd in queues)
@@ -490,35 +480,20 @@ def _run_replication(chain: ChainModel, n_packets: int, tally: _Tally,
                 f"departed, {in_system} in the system")
 
     tally.take(sojourns, new_at, classes)
-    return tally.sums, tally.counts, tally.visits
 
 
-def _check_fifo(stamp: int, last_started: list[int], station: int, n: int) -> None:
-    """Audit: a station starts its queue's joins in the order they joined."""
-    if stamp <= last_started[station]:
-        where = "controller" if station == n else f"switch {station}"
-        raise SimulationInvariantError(f"FIFO order violated at the {where}")
-    last_started[station] = stamp
-
-
-def _run_lindley(node: NodeParams, ctrl: ControllerParams, n_packets: int, tally: _Tally,
-                 seed_seq: np.random.SeedSequence):
+def _run_lindley(chain: ChainModel, n_packets: int, tally: _Tally,
+                 seed_seq: np.random.SeedSequence) -> None:
     """One single-node replication by Lindley's recursion, with the event
-    loop's bits (see the module docstring); feeds ``tally`` once per block of
-    arrivals and returns what :func:`_run_replication` returns.
+    loop's bits (see the module docstring).
 
     A first pass that starts at or after arrival ``a`` returns after ``a``, so
     when ``a`` is reached every earlier return is already in ``returns``; an
     exact tie is served arrival-first.
     """
-    # the event loop's streams and blocks for n = 1; switch services are drawn
-    # in join order, controller services in first-pass order
-    arr_rng, svc_rng, mark_rng, ctl_rng = (np.random.default_rng(s) for s in seed_seq.spawn(4))
-    svc_scale = 1.0 / node.mu_switch
-    ctl_scale = 1.0 / ctrl.mu_controller
+    (arr_rng,), (mark_rng,), (next_svc, next_ctl) = _streams(chain, seed_seq)
+    node = chain.nodes[0]
     q = node.q_nf
-    next_svc = _exponentials(svc_rng, svc_scale)
-    next_ctl = _exponentials(ctl_rng, ctl_scale)
 
     returns: deque[tuple[float, float]] = deque()  # (back from the controller, arrival)
     sojourns: list[float] = []  # this block's departures, in order
@@ -551,14 +526,12 @@ def _run_lindley(node: NodeParams, ctrl: ControllerParams, n_packets: int, tally
             sojourns.append(free - a0)
         tally.take(sojourns, range(len(sojourns)))
         sojourns.clear()
-    return tally.sums, tally.counts, tally.visits
 
 
 def _run_joins(chain: ChainModel, n_packets: int, tally: _Tally,
-               seed_seq: np.random.SeedSequence):
+               seed_seq: np.random.SeedSequence) -> None:
     """One chain replication in join order, with the event loop's bits (see
-    the module docstring); feeds ``tally`` every ``_BLOCK`` departures and
-    returns what :func:`_run_replication` returns.
+    the module docstring).
 
     ``pending[s]`` holds station s's unrouted completions in completion order,
     each as (time, station it joins next, arrival time, class, new-flow mark),
@@ -570,14 +543,8 @@ def _run_joins(chain: ChainModel, n_packets: int, tally: _Tally,
     """
     n = len(chain.nodes)
     last = n - 1
-    # the event loop's streams; services are drawn in join order, which is
-    # each FIFO station's service-start order
-    streams = seed_seq.spawn(3 * n + 1)
-    arrivals = _merged_arrivals(chain.nodes, [streams[3 * i] for i in range(n)],
-                                [streams[3 * i + 2] for i in range(n)], n_packets)
-    scales = [1.0 / nd.mu_switch for nd in chain.nodes] + [1.0 / chain.controller.mu_controller]
-    draw = [_exponentials(np.random.default_rng(s), scale)
-            for s, scale in zip(streams[1:3 * n:3] + [streams[3 * n]], scales)]
+    arr_rngs, mark_rngs, draw = _streams(chain, seed_seq)
+    arrivals = _merged_arrivals(chain.nodes, arr_rngs, mark_rngs, n_packets)
 
     pending: list[deque[tuple]] = [deque() for _ in range(n + 1)]
     heads = [math.inf] * (n + 1)
@@ -627,10 +594,9 @@ def _run_joins(chain: ChainModel, n_packets: int, tally: _Tally,
                     t = f
             pending[c].append((f, s, a, c, new))
     tally.take(sojourns, new_at, classes)
-    return tally.sums, tally.counts, tally.visits
 
 
-def _merged_arrivals(nodes, arr_seeds, mark_seeds, n_packets: int):
+def _merged_arrivals(nodes, arr_rngs, mark_rngs, n_packets: int):
     """The first ``n_packets`` external arrivals of every class in time order,
     chunk by chunk, as lists of times, classes and new-flow marks; then one
     sentinel chunk, (inf, len(nodes), False).
@@ -641,9 +607,7 @@ def _merged_arrivals(nodes, arr_seeds, mark_seeds, n_packets: int):
     classes goes to the lower class first.
     """
     n = len(nodes)
-    blocks = [_arrival_blocks(np.random.default_rng(s), 1.0 / nd.lam)
-              for s, nd in zip(arr_seeds, nodes)]
-    mark_rngs = [np.random.default_rng(s) for s in mark_seeds]
+    blocks = [_arrival_blocks(rng, 1.0 / nd.lam) for rng, nd in zip(arr_rngs, nodes)]
     times = [np.empty(0)] * n
     marks = [np.empty(0, dtype=bool)] * n
     ids = np.arange(n)
@@ -665,11 +629,30 @@ def _merged_arrivals(nodes, arr_seeds, mark_seeds, n_packets: int):
     yield [math.inf], [n], [False]
 
 
+def _streams(chain: ChainModel, seed_seq: np.random.SeedSequence):
+    """A replication's random streams, one per stochastic source, spawned
+    once: node i's arrival generators, its mark generators, and per station
+    (the switches, then the controller) a function that returns its next
+    service time.
+
+    Node i owns streams 3i (arrivals), 3i + 1 (services) and 3i + 2 (marks);
+    the controller's services use stream 3n.
+    """
+    rngs = [np.random.default_rng(s) for s in seed_seq.spawn(3 * len(chain.nodes) + 1)]
+    rates = [nd.mu_switch for nd in chain.nodes] + [chain.controller.mu_controller]
+    services = [_exponentials(rng, 1.0 / mu) for rng, mu in zip(rngs[1::3] + rngs[-1:], rates)]
+    return rngs[0:-1:3], rngs[2::3], services
+
+
+def _draws(block):
+    """The next of the values ``block(_BLOCK)`` returns, per call; a new block
+    is drawn when the last one runs out."""
+    return itertools.chain.from_iterable(iter(lambda: block(_BLOCK).tolist(), None)).__next__
+
+
 def _exponentials(rng: np.random.Generator, scale: float):
-    """The next of ``rng``'s exponential draws, per call; a block of
-    ``_BLOCK`` is drawn when the last one runs out."""
-    blocks = iter(lambda: rng.exponential(scale, _BLOCK).tolist(), None)
-    return itertools.chain.from_iterable(blocks).__next__
+    """The next of ``rng``'s exponential draws of mean ``scale``, per call."""
+    return _draws(functools.partial(rng.exponential, scale))
 
 
 def _arrival_blocks(rng: np.random.Generator, scale: float):

@@ -299,7 +299,7 @@ def test_rate_from_us():
 
 
 class TestOneNodeChainProperties:
-    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @settings(max_examples=300)
     @given(q=st.floats(0.0, 1.0), mu_l=st.floats(2.0, 7.0).map(lambda e: 10.0 ** e),
            mu_c=st.floats(2.0, 7.0).map(lambda e: 10.0 ** e), load=st.floats(0.01, 1.2))
     def test_one_node_chain_is_the_single_node(self, q, mu_l, mu_c, load):

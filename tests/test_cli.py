@@ -1,17 +1,22 @@
 """Command-line interface: flags, config files, emission, exit codes."""
 
 import csv
+import io
 import json
+import math
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sdnqueue import cli
 from sdnqueue.analytic import ChainModel, ControllerParams, NodeParams, rate_from_us
-from sdnqueue.dimensioning import SweepSpec
+from sdnqueue.dimensioning import SWEEP_OUTPUTS, SWEEP_VARIABLES, SweepSpec
 from sdnqueue.simulate import SimConfig
 from sdnqueue import validation
 
@@ -20,6 +25,33 @@ MU_C = rate_from_us(240.0)
 
 NODE_FLAGS = ["--lam", "2000", "--q-nf", "0.5",
               "--mu-switch-us", "9.8", "--mu-controller-us", "240"]
+
+
+# A valid config document and, per command, the sections it reads from one
+NODE_SECTION = {"lambda": 2000.0, "q_nf": 0.5, "mu_switch_us": 9.8}
+CONFIG = {"node": NODE_SECTION,
+          "chain": {"nodes": [NODE_SECTION, NODE_SECTION]},
+          "controller": {"mu_controller_us": 240.0},
+          "sim": {"seed": 3, "packets_per_replication": 10000, "replications": 2,
+                  "warmup_fraction": 0.1},
+          "sweep": {"variable": "q_nf", "grid": [0.2, 0.5], "outputs": ["analytic_mean"],
+                    "deadline": 5e-4},
+          "output": {"format": "csv"}}
+COMMAND_SECTIONS = {"analyze": ("node", "controller"),
+                    "simulate": ("node", "controller", "sim"),
+                    "sweep": ("node", "controller", "sim", "sweep", "output"),
+                    "chain": ("chain", "controller")}
+
+
+def config_for(command, section, key, value):
+    """``command``'s sections of CONFIG with ``section``'s ``key`` set to
+    ``value``; a chain's key is set in its second node."""
+    doc = {name: dict(CONFIG[name]) for name in COMMAND_SECTIONS[command]}
+    if section == "chain":
+        doc["chain"] = {"nodes": [NODE_SECTION, {**NODE_SECTION, key: value}]}
+    else:
+        doc[section][key] = value
+    return doc
 
 
 def read_csv(path):
@@ -484,6 +516,34 @@ class TestOneResolver:
             sims.clear()
         capsys.readouterr()
 
+    @pytest.mark.parametrize("command, section, key, value, named", [
+        ("analyze", "node", "lambda", [1], "lambda"),
+        ("chain", "chain", "q_nf", {"p": 1}, "q_nf"),
+        ("simulate", "sim", "seed", [1], "seed"),
+        ("simulate", "sim", "seed", 1.5, "seed"),
+        ("simulate", "sim", "packets_per_replication", 20000.5, "packets_per_replication"),
+        ("simulate", "sim", "replications", 2.5, "replications"),
+        ("sweep", "sweep", "grid", 5, "grid"),
+        ("sweep", "sweep", "grid", {"start": [1], "stop": 1.0}, "start"),
+        ("sweep", "sweep", "outputs", 5, "outputs"),
+        ("sweep", "output", "path", [1], "path"),
+    ])
+    def test_wrong_json_type_names_the_key(self, command, section, key, value, named,
+                                           tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config_for(command, section, key, value)))
+        assert cli.main([command, "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and named in err
+
+    def test_whole_float_counts_read_as_integers(self, tmp_path, capsys):
+        # 2e4 in a JSON file is the float 20000.0
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config_for("simulate", "sim", "packets_per_replication",
+                                              2e4)))
+        assert cli.main(["simulate", "--config", str(path)]) == 0
+        assert "2 x 20000 packets" in capsys.readouterr().out
+
     def test_document_and_flags_resolve_alike(self):
         doc = {"node": {"lambda": 2000.0, "q_nf": 0.5, "mu_switch_us": 9.8},
                "controller": {"mu_controller_us": 240.0},
@@ -523,3 +583,123 @@ class TestParserReuse:
                 rc = exc.code
             out, err = capsys.readouterr()
             assert (rc, out, err) == self._fresh_process(argv), argv
+
+
+@st.composite
+def _run_configs(draw):
+    """Random valid run configurations as a config document reads back: a
+    controller and a simulation plan always, a node or a chain or neither,
+    and a sweep over the node."""
+    rate = st.floats(1e-3, 1e9)
+
+    def node():
+        return NodeParams(draw(rate), draw(rate), draw(st.floats(0.0, 1.0)))
+
+    controller = ControllerParams(draw(rate))
+    sim = SimConfig(seed=draw(st.integers(0, 2 ** 64 - 1)),
+                    packets_per_replication=draw(st.integers(10_000, 10 ** 9)),
+                    replications=draw(st.integers(2, 1000)),
+                    warmup_fraction=draw(st.floats(0.0, 0.5, exclude_max=True)))
+    kind = draw(st.sampled_from(["none", "node", "chain", "sweep"]))
+    the_node = node() if kind in ("node", "sweep") else None
+    chain = (ChainModel(nodes=tuple(node() for _ in range(draw(st.integers(1, 3)))),
+                        controller=controller) if kind == "chain" else None)
+    spec = None
+    if kind == "sweep":
+        variable = draw(st.sampled_from(SWEEP_VARIABLES))
+        if variable == "rho_controller" and the_node.q_nf == 0.0:
+            the_node = NodeParams(the_node.lam, the_node.mu_switch, 0.5)
+        outputs = (("throughput",) if variable == "delay_bound" else
+                   tuple(draw(st.lists(st.sampled_from([o for o in SWEEP_OUTPUTS
+                                                        if o != "throughput"]),
+                                       min_size=1, max_size=3, unique=True))))
+        spec = SweepSpec(variable, tuple(sorted(set(draw(st.lists(rate, min_size=1,
+                                                                  max_size=5))))),
+                         the_node, controller, outputs, draw(st.floats(0.0, 1.0)), sim)
+    return cli.RunConfig(node=the_node, chain=chain, controller=controller, sim=sim,
+                         sweep=spec, output_path=draw(st.none() | st.text(max_size=10)),
+                         output_format=draw(st.sampled_from(["csv", "json"])))
+
+
+_NOT_NUMBERS = st.one_of(st.lists(st.integers(), max_size=2),
+                         st.dictionaries(st.text(max_size=2), st.integers(), max_size=1),
+                         st.booleans(), st.text(alphabet="abxyz,; ", max_size=4))
+
+
+def _not_integers(lo, hi):
+    """Values of a wrong type for an integer key, and numbers with a fraction
+    that would be a valid count if truncated."""
+    fractional = st.builds(lambda i, f: i + f, st.integers(lo, hi), st.sampled_from([0.25, 0.5]))
+    return _NOT_NUMBERS | fractional | st.sampled_from([math.inf, -math.inf, math.nan])
+
+
+_NOT_NAMES = st.one_of(st.integers(), st.floats(), st.booleans(),
+                       st.lists(st.integers() | st.floats(), min_size=1, max_size=2))
+
+# (section, key) -> values of a wrong type or form for that key
+_BAD_VALUES = {
+    **{("node", key): _NOT_NUMBERS for key in NODE_SECTION},
+    **{("chain", key): _NOT_NUMBERS for key in NODE_SECTION},
+    ("controller", "mu_controller_us"): _NOT_NUMBERS,
+    ("sim", "seed"): _not_integers(0, 1000),
+    ("sim", "packets_per_replication"): _not_integers(10_000, 20_000),
+    ("sim", "replications"): _not_integers(2, 3),
+    ("sim", "warmup_fraction"): _NOT_NUMBERS,
+    ("sweep", "grid"): st.one_of(st.integers(), st.floats(), st.booleans(),
+                                 st.lists(_NOT_NUMBERS, min_size=1, max_size=2)),
+    ("sweep", "outputs"): _NOT_NAMES,
+    ("sweep", "deadline"): _NOT_NUMBERS,
+    ("output", "path"): st.lists(st.integers(), max_size=2) | st.dictionaries(
+        st.text(max_size=2), st.integers(), max_size=1),
+    ("output", "format"): _NOT_NAMES | st.text(max_size=4).filter(
+        lambda s: s not in ("csv", "json")),
+}
+# a command that reads each section
+_READER = {"node": "analyze", "chain": "chain", "controller": "analyze", "sim": "simulate",
+           "sweep": "sweep", "output": "sweep"}
+
+# simulate flags with values that parse but are out of range
+_BAD_FLAGS = {
+    "--lam": st.floats(max_value=0.0) | st.just(float("nan")),
+    "--q-nf": st.floats().filter(lambda x: not 0.0 <= x <= 1.0),
+    "--mu-controller-us": st.floats(max_value=0.0),
+    "--seed": st.integers(max_value=-1) | st.integers(min_value=2 ** 64),
+    "--packets": st.integers(max_value=9_999),
+    "--replications": st.integers(max_value=1),
+    "--warmup-fraction": st.floats().filter(lambda x: not 0.0 <= x < 0.5),
+}
+
+
+def _main(argv) -> tuple[int, str]:
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()) as err:
+        rc = cli.main(argv)
+    return rc, err.getvalue()
+
+
+class TestConfigProperties:
+    @settings(max_examples=100)
+    @given(cfg=_run_configs())
+    def test_config_round_trips(self, cfg):
+        assert cli.runconfig_from_json(cli.runconfig_to_json(cfg)) == cfg
+
+    @settings(max_examples=200)
+    @given(where=st.sampled_from(sorted(_BAD_VALUES)), data=st.data())
+    def test_invalid_document_exits_one(self, where, data, tmp_path_factory):
+        section, key = where
+        command = _READER[section]
+        path = tmp_path_factory.getbasetemp() / "invalid_config.json"
+        path.write_text(json.dumps(config_for(command, section, key,
+                                              data.draw(_BAD_VALUES[where]))))
+        rc, err = _main([command, "--config", str(path)])
+        assert rc == 1
+        assert err.startswith("error: ")
+
+    @settings(max_examples=100)
+    @given(flag=st.sampled_from(sorted(_BAD_FLAGS)), data=st.data(),
+           unparsable=st.booleans())
+    def test_invalid_flag_exits_one(self, flag, data, unparsable):
+        value = ("x" + data.draw(st.text(max_size=3)) if unparsable
+                 else str(data.draw(_BAD_FLAGS[flag])))
+        rc, err = _main(["simulate"] + NODE_FLAGS + [flag, value])
+        assert rc == 1
+        assert err.startswith("error: ")

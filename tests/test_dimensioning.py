@@ -142,7 +142,7 @@ def _log_uniform(lo_exp: float, hi_exp: float):
 
 
 class TestMaxThroughputProperties:
-    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @settings(max_examples=300)
     @given(q=st.floats(0.0, 1.0), mu_l=_log_uniform(2.0, 7.0), mu_c=_log_uniform(2.0, 7.0),
            factors=st.lists(_log_uniform(-0.3, 10.0), min_size=2, max_size=2))
     def test_monotone_meets_bound_below_supremum(self, q, mu_l, mu_c, factors):

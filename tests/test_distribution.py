@@ -351,7 +351,7 @@ class TestScalarAndArrayPaths:
     """A scalar is evaluated in floats and an array in blocks of _CHUNK; both
     must give the bits of the same time inside an array."""
 
-    @settings(max_examples=150, derandomize=True, database=None, deadline=None)
+    @settings(max_examples=150)
     @given(law=_laws(), u=st.floats(0.0, 60.0), n=st.integers(0, 2))
     def test_scalar_matches_array_element(self, law, u, n):
         _, _, d = law
@@ -362,7 +362,7 @@ class TestScalarAndArrayPaths:
                 assert type(got) is float
                 assert _bits(got) == _bits(f(d, np.array([same]))[0]), (f.__name__, scalar)
 
-    @settings(max_examples=30, derandomize=True, database=None, deadline=None)
+    @settings(max_examples=30)
     @given(law=_laws(), chunk=st.integers(1, 5000))
     def test_block_size_does_not_move_bits(self, law, chunk):
         _, _, d = law
@@ -378,7 +378,7 @@ class TestScalarAndArrayPaths:
             assert [_bits(v) for v in got] == [_bits(v) for v in want]
             assert _bits(transposed) == _bits(f(d, square).T)
 
-    @settings(max_examples=30, derandomize=True, database=None, deadline=None)
+    @settings(max_examples=30)
     @given(law=_laws())
     def test_nan_passes_through(self, law):
         _, _, d = law
@@ -396,7 +396,7 @@ class TestScalarAndArrayPaths:
             assert np.isnan(f(d, np.array([math.nan]))).all()
 
 
-    @settings(max_examples=30, derandomize=True, database=None, deadline=None)
+    @settings(max_examples=30)
     @given(law=_laws())
     def test_zero_at_infinity(self, law):
         # both laws vanish at t = inf, where the formulas would form 0 * inf;
@@ -428,7 +428,7 @@ class TestScalarAndArrayPaths:
 
 
 class TestLawProperties:
-    @settings(max_examples=100, derandomize=True, database=None, deadline=None)
+    @settings(max_examples=100)
     @given(law=_laws(), p=st.floats(0.0, 1.0, exclude_max=True))
     def test_law_is_a_distribution_with_the_path_mean(self, law, p):
         node, ctrl, d = law

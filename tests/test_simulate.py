@@ -42,6 +42,17 @@ class TestConfig:
         with pytest.raises(ValueError):
             SimConfig(seed=-1)
 
+    @pytest.mark.parametrize("field, value", [
+        ("packets_per_replication", 20_000.5), ("packets_per_replication", 20_000.0),
+        ("replications", 2.5), ("seed", 1.5), ("seed", True)])
+    def test_non_integer_counts_and_seeds_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            SimConfig(**{field: value})
+
+    def test_numpy_integers_accepted(self):
+        SimConfig(seed=np.uint64(3), packets_per_replication=np.int64(10_000),
+                  replications=np.int32(2))
+
 
 class TestSingleNode:
     def test_mm1_mean_within_ci(self):
@@ -311,7 +322,7 @@ def _bits(res: simulate.ChainSimResult) -> list[bytes]:
 
 
 class TestEngineProperties:
-    @settings(max_examples=10, derandomize=True, database=None, deadline=None)
+    @settings(max_examples=10)
     @given(chain=_chains(), seed=st.integers(0, 2 ** 64 - 1),
            warmup=st.floats(0.0, 0.49), block=st.integers(1, 5000))
     def test_engines_and_block_size_do_not_move_bits(self, chain, seed, warmup, block):
@@ -473,7 +484,7 @@ class TestReservoir:
         assert (hashlib.sha256(r.sorted_array().tobytes()).hexdigest()
                 == "79e059244af91e07ee500011c9b9fecf899dfc8f86823b98485d2824c0f95e2d")
 
-    @settings(max_examples=100, derandomize=True, database=None, deadline=None)
+    @settings(max_examples=100)
     @given(cap=st.integers(1, 300), over=st.sampled_from(["below", "at", "over"]),
            data=st.data())
     def test_chunked_feed_matches_one_call(self, cap, over, data):
