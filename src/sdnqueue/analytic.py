@@ -15,6 +15,7 @@ All rates are events per second, all times seconds (64-bit floats).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 # Loads this close to 1 count as saturated: the delay formulas have a pole at
@@ -36,8 +37,8 @@ class UnstableSystemError(Exception):
 
 def rate_from_us(service_time_us: float) -> float:
     """Service rate (per second) for a mean service time given in microseconds."""
-    if not service_time_us > 0.0:
-        raise ValueError(f"service time must be > 0, got {service_time_us}")
+    if not 0.0 < service_time_us < math.inf:
+        raise ValueError(f"service time must be finite and > 0, got {service_time_us}")
     return 1e6 / service_time_us
 
 
@@ -192,7 +193,7 @@ def solve_rates(node: NodeParams, ctrl: ControllerParams) -> SolvedRates:
     )
 
 
-def _require_stable(rates: SolvedRates) -> None:
+def _require_stable(rates: SolvedRates | ChainSolution) -> None:
     sat = rates.saturated_stations()
     if sat:
         raise UnstableSystemError(sat)
@@ -238,17 +239,10 @@ def mean_sojourn_naive_jackson(node: NodeParams, ctrl: ControllerParams) -> floa
                          "(balance equation divides by 1 - q_nf = 0)")
     gamma_switch = node.lam / (1.0 - node.q_nf)
     gamma_controller = node.q_nf * gamma_switch
-    rho_switch = gamma_switch / node.mu_switch
-    rho_controller = gamma_controller / ctrl.mu_controller
-    sat = []
-    if rho_switch >= 1.0 - STABILITY_MARGIN:
-        sat.append("switch")
-    if rho_controller >= 1.0 - STABILITY_MARGIN:
-        sat.append("controller")
-    if sat:
-        raise UnstableSystemError(sat)
-    return (rho_switch / (1.0 - rho_switch)
-            + rho_controller / (1.0 - rho_controller)) / node.lam
+    rates = SolvedRates(gamma_switch=gamma_switch, gamma_controller=gamma_controller,
+                        q_jack=node.q_nf, rho_switch=gamma_switch / node.mu_switch,
+                        rho_controller=gamma_controller / ctrl.mu_controller)
+    return mean_sojourn_jackson(rates, node)
 
 
 def solve_chain(chain: ChainModel) -> ChainSolution:
@@ -297,9 +291,7 @@ def chain_sojourn(chain: ChainModel, solution: ChainSolution) -> ChainSojourn:
     independence of the rate-matched network; the chain case itself is an
     extension of the single-node model (see README).
     """
-    sat = solution.saturated_stations()
-    if sat:
-        raise UnstableSystemError(sat)
+    _require_stable(solution)
     n = len(chain.nodes)
     mu_c = chain.controller.mu_controller
     station_delay = [1.0 / (chain.nodes[i].mu_switch - solution.nodes[i].gamma_switch)

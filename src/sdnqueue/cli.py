@@ -50,6 +50,7 @@ from .dimensioning import (
     SWEEP_OUTPUTS,
     SWEEP_VARIABLES,
     SweepSpec,
+    _log_grid,
     default_delay_bound_grid,
     max_throughput,
     sweep,
@@ -233,9 +234,18 @@ def _rate(layers: list[dict], rate_key: str, us_key: str, what: str) -> float:
         if rate is not None:
             return _number(rate, rate_key)
         if us is not None:
-            return rate_from_us(_number(us, us_key))
+            return _rate_from_us(_number(us, us_key), repr(us_key))
     raise CliError(f"missing {what}: set {rate_key!r} (per second) or "
                    f"{us_key!r} (microseconds)")
+
+
+def _rate_from_us(us: float, key: str) -> float:
+    """The rate for a mean service time of ``us`` microseconds, or a usage
+    error naming ``key`` and the time given."""
+    try:
+        return rate_from_us(us)
+    except ValueError as exc:
+        raise CliError(f"{key}: {exc}") from None
 
 
 def _node(layers: list[dict]) -> NodeParams:
@@ -333,8 +343,7 @@ def _make_grid(start: float, stop: float, count: int, spacing: str) -> tuple[flo
     if spacing == "log":
         if start <= 0:
             raise CliError("log grid needs start > 0")
-        ls, le = math.log(start), math.log(stop)
-        return tuple(math.exp(ls + (le - ls) * k / (count - 1)) for k in range(count))
+        return _log_grid(start, stop, count)
     if spacing != "linear":
         raise CliError(f"grid spacing must be 'linear' or 'log', got {spacing!r}")
     return tuple(start + (stop - start) * k / (count - 1) for k in range(count))
@@ -624,7 +633,8 @@ def _figure_table(args, cfg: RunConfig) -> tuple[list[str], list[dict]]:
         key, status = "delay_bound", []
     elif args.name == "fig5":
         series = [(f"sojourn_mu_c_us_{v:g}", f"mu_c_us={v:g}",
-                   rho_sweep(("analytic_mean",), controller=ControllerParams(rate_from_us(v))))
+                   rho_sweep(("analytic_mean",),
+                             controller=ControllerParams(_rate_from_us(v, "--mu-c-us-set"))))
                   for v in _parse_float_list(args.mu_c_us_set, "--mu-c-us-set")]
     else:  # fig6
         label = f"{args.deadline_us / 1000.0:g}ms"

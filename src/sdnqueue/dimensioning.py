@@ -90,8 +90,10 @@ def max_throughput(delay_bound: float, *, q_nf: float, mu_switch: float,
         return mean_sojourn_openflow(node, ctrl, solve_rates(node, ctrl))
 
     p_l, p_c, b = (1.0 + q_nf) / mu_switch, q_nf / mu_controller, delay_bound
-    rate = (b - w0) / (0.5 * b * w0 - p_l * p_c + math.hypot(0.5 * b * (p_l - p_c), p_l * p_c))
-    rate = min(rate, lam_sup * (1.0 - _SUP_MARGIN))
+    rate = lam_sup * (1.0 - _SUP_MARGIN)
+    if b < math.inf:  # the root is inf / inf at an infinite bound
+        rate = min(rate, (b - w0) / (0.5 * b * w0 - p_l * p_c
+                                     + math.hypot(0.5 * b * (p_l - p_c), p_l * p_c)))
     while rate > 0.0 and sojourn(rate) > b:
         rate = max(rate - math.ulp(lam_sup), 0.0)
     return ThroughputResult(rate=rate, feasible=True)
@@ -102,7 +104,15 @@ def default_delay_bound_grid(q_nf: float, mu_switch: float, mu_controller: float
     """Logarithmic delay-bound grid from just above the zero-load sojourn to
     100x it, covering both the knee and the saturation plateau."""
     w0 = zero_load_sojourn(q_nf, mu_switch, mu_controller)
-    lo, hi = math.log(1.05 * w0), math.log(100.0 * w0)
+    return _log_grid(1.05 * w0, 100.0 * w0, points)
+
+
+def _log_grid(start: float, stop: float, points: int) -> tuple[float, ...]:
+    """``points`` values from ``start`` to ``stop`` (both > 0), evenly spaced
+    in log; one point is ``start`` itself."""
+    if points == 1:
+        return (start,)
+    lo, hi = math.log(start), math.log(stop)
     return tuple(math.exp(lo + (hi - lo) * k / (points - 1)) for k in range(points))
 
 

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic import ControllerParams, NodeParams, SolvedRates, UnstableSystemError
+from .analytic import ControllerParams, NodeParams, SolvedRates, _require_stable
 
 # Relative rate gap below which the partial-fraction coefficients are reported
 # as degenerate (evaluation itself never divides by the gap).
@@ -86,9 +86,7 @@ class SojournDistribution:
 def build_distribution(node: NodeParams, ctrl: ControllerParams,
                        rates: SolvedRates) -> SojournDistribution:
     """Construct the sojourn law from a solved, stable operating point."""
-    sat = rates.saturated_stations()
-    if sat:
-        raise UnstableSystemError(sat)
+    _require_stable(rates)
     a_l = node.mu_switch - rates.gamma_switch
     a_c = ctrl.mu_controller - rates.gamma_controller
     q = node.q_nf

@@ -28,7 +28,7 @@ Engine design, fixed for reproducibility:
   drop the warm-up, carry the running sums and feed the reservoirs: every
   ``_BLOCK`` departures, except that the single-node loop hands over one
   block per block of ``_BLOCK`` arrivals, which holds a few departures more
-  or fewer (see :func:`_run_replication`).  So a run's memory is bounded by
+  or fewer (see :func:`_run_lindley`).  So a run's memory is bounded by
   ``SAMPLE_CAP`` samples per reservoir plus about one block (and the packets
   in the system), whatever its packet budget;
 * a packet's state (arrival time, entry node, new-flow mark, progress along
@@ -212,15 +212,17 @@ class _Reservoir:
 class _Tally:
     """One replication's measured statistics, fed its departures in blocks.
 
-    Each block lists, in departure order, the sojourns, the positions of the
-    new flows among them and, for a chain, each departure's class.  The first
+    An engine appends each departure to the block being filled: its sojourn
+    to ``sojourns``, its position there to ``new_at`` if it is a new flow and,
+    for a chain, its class to ``cls``; then it calls :meth:`flush`.  The first
     ``skip`` departures are warm-up and dropped.  The rest go to the run's
     reservoirs, and each class's sum carries from block to block: the running
     total is added to the block's first sojourn before ``np.cumsum``, so the
     sum makes the same sequential additions as ``total += sojourn`` would.
     """
 
-    __slots__ = ("skip", "sums", "counts", "visits", "agg", "classes")
+    __slots__ = ("skip", "sums", "counts", "visits", "agg", "classes",
+                 "sojourns", "new_at", "cls")
 
     def __init__(self, n: int, skip: int, agg: _Reservoir, classes: list[_Reservoir]):
         self.skip = skip
@@ -229,8 +231,18 @@ class _Tally:
         self.visits = [0] * n
         self.agg = agg
         self.classes = classes  # empty for a single node, whose class is `agg`
+        self.sojourns: list[float] = []
+        self.new_at: list[int] = []
+        self.cls: list[int] = []
 
-    def take(self, sojourns: list[float], new_at: list[int] | range,
+    def flush(self) -> None:
+        """:meth:`take` the block being filled, then empty it for the next."""
+        self.take(self.sojourns, self.new_at, self.cls)
+        self.sojourns.clear()
+        self.new_at.clear()
+        self.cls.clear()
+
+    def take(self, sojourns: list[float], new_at: list[int],
              cls: list[int] | None = None) -> None:
         skip = self.skip
         if skip >= len(sojourns):
@@ -251,15 +263,6 @@ class _Tally:
             reservoir.extend(xi)
             self._add(i, xi, int(np.count_nonzero(new_cls == i)))
 
-    def flush(self, sojourns: list[float], new_at: list[int],
-              cls: list[int] | None = None) -> None:
-        """:meth:`take` a block held in lists, then empty them for the next."""
-        self.take(sojourns, new_at, cls)
-        sojourns.clear()
-        new_at.clear()
-        if cls is not None:
-            cls.clear()
-
     def _add(self, i: int, x: np.ndarray, visits: int) -> None:
         # x has been fed to the reservoirs, so the carry goes in in place
         if len(x):
@@ -278,8 +281,7 @@ def run_single_node(node: NodeParams, ctrl: ControllerParams, cfg: SimConfig,
     ``audit`` is set; both give the same bits.  No stability requirement:
     saturated runs are allowed and simply show growing delays.
     """
-    chain = ChainModel(nodes=(node,), controller=ctrl)
-    return _run_experiment(chain, cfg, audit).aggregate
+    return run_chain(ChainModel(nodes=(node,), controller=ctrl), cfg, audit).aggregate
 
 
 def run_chain(chain: ChainModel, cfg: SimConfig, audit: bool = False) -> ChainSimResult:
@@ -292,82 +294,45 @@ def run_chain(chain: ChainModel, cfg: SimConfig, audit: bool = False) -> ChainSi
     Lindley loop, or either the checked event loop when ``audit`` is set; all
     give the same bits.
     """
-    return _run_experiment(chain, cfg, audit)
-
-
-def _run_experiment(chain: ChainModel, cfg: SimConfig, audit: bool) -> ChainSimResult:
     n = len(chain.nodes)
     reps = cfg.replications
-    root = np.random.SeedSequence(cfg.seed)
-    children = root.spawn(reps + n + 1)
-    rep_seeds = children[:reps]
-    # a single node's one class is the aggregate, so only a chain keeps
-    # per-class statistics; the aggregate keeps stream reps + n either way, so
-    # its bits do not depend on that
-    classes = range(n if n > 1 else 0)
+    children = np.random.SeedSequence(cfg.seed).spawn(reps + n + 1)
     cutoff = int(cfg.warmup_fraction * cfg.packets_per_replication)
     # every admitted packet departs, so the run measures exactly this many
     cap = min(SAMPLE_CAP, reps * (cfg.packets_per_replication - cutoff))
+    # a single node's one class is the aggregate, so only a chain keeps
+    # per-class statistics; the aggregate keeps stream reps + n either way, so
+    # its bits do not depend on that
     class_reservoirs = [_Reservoir(cap, np.random.default_rng(children[reps + i]))
-                        for i in classes]
+                        for i in range(n if n > 1 else 0)]
     agg_reservoir = _Reservoir(cap, np.random.default_rng(children[reps + n]))
-
-    class_rep_means: list[list[float]] = [[] for _ in range(n)]
-    agg_rep_means: list[float] = []
-    class_counts = [0] * n
-    class_visits = [0] * n
-    agg_count = 0
-    agg_visits = 0
-
-    for r in range(reps):
-        tally = _Tally(n, cutoff, agg_reservoir, class_reservoirs)
-        _run_replication(chain, cfg.packets_per_replication, tally, rep_seeds[r], audit)
-        c_sums, c_counts, c_visits = tally.sums, tally.counts, tally.visits
-        for i in classes:
-            class_rep_means[i].append(c_sums[i] / c_counts[i] if c_counts[i] else float("nan"))
-            class_counts[i] += c_counts[i]
-            class_visits[i] += c_visits[i]
-        measured = sum(c_counts)
-        agg_rep_means.append(sum(c_sums) / measured if measured else float("nan"))
-        agg_count += measured
-        agg_visits += sum(c_visits)
-
-    def _result(means: list[float], reservoir: _Reservoir, visits: int,
-                count: int) -> SimResult:
-        arr = np.asarray(means, dtype=np.float64)
-        mean = float(np.mean(arr))
-        ci = float(_Z95 * np.std(arr, ddof=1) / np.sqrt(len(arr)))
-        return SimResult(
-            mean_sojourn=mean,
-            ci_halfwidth=ci,
-            per_replication_means=tuple(means),
-            empirical_ccdf=reservoir.sorted_array(),
-            controller_visit_fraction=visits / count if count else float("nan"),
-        )
-
-    aggregate = _result(agg_rep_means, agg_reservoir, agg_visits, agg_count)
-    per_class = (tuple(_result(class_rep_means[i], class_reservoirs[i], class_visits[i],
-                               class_counts[i]) for i in classes)
+    engine = _run_events if audit else _run_lindley if n == 1 else _run_joins
+    tallies = [_Tally(n, cutoff, agg_reservoir, class_reservoirs) for _ in range(reps)]
+    for tally, seed_seq in zip(tallies, children):
+        engine(chain, cfg.packets_per_replication, tally, seed_seq)
+    aggregate = _result(tallies, slice(None), agg_reservoir)
+    per_class = (tuple(_result(tallies, slice(i, i + 1), reservoir)
+                       for i, reservoir in enumerate(class_reservoirs))
                  if n > 1 else (aggregate,))
     return ChainSimResult(per_class=per_class, aggregate=aggregate)
 
 
-def _run_replication(chain: ChainModel, n_packets: int, tally: _Tally,
-                     seed_seq: np.random.SeedSequence, audit: bool) -> None:
-    """One replication, its measured departures fed to ``tally``.  With
-    ``audit`` the checked event loop runs, :func:`_run_events`, the oracle for
-    the other two; without it a single node runs :func:`_run_lindley` and a
-    chain :func:`_run_joins`.
-
-    The event loop and the join-ordered loop hand ``tally`` a block every
-    ``_BLOCK`` departures.  The single-node loop hands it one block per block
-    of ``_BLOCK`` arrivals, which holds a few departures more or fewer, as
-    controller returns leave after later arrivals (at ``_BLOCK`` = 1000 and
-    controller load 0.9, blocks of 975 to 1019), and then its drain in blocks
-    of at most ``_BLOCK``: counting its departures one by one would slow it.
-    """
-    engine = _run_events if audit else _run_lindley if len(chain.nodes) == 1 else _run_joins
-    engine(chain, n_packets, tally, seed_seq)
+def _result(tallies: list[_Tally], classes: slice, reservoir: _Reservoir) -> SimResult:
+    """The statistics of the classes ``classes`` selects, summed in class order
+    within each replication: one class, or all of them for the aggregate."""
+    sums = [sum(t.sums[classes]) for t in tallies]
+    counts = [sum(t.counts[classes]) for t in tallies]
+    means = [s / c if c else float("nan") for s, c in zip(sums, counts)]
+    count = sum(counts)
+    visits = sum(sum(t.visits[classes]) for t in tallies)
+    arr = np.asarray(means, dtype=np.float64)
+    return SimResult(
+        mean_sojourn=float(np.mean(arr)),
+        ci_halfwidth=float(_Z95 * np.std(arr, ddof=1) / np.sqrt(len(arr))),
+        per_replication_means=tuple(means),
+        empirical_ccdf=reservoir.sorted_array(),
+        controller_visit_fraction=visits / count if count else float("nan"),
+    )
 
 
 def _run_events(chain: ChainModel, n_packets: int, tally: _Tally,
@@ -397,10 +362,7 @@ def _run_events(chain: ChainModel, n_packets: int, tally: _Tally,
     admitted = 0
     departed = 0
 
-    # this block's departures: sojourns, new-flow positions, classes
-    sojourns: list[float] = []
-    new_at: list[int] = []
-    classes: list[int] = []
+    sojourns, new_at, classes = tally.sojourns, tally.new_at, tally.cls
 
     # FIFO audit: every join of a station's queue gets a per-station stamp;
     # service starts must consume stamps in increasing order.
@@ -457,7 +419,7 @@ def _run_events(chain: ChainModel, n_packets: int, tally: _Tally,
                 sojourns.append(t - pkt[0])
                 classes.append(pkt[1])
                 if len(sojourns) == _BLOCK:
-                    tally.flush(sojourns, new_at, classes)
+                    tally.flush()
         if dest >= 0:
             # join `dest`, served at once if it is idle
             enq_counter[dest] += 1
@@ -478,8 +440,7 @@ def _run_events(chain: ChainModel, n_packets: int, tally: _Tally,
             raise SimulationInvariantError(
                 f"packet conservation violated: {admitted} admitted, {departed} "
                 f"departed, {in_system} in the system")
-
-    tally.take(sojourns, new_at, classes)
+    tally.flush()
 
 
 def _run_lindley(chain: ChainModel, n_packets: int, tally: _Tally,
@@ -490,14 +451,19 @@ def _run_lindley(chain: ChainModel, n_packets: int, tally: _Tally,
     A first pass that starts at or after arrival ``a`` returns after ``a``, so
     when ``a`` is reached every earlier return is already in ``returns``; an
     exact tie is served arrival-first.
+
+    ``tally`` gets one block per block of ``_BLOCK`` arrivals, which holds a
+    few departures more or fewer, as controller returns leave after later
+    arrivals (at ``_BLOCK`` = 1000 and controller load 0.9, blocks of 975 to
+    1019), and then the drain in blocks of at most ``_BLOCK``: counting the
+    departures one by one would slow the loop.
     """
     (arr_rng,), (mark_rng,), (next_svc, next_ctl) = _streams(chain, seed_seq)
     node = chain.nodes[0]
     q = node.q_nf
 
     returns: deque[tuple[float, float]] = deque()  # (back from the controller, arrival)
-    sojourns: list[float] = []  # this block's departures, in order
-    new_at: list[int] = []  # positions of the new flows in `sojourns`
+    sojourns, new_at = tally.sojourns, tally.new_at
     free = cfree = 0.0
     left = n_packets
     for times in _arrival_blocks(arr_rng, 1.0 / node.lam):
@@ -516,16 +482,16 @@ def _run_lindley(chain: ChainModel, n_packets: int, tally: _Tally,
                 returns.append((cfree, a))
             else:
                 sojourns.append(free - a)
-        tally.flush(sojourns, new_at)
+        tally.flush()
         if not left:
             break
     while returns:  # arrivals have stopped: the returns drain in order
         for _ in range(min(_BLOCK, len(returns))):
             r, a0 = returns.popleft()
             free = (r if r > free else free) + next_svc()
+            new_at.append(len(sojourns))
             sojourns.append(free - a0)
-        tally.take(sojourns, range(len(sojourns)))
-        sojourns.clear()
+        tally.flush()
 
 
 def _run_joins(chain: ChainModel, n_packets: int, tally: _Tally,
@@ -549,9 +515,7 @@ def _run_joins(chain: ChainModel, n_packets: int, tally: _Tally,
     pending: list[deque[tuple]] = [deque() for _ in range(n + 1)]
     heads = [math.inf] * (n + 1)
     free = [0.0] * (n + 1)
-    sojourns: list[float] = []  # this block's departures: sojourns,
-    new_at: list[int] = []  # positions of the new flows among them,
-    classes: list[int] = []  # and classes
+    sojourns, new_at, classes = tally.sojourns, tally.new_at, tally.cls
     t = math.inf  # the earliest head
     for times, cls, marks in arrivals:
         for a, c, new in zip(times, cls, marks):
@@ -568,7 +532,7 @@ def _run_joins(chain: ChainModel, n_packets: int, tally: _Tally,
                     sojourns.append(f - a0)
                     classes.append(c0)
                     if len(sojourns) == _BLOCK:
-                        tally.flush(sojourns, new_at, classes)
+                        tally.flush()
                 else:
                     if not pending[s]:
                         heads[s] = f
@@ -586,14 +550,14 @@ def _run_joins(chain: ChainModel, n_packets: int, tally: _Tally,
                 sojourns.append(f - a)
                 classes.append(c)
                 if len(sojourns) == _BLOCK:
-                    tally.flush(sojourns, new_at, classes)
+                    tally.flush()
                 continue
             if not pending[c]:
                 heads[c] = f
                 if f < t:
                     t = f
             pending[c].append((f, s, a, c, new))
-    tally.take(sojourns, new_at, classes)
+    tally.flush()
 
 
 def _merged_arrivals(nodes, arr_rngs, mark_rngs, n_packets: int):

@@ -294,8 +294,9 @@ class TestChain:
 
 def test_rate_from_us():
     assert rate_from_us(240.0) == pytest.approx(1e6 / 240.0, rel=1e-15)
-    with pytest.raises(ValueError):
-        rate_from_us(0.0)
+    for bad in (0.0, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            rate_from_us(bad)
 
 
 class TestOneNodeChainProperties:

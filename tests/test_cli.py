@@ -290,6 +290,13 @@ class TestDimensionCmd:
         # M/M/1 inversion: bound 2/mu gives mu/2
         assert f"{MU_L / 2:.3f}" in out
 
+    def test_infinite_bound_is_the_saturation_plateau(self, capsys):
+        # what every huge finite bound gives: 1e-8 below mu_c / q = 8333.33 /s
+        rc = cli.main(["dimension", "--q-nf", "0.5", "--mu-switch-us", "9.8",
+                       "--mu-controller-us", "240", "--delay-bound-us", "inf"])
+        assert rc == 0
+        assert "8333.333 packets/s" in capsys.readouterr().out
+
     def test_curve(self, tmp_path, capsys):
         out = tmp_path / "dim.csv"
         rc = cli.main(["dimension", "--q-nf", "0.5", "--mu-switch-us", "9.8",
@@ -443,6 +450,7 @@ class TestFigureInputErrors:
         ["fig6", "--deadline-us", "-5"],
         ["fig4", "--mu-switch", "1e5", "--mu-switch-us", "9.8"],    # both units
         ["fig5", "--mu-controller", "4000", "--mu-controller-us", "240"],
+        ["fig5", "--mu-c-us-set", "120,inf"],     # an infinite service time
     ])
     def test_usage_error_exit_one(self, flags, tmp_path, capsys):
         out = tmp_path / "fig.csv"
@@ -467,10 +475,24 @@ class TestTableInputErrors:
         ["analyze"] + NODE_FLAGS + ["--format", "json"],      # a format but no file
         ["simulate"] + NODE_FLAGS + ["--packets", "10000", "--replications", "2",
                                      "--format", "csv"],
+        ["analyze", "--lam", "2000", "--q-nf", "0.5", "--mu-switch-us", "inf",
+         "--mu-controller-us", "240"],
     ])
     def test_usage_error_exit_one(self, argv, capsys):
         assert cli.main(argv) == 1
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("argv, named", [
+        (["analyze", "--lam", "2000", "--q-nf", "0.5", "--mu-switch-us", "inf",
+          "--mu-controller-us", "240"], "'mu_switch_us': "),
+        (["figure", "fig5", "--mu-c-us-set", "120,inf"], "--mu-c-us-set: "),
+    ])
+    def test_service_time_error_names_the_input(self, argv, named, tmp_path, capsys):
+        out = tmp_path / "out.csv"
+        assert cli.main(argv + ["--output", str(out)]) == 1
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("error: " + named) and err.rstrip().endswith("got inf")
 
 
 class TestOneResolver:

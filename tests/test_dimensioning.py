@@ -41,10 +41,10 @@ class TestMaxThroughput:
     def test_saturation_limit(self):
         for q in (0.2, 0.5, 1.0):
             sup = stability_supremum(q, MU_L, MU_C)
-            bound = 1e3 * zero_load_sojourn(q, MU_L, MU_C)
-            res = max_throughput(bound, q_nf=q, mu_switch=MU_L, mu_controller=MU_C)
-            assert res.feasible
-            assert (sup - res.rate) / sup <= 1e-3
+            for bound in (1e3 * zero_load_sojourn(q, MU_L, MU_C), math.inf):
+                res = max_throughput(bound, q_nf=q, mu_switch=MU_L, mu_controller=MU_C)
+                assert res.feasible
+                assert (sup - res.rate) / sup <= 1e-3
 
     def test_controller_is_bottleneck_at_full_detour(self):
         sup = stability_supremum(1.0, MU_L, MU_C)
@@ -74,6 +74,10 @@ class TestMaxThroughput:
                                     mu_controller=MU_C).rate for b in grid]
             assert all(b >= a for a, b in zip(rates, rates[1:]))
             assert all(r <= sup for r in rates)
+
+    def test_one_point_grid_is_its_start(self):
+        w0 = zero_load_sojourn(0.5, MU_L, MU_C)
+        assert default_delay_bound_grid(0.5, MU_L, MU_C, points=1) == (1.05 * w0,)
 
     def test_bad_bound_rejected(self):
         with pytest.raises(ValueError):
