@@ -72,9 +72,14 @@ Lindley loops.  In those loops routing is control flow, not packet state, so
 there is nothing per packet to check; tests hold them to the event loop's
 bits.
 
-Identical (seed, config, parameters) give bit-identical results.  Replications
-run sequentially and are merged by replication index, so output never depends
-on scheduling.
+Identical (seed, config, parameters) give bit-identical results.  A single
+node's replications run on P = min(replications, usable CPUs) processes:
+replication k runs on process k mod P, where process 0 is the caller and the
+others are forked for the call (P is 1 where ``os.fork`` is missing).  Usable
+CPUs are the process's affinity set where the platform has one, so
+``taskset`` limits P, else every CPU.  The caller merges the replications'
+statistics and reservoir writes in replication order, so the bits never
+depend on P.  A chain's replications run one after another in the caller.
 """
 
 from __future__ import annotations
@@ -84,6 +89,9 @@ import heapq
 import itertools
 import math
 import numbers
+import os
+import pickle
+import signal
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
@@ -196,8 +204,11 @@ class _Reservoir:
         idx = self.seen + np.arange(1, m + 1, dtype=np.float64)
         slots = (self.rng.random(m) * idx).astype(np.int64)
         mask = slots < cap
-        self.items[slots[mask]] = values[take:][mask]
+        self._replace(slots[mask], values[take:][mask])
         self.seen += m
+
+    def _replace(self, slots: np.ndarray, values: np.ndarray) -> None:
+        self.items[slots] = values
 
     def sorted_array(self) -> np.ndarray:
         """The samples in ascending order, as an array of their own.  A full
@@ -207,6 +218,35 @@ class _Reservoir:
             return np.sort(self.items[:self.seen])
         self.items.sort()
         return self.items
+
+
+class _SlotLog(_Reservoir):
+    """One replication's share of a run's reservoir, run apart from it.
+
+    Every admitted packet departs, so the replication's first sample is the
+    run's sample ``start`` and every sample before it past the cap has drawn
+    once from the reservoir's stream: the log starts there, with the stream
+    ``seed_seq`` advanced past those draws.  ``hit`` marks the slots written
+    past the cap, so the log's last write to each slot can be sent and
+    applied in replication order (see :func:`_send` and :func:`_receive`).
+    """
+
+    __slots__ = ("start", "hit")
+
+    def __init__(self, cap: int, seed_seq: np.random.SeedSequence, start: int):
+        super().__init__(cap, _stream_at(seed_seq, start - cap))
+        self.seen = self.start = start
+        self.hit = np.zeros(cap, dtype=bool)
+
+    def _replace(self, slots: np.ndarray, values: np.ndarray) -> None:
+        self.items[slots] = values
+        self.hit[slots] = True
+
+
+def _stream_at(seed_seq: np.random.SeedSequence, draws: int) -> np.random.Generator:
+    """The reservoir stream of ``seed_seq`` after ``draws`` draws (none if
+    ``draws`` < 0): each ``random()`` double is one PCG64 step."""
+    return np.random.Generator(np.random.PCG64(seed_seq).advance(max(draws, 0)))
 
 
 class _Tally:
@@ -293,13 +333,19 @@ def run_chain(chain: ChainModel, cfg: SimConfig, audit: bool = False) -> ChainSi
     A chain of two or more nodes runs the join-ordered loop, a single node the
     Lindley loop, or either the checked event loop when ``audit`` is set; all
     give the same bits.
+
+    A single node's replications run on min(replications, usable CPUs)
+    processes (see :func:`_run_forked`), with the same bits at every count.
+    A chain's run one after another: a class reservoir's offsets depend on
+    the class counts of earlier replications, which are not known in advance.
     """
     n = len(chain.nodes)
     reps = cfg.replications
     children = np.random.SeedSequence(cfg.seed).spawn(reps + n + 1)
     cutoff = int(cfg.warmup_fraction * cfg.packets_per_replication)
-    # every admitted packet departs, so the run measures exactly this many
-    cap = min(SAMPLE_CAP, reps * (cfg.packets_per_replication - cutoff))
+    # every admitted packet departs, so each replication measures this many
+    measured = cfg.packets_per_replication - cutoff
+    cap = min(SAMPLE_CAP, reps * measured)
     # a single node's one class is the aggregate, so only a chain keeps
     # per-class statistics; the aggregate keeps stream reps + n either way, so
     # its bits do not depend on that
@@ -308,13 +354,160 @@ def run_chain(chain: ChainModel, cfg: SimConfig, audit: bool = False) -> ChainSi
     agg_reservoir = _Reservoir(cap, np.random.default_rng(children[reps + n]))
     engine = _run_events if audit else _run_lindley if n == 1 else _run_joins
     tallies = [_Tally(n, cutoff, agg_reservoir, class_reservoirs) for _ in range(reps)]
-    for tally, seed_seq in zip(tallies, children):
-        engine(chain, cfg.packets_per_replication, tally, seed_seq)
+    procs = min(reps, _cpus()) if n == 1 and hasattr(os, "fork") else 1
+    if procs > 1:
+        _run_forked(procs, functools.partial(engine, chain, cfg.packets_per_replication),
+                    tallies, children[:reps], children[reps + n], measured)
+    else:
+        for tally, seed_seq in zip(tallies, children):
+            engine(chain, cfg.packets_per_replication, tally, seed_seq)
     aggregate = _result(tallies, slice(None), agg_reservoir)
     per_class = (tuple(_result(tallies, slice(i, i + 1), reservoir)
                        for i, reservoir in enumerate(class_reservoirs))
                  if n > 1 else (aggregate,))
     return ChainSimResult(per_class=per_class, aggregate=aggregate)
+
+
+def _cpus() -> int:
+    """The number of CPUs this process may run on: its affinity set where the
+    platform has one (so ``taskset`` limits it), else every CPU."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _run_forked(procs: int, run, tallies: list[_Tally], seeds: list,
+                stream: np.random.SeedSequence, measured: int) -> None:
+    """A single node's replications, replication k on process k mod ``procs``:
+    the caller is process 0, the others are forked for this call.
+
+    ``run(tally, seed_seq)`` runs one replication.  Each measures ``measured``
+    samples, so replication k's are the run's samples k·measured onward and
+    a child runs each of its replications into a :class:`_SlotLog` from
+    there.  The caller applies the replications in order: before it runs one
+    of its own straight into the reservoir, it reads every earlier child
+    replication's statistics and last write per slot into place.  So the
+    results are those of the serial run, bit for bit.
+
+    A child ends with ``os._exit`` and sends an exception it raises on to the
+    caller, which raises it; a child that dies shows up as the end of its
+    pipe.  If the caller raises, it kills its children; it reaps them always.
+    """
+    reservoir = tallies[0].agg
+    readers: list = []
+    pids: list[int] = []
+    try:
+        for p in range(1, procs):
+            r, w = os.pipe()
+            readers.append(open(r, "rb"))
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _serve(w, readers, range(p, len(tallies), procs), run, tallies, seeds,
+                           stream, measured)
+            finally:  # the caller's; a child never returns from _serve
+                os.close(w)
+            pids.append(pid)
+        for k, (tally, seed_seq) in enumerate(zip(tallies, seeds)):
+            if k % procs:
+                _receive(readers[k % procs - 1], tally, reservoir)
+            else:
+                reservoir.rng = _stream_at(stream, k * measured - reservoir.cap)
+                run(tally, seed_seq)
+            if reservoir.seen != (k + 1) * measured:
+                raise SimulationInvariantError(
+                    f"replication {k} ends at sample {reservoir.seen}, not at "
+                    f"{(k + 1) * measured}")
+    except BaseException:
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for reader in readers:
+            reader.close()
+        for pid in pids:
+            os.waitpid(pid, 0)
+
+
+def _serve(w: int, readers: list, ks: range, run, tallies: list[_Tally], seeds: list,
+           stream: np.random.SeedSequence, measured: int) -> None:
+    """A forked child: run replications ``ks``, sending each one's results, or
+    the exception it raises, to the pipe ``w``.  Never returns."""
+    code = 1
+    try:
+        for reader in readers:  # the caller's ends of the pipes
+            reader.close()
+        with open(w, "wb") as out:
+            for k in ks:
+                tally = tallies[k]
+                tally.agg = _SlotLog(tally.agg.cap, stream, k * measured)
+                try:
+                    run(tally, seeds[k])
+                except Exception as exc:
+                    _send_error(out, exc)
+                    break
+                _send(out, tally)
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _send(out, tally: _Tally) -> None:
+    """Send a replication's statistics, then its last write to each slot of its
+    :class:`_SlotLog`: the slots from its start to the cap as one run of
+    values, then the other slots it replaced as (slots, values) chunks."""
+    log = tally.agg
+    lo, hi = min(log.start, log.cap), min(log.seen, log.cap)
+    log.hit[lo:hi] = False
+    slots = np.flatnonzero(log.hit)
+    pickle.dump((None, tally.sums, tally.counts, tally.visits, log.seen, lo, hi, len(slots)),
+                out)
+    out.write(log.items[lo:hi])
+    for c in range(0, len(slots), _BLOCK):
+        chunk = slots[c:c + _BLOCK]
+        out.write(chunk)
+        out.write(log.items[chunk])
+    out.flush()
+
+
+def _send_error(out, exc: Exception) -> None:
+    """Send ``exc`` pickled, or a RuntimeError naming it if it does not
+    survive pickling."""
+    try:
+        data = pickle.dumps(exc)
+        pickle.loads(data)
+    except Exception:
+        data = pickle.dumps(RuntimeError(f"{type(exc).__name__}: {exc}"))
+    pickle.dump((data,), out)
+    out.flush()
+
+
+def _receive(reader, tally: _Tally, reservoir: _Reservoir) -> None:
+    """Apply a child's replication, sent by :func:`_send`: its statistics to
+    ``tally`` and its writes to ``reservoir``, read straight into place; or
+    raise the exception it sent."""
+    try:
+        header = pickle.load(reader)
+    except EOFError:
+        raise ChildProcessError("a replication process ended without its results") from None
+    if header[0] is not None:
+        raise pickle.loads(header[0])
+    _, tally.sums, tally.counts, tally.visits, reservoir.seen, lo, hi, n_slots = header
+    _read_into(reader, reservoir.items[lo:hi])
+    slots = np.empty(min(n_slots, _BLOCK), dtype=np.intp)
+    values = np.empty(len(slots))
+    for c in range(0, n_slots, _BLOCK):
+        k = min(_BLOCK, n_slots - c)
+        _read_into(reader, slots[:k])
+        _read_into(reader, values[:k])
+        reservoir.items[slots[:k]] = values[:k]
+
+
+def _read_into(reader, array: np.ndarray) -> None:
+    """Fill ``array`` from ``reader``; an early end is a dead child."""
+    if reader.readinto(memoryview(array).cast("B")) != array.nbytes:
+        raise ChildProcessError("a replication process ended without its results")
 
 
 def _result(tallies: list[_Tally], classes: slice, reservoir: _Reservoir) -> SimResult:

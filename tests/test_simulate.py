@@ -1,6 +1,7 @@
 """Discrete-event simulator: statistics, semantics, determinism, audits."""
 
 import hashlib
+import io
 import os
 import subprocess
 import sys
@@ -336,6 +337,137 @@ class TestEngineProperties:
         assert _bits(run_chain(chain, cfg, audit=True)) == want
         with mock.patch.object(simulate, "_BLOCK", block):
             assert _bits(run_chain(chain, cfg)) == want
+
+
+def _single_nodes():
+    """Random single nodes, from idle to saturated switch and controller."""
+    mu_l = st.floats(2e4, 2e5)
+    return st.builds(lambda load, mu, q, mu_c: ChainModel(
+        nodes=(NodeParams(load * mu, mu, q),), controller=ControllerParams(mu_c)),
+        st.floats(0.05, 1.2), mu_l, st.floats(0.0, 1.0), st.floats(1e3, 1e5))
+
+
+class TestProcessCount:
+    """A single node's replications run on min(replications, ``_cpus()``)
+    processes, replication k on process k mod that count; no bit may depend
+    on the count."""
+
+    # the run's samples below, at or over the reservoir cap; over it,
+    # replications other than the first draw replacement slots from the
+    # reservoir's advanced stream
+    RUNS = given(chain=_single_nodes(), seed=st.integers(0, 2 ** 64 - 1),
+                 warmup=st.floats(0.0, 0.49), block=st.integers(16, 5000),
+                 reps=st.integers(3, 4), data=st.data())
+
+    @pytest.mark.parametrize("fill", ["below", "at", "over"])
+    @settings(max_examples=4)
+    @RUNS
+    def test_process_count_does_not_move_bits(self, fill, **run):
+        self._assert_same_bits(audit=False, fill=fill, **run)
+
+    @settings(max_examples=2)
+    @RUNS
+    def test_process_count_does_not_move_audited_bits(self, **run):
+        self._assert_same_bits(audit=True, fill="over", **run)
+
+    @staticmethod
+    def _assert_same_bits(audit, fill, chain, seed, warmup, block, reps, data):
+        cfg = SimConfig(seed=seed, packets_per_replication=10_000, replications=reps,
+                        warmup_fraction=warmup)
+        total = reps * (10_000 - int(warmup * 10_000))
+        cap = {"below": total + 1000, "at": total,
+               "over": data.draw(st.integers(1, total - 1))}[fill]
+        bits = []
+        with mock.patch.object(simulate, "SAMPLE_CAP", cap), \
+                mock.patch.object(simulate, "_BLOCK", block):
+            for procs in (1, 2, 3):
+                with mock.patch.object(simulate, "_cpus", lambda: procs):
+                    bits.append(_bits(run_chain(chain, cfg, audit=audit)))
+        assert bits[1] == bits[0]
+        assert bits[2] == bits[0]
+
+    @settings(max_examples=100)
+    @given(cap=st.integers(1, 300), reps=st.integers(2, 5), measured=st.integers(1, 200),
+           data=st.data())
+    def test_replications_applied_in_order_match_one_feed(self, cap, reps, measured, data):
+        # each replication fills a _SlotLog from its own start, in blocks;
+        # sent and received in replication order, the logs must leave the
+        # reservoir as one feed of every sample does
+        values = np.random.default_rng(cap).random(reps * measured)
+        stream = np.random.SeedSequence(reps * measured)
+        whole = _Reservoir(cap, np.random.default_rng(stream))
+        whole.extend(values)
+        merged = _Reservoir(cap, np.random.default_rng(stream))
+        for k in range(reps):
+            tally = simulate._Tally(1, 0, simulate._SlotLog(cap, stream, k * measured), [])
+            own = values[k * measured:(k + 1) * measured]
+            cuts = sorted(data.draw(st.lists(st.integers(0, measured), max_size=4)))
+            for lo, hi in zip([0, *cuts], [*cuts, measured]):
+                tally.take(list(own[lo:hi]), [])
+            pipe = io.BytesIO()
+            simulate._send(pipe, tally)
+            pipe.seek(0)
+            received = simulate._Tally(1, 0, merged, [])
+            simulate._receive(pipe, received, merged)
+            assert pipe.read() == b""
+            assert (received.sums, received.counts) == (tally.sums, tally.counts)
+        assert merged.seen == whole.seen == reps * measured
+        assert merged.sorted_array().tobytes() == whole.sorted_array().tobytes()
+
+
+class TestForkedLifecycle:
+    """Children of a forked run, seen from a fresh interpreter, so that no
+    child of pytest's own is counted.  Each scenario forces two processes."""
+
+    SCRIPT = textwrap.dedent("""
+        import os, sys
+        from collections import deque
+        from sdnqueue import simulate
+        from sdnqueue.analytic import ControllerParams, NodeParams, rate_from_us
+
+        scenario = sys.argv[1]
+        caller = os.getpid()
+        simulate._cpus = lambda: 2
+
+        class Deque(deque):
+            # serves newest first, which breaks FIFO order, in the caller only
+            # or in the children only
+            def popleft(self):
+                lifo = (os.getpid() == caller) == (scenario == "caller raises")
+                return self.pop() if lifo and scenario != "clean" else super().popleft()
+
+        simulate.deque = Deque
+        mu_c = rate_from_us(240.0)
+        node = NodeParams(1.3 * mu_c, rate_from_us(9.8), 1.0)
+        packets = 200_000 if scenario == "caller raises" else 10_000
+        cfg = simulate.SimConfig(seed=3, packets_per_replication=packets, replications=2)
+        try:
+            simulate.run_single_node(node, ControllerParams(mu_c), cfg, audit=True)
+            print("returned")
+        except Exception as exc:
+            print(type(exc).__name__ + ":", exc)
+        try:
+            os.waitpid(-1, os.WNOHANG)
+            print("a child is left")
+        except ChildProcessError:
+            print("no child left")
+    """)
+
+    @pytest.mark.parametrize("scenario, outcome", [
+        ("clean", "returned"),
+        # replication 1 runs in the child, whose error the caller raises
+        ("child raises", "SimulationInvariantError: FIFO order violated at the "),
+        # replication 0 fails in the caller while the child runs 200k packets
+        ("caller raises", "SimulationInvariantError: FIFO order violated at the ")])
+    def test_no_child_outlives_the_run(self, scenario, outcome):
+        src = Path(__file__).resolve().parents[1] / "src"
+        proc = subprocess.run([sys.executable, "-c", self.SCRIPT, scenario],
+                              capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=str(src)), timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        first, second = proc.stdout.splitlines()
+        assert first.startswith(outcome)
+        assert second == "no child left"
 
 
 class TestFlatMemory:
