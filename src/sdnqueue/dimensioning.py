@@ -70,7 +70,8 @@ def max_throughput(delay_bound: float, *, q_nf: float, mu_switch: float,
 
         rate = (B - w0) / (B w0/2 - p_l p_c + hypot(B (p_l - p_c)/2, p_l p_c))
 
-    where w0 = p_l + p_c is the zero-load sojourn.  The rate is capped
+    where w0 = p_l + p_c is the zero-load sojourn; where B w0 overflows, the
+    numerator and denominator are divided through by B.  The rate is capped
     ``_SUP_MARGIN`` of the stability supremum below it, then stepped down by
     one ulp of the supremum while :func:`mean_sojourn_openflow` puts it above
     the bound, so it always meets the bound and lies within a few such ulps
@@ -90,10 +91,13 @@ def max_throughput(delay_bound: float, *, q_nf: float, mu_switch: float,
         return mean_sojourn_openflow(node, ctrl, solve_rates(node, ctrl))
 
     p_l, p_c, b = (1.0 + q_nf) / mu_switch, q_nf / mu_controller, delay_bound
-    rate = lam_sup * (1.0 - _SUP_MARGIN)
-    if b < math.inf:  # the root is inf / inf at an infinite bound
-        rate = min(rate, (b - w0) / (0.5 * b * w0 - p_l * p_c
-                                     + math.hypot(0.5 * b * (p_l - p_c), p_l * p_c)))
+    den = 0.5 * b * w0 - p_l * p_c + math.hypot(0.5 * b * (p_l - p_c), p_l * p_c)
+    if math.isfinite(den):
+        root = (b - w0) / den
+    else:  # divided through by B, as at an infinite or huge bound B w0 overflows
+        root = (1.0 - w0 / b) / (0.5 * w0 - p_l * p_c / b
+                                 + math.hypot(0.5 * (p_l - p_c), p_l * p_c / b))
+    rate = min(lam_sup * (1.0 - _SUP_MARGIN), root)
     while rate > 0.0 and sojourn(rate) > b:
         rate = max(rate - math.ulp(lam_sup), 0.0)
     return ThroughputResult(rate=rate, feasible=True)

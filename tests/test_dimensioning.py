@@ -46,6 +46,15 @@ class TestMaxThroughput:
                 assert res.feasible
                 assert (sup - res.rate) / sup <= 1e-3
 
+    def test_overflowing_bound_is_the_saturation_plateau(self):
+        # B w0 overflows at these bounds; the root must not collapse to 0
+        plateau = max_throughput(math.inf, q_nf=0.5, mu_switch=1e-3, mu_controller=1e-3)
+        assert plateau.rate == pytest.approx(stability_supremum(0.5, 1e-3, 1e-3), rel=1e-7)
+        for bound in (1e307, 1.7e308):
+            res = max_throughput(bound, q_nf=0.5, mu_switch=1e-3, mu_controller=1e-3)
+            assert res.feasible
+            assert res.rate == plateau.rate
+
     def test_controller_is_bottleneck_at_full_detour(self):
         sup = stability_supremum(1.0, MU_L, MU_C)
         assert sup == pytest.approx(MU_C, rel=1e-12)  # min(mu_l/2, mu_c)
@@ -151,11 +160,11 @@ class TestMaxThroughputProperties:
            factors=st.lists(_log_uniform(-0.3, 10.0), min_size=2, max_size=2))
     def test_monotone_meets_bound_below_supremum(self, q, mu_l, mu_c, factors):
         # bounds from half the zero-load sojourn w0 to 1e10 w0, past the
-        # _SUP_MARGIN plateau
+        # _SUP_MARGIN plateau, then the largest float bounds and inf
         w0 = zero_load_sojourn(q, mu_l, mu_c)
         sup = stability_supremum(q, mu_l, mu_c)
         ctrl = ControllerParams(mu_c)
-        bounds = sorted(f * w0 for f in factors)
+        bounds = sorted(f * w0 for f in factors) + [1.7e308, math.inf]
         rates = []
         for bound in bounds:
             res = max_throughput(bound, q_nf=q, mu_switch=mu_l, mu_controller=mu_c)
@@ -165,7 +174,7 @@ class TestMaxThroughputProperties:
                 node = NodeParams(res.rate, mu_l, q)
                 assert mean_sojourn_openflow(node, ctrl, solve_rates(node, ctrl)) <= bound
             rates.append(res.rate)
-        assert rates[0] <= rates[1]
+        assert rates == sorted(rates)
 
 
 class TestSweepSpec:
