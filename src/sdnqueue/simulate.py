@@ -440,8 +440,8 @@ def _serve(w: int, readers: list, ks: range, run, tallies: list[_Tally], seeds: 
             reader.close()
         with open(w, "wb") as out:
             for k in ks:
-                tally = tallies[k]
-                tally.agg = _SlotLog(tally.agg.cap, stream, k * measured)
+                log = _SlotLog(tallies[k].agg.cap, stream, k * measured)
+                tally = _Tally(1, tallies[k].skip, log, [])
                 try:
                     run(tally, seeds[k])
                 except Exception as exc:
