@@ -304,10 +304,10 @@ class TestEngineEquivalence:
 
 
 @st.composite
-def _chains(draw):
-    """Random chains of 1-3 nodes, from idle to saturated switches and
-    controller."""
-    n = draw(st.integers(1, 3))
+def _chains(draw, sizes=st.integers(1, 3)):
+    """Random chains of ``sizes`` (1-3) nodes, from idle to saturated switches
+    and controller."""
+    n = draw(sizes)
     mu_l = draw(st.floats(2e4, 2e5))
     nodes = tuple(NodeParams(draw(st.floats(0.05, 1.2)) * mu_l / n, mu_l,
                              draw(st.floats(0.0, 1.0)))
@@ -339,14 +339,6 @@ class TestEngineProperties:
             assert _bits(run_chain(chain, cfg)) == want
 
 
-def _single_nodes():
-    """Random single nodes, from idle to saturated switch and controller."""
-    mu_l = st.floats(2e4, 2e5)
-    return st.builds(lambda load, mu, q, mu_c: ChainModel(
-        nodes=(NodeParams(load * mu, mu, q),), controller=ControllerParams(mu_c)),
-        st.floats(0.05, 1.2), mu_l, st.floats(0.0, 1.0), st.floats(1e3, 1e5))
-
-
 class TestProcessCount:
     """A single node's replications run on min(replications, ``_cpus()``)
     processes, replication k on process k mod that count; no bit may depend
@@ -355,7 +347,7 @@ class TestProcessCount:
     # the run's samples below, at or over the reservoir cap; over it,
     # replications other than the first draw replacement slots from the
     # reservoir's advanced stream
-    RUNS = given(chain=_single_nodes(), seed=st.integers(0, 2 ** 64 - 1),
+    RUNS = given(chain=_chains(st.just(1)), seed=st.integers(0, 2 ** 64 - 1),
                  warmup=st.floats(0.0, 0.49), block=st.integers(16, 5000),
                  reps=st.integers(3, 4), data=st.data())
 
