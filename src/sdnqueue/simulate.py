@@ -92,6 +92,7 @@ import numbers
 import os
 import pickle
 import signal
+import warnings
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
@@ -227,8 +228,9 @@ class _SlotLog(_Reservoir):
     run's sample ``start`` and every sample before it past the cap has drawn
     once from the reservoir's stream: the log starts there, with the stream
     ``seed_seq`` advanced past those draws.  ``hit`` marks the slots written
-    past the cap, so the log's last write to each slot can be sent and
-    applied in replication order (see :func:`_send` and :func:`_receive`).
+    past the cap; with the slots filled below it, they are the slots the log
+    wrote, whose last writes are sent and applied in replication order (see
+    :func:`_send` and :func:`_receive`).
     """
 
     __slots__ = ("start", "hit")
@@ -355,12 +357,8 @@ def run_chain(chain: ChainModel, cfg: SimConfig, audit: bool = False) -> ChainSi
     engine = _run_events if audit else _run_lindley if n == 1 else _run_joins
     tallies = [_Tally(n, cutoff, agg_reservoir, class_reservoirs) for _ in range(reps)]
     procs = min(reps, _cpus()) if n == 1 and hasattr(os, "fork") else 1
-    if procs > 1:
-        _run_forked(procs, functools.partial(engine, chain, cfg.packets_per_replication),
-                    tallies, children[:reps], children[reps + n], measured)
-    else:
-        for tally, seed_seq in zip(tallies, children):
-            engine(chain, cfg.packets_per_replication, tally, seed_seq)
+    _run_forked(procs, functools.partial(engine, chain, cfg.packets_per_replication),
+                tallies, children[:reps], children[reps + n], measured)
     aggregate = _result(tallies, slice(None), agg_reservoir)
     per_class = (tuple(_result(tallies, slice(i, i + 1), reservoir)
                        for i, reservoir in enumerate(class_reservoirs))
@@ -379,8 +377,10 @@ def _cpus() -> int:
 
 def _run_forked(procs: int, run, tallies: list[_Tally], seeds: list,
                 stream: np.random.SeedSequence, measured: int) -> None:
-    """A single node's replications, replication k on process k mod ``procs``:
-    the caller is process 0, the others are forked for this call.
+    """A run's replications, replication k on process k mod ``procs``: the
+    caller is process 0, the others are forked for this call.  With
+    ``procs`` 1 this is the serial run, the caller running every replication
+    straight into the reservoir; a chain's replications always run so.
 
     ``run(tally, seed_seq)`` runs one replication.  Each measures ``measured``
     samples, so replication k's are the run's samples k·measured onward and
@@ -402,7 +402,7 @@ def _run_forked(procs: int, run, tallies: list[_Tally], seeds: list,
             r, w = os.pipe()
             readers.append(open(r, "rb"))
             try:
-                pid = os.fork()
+                pid = _fork()
                 if pid == 0:
                     _serve(w, readers, range(p, len(tallies), procs), run, tallies, seeds,
                            stream, measured)
@@ -430,6 +430,17 @@ def _run_forked(procs: int, run, tallies: list[_Tally], seeds: list,
             os.waitpid(pid, 0)
 
 
+def _fork() -> int:
+    """``os.fork()``, without the warning CPython 3.12+ gives for forking a
+    process that runs more than one OS thread, as numpy's BLAS thread pool
+    makes this one.  A child calls no BLAS: it draws numpy random numbers,
+    runs elementwise code, writes to its pipe and ends with ``os._exit``."""
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", r".*is multi-threaded, use of fork\(\)",
+                                DeprecationWarning)
+        return os.fork()
+
+
 def _serve(w: int, readers: list, ks: range, run, tallies: list[_Tally], seeds: list,
            stream: np.random.SeedSequence, measured: int) -> None:
     """A forked child: run replications ``ks``, sending each one's results, or
@@ -455,15 +466,11 @@ def _serve(w: int, readers: list, ks: range, run, tallies: list[_Tally], seeds: 
 
 def _send(out, tally: _Tally) -> None:
     """Send a replication's statistics, then its last write to each slot of its
-    :class:`_SlotLog`: the slots from its start to the cap as one run of
-    values, then the other slots it replaced as (slots, values) chunks."""
+    :class:`_SlotLog` as (slots, values) chunks."""
     log = tally.agg
-    lo, hi = min(log.start, log.cap), min(log.seen, log.cap)
-    log.hit[lo:hi] = False
+    log.hit[min(log.start, log.cap):min(log.seen, log.cap)] = True  # filled below the cap
     slots = np.flatnonzero(log.hit)
-    pickle.dump((None, tally.sums, tally.counts, tally.visits, log.seen, lo, hi, len(slots)),
-                out)
-    out.write(log.items[lo:hi])
+    pickle.dump((None, tally.sums, tally.counts, tally.visits, log.seen, len(slots)), out)
     for c in range(0, len(slots), _BLOCK):
         chunk = slots[c:c + _BLOCK]
         out.write(chunk)
@@ -493,8 +500,7 @@ def _receive(reader, tally: _Tally, reservoir: _Reservoir) -> None:
         raise ChildProcessError("a replication process ended without its results") from None
     if header[0] is not None:
         raise pickle.loads(header[0])
-    _, tally.sums, tally.counts, tally.visits, reservoir.seen, lo, hi, n_slots = header
-    _read_into(reader, reservoir.items[lo:hi])
+    _, tally.sums, tally.counts, tally.visits, reservoir.seen, n_slots = header
     slots = np.empty(min(n_slots, _BLOCK), dtype=np.intp)
     values = np.empty(len(slots))
     for c in range(0, n_slots, _BLOCK):

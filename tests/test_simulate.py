@@ -412,7 +412,7 @@ class TestForkedLifecycle:
     child of pytest's own is counted.  Each scenario forces two processes."""
 
     SCRIPT = textwrap.dedent("""
-        import os, sys
+        import os, sys, warnings
         from collections import deque
         from sdnqueue import simulate
         from sdnqueue.analytic import ControllerParams, NodeParams, rate_from_us
@@ -420,13 +420,24 @@ class TestForkedLifecycle:
         scenario = sys.argv[1]
         caller = os.getpid()
         simulate._cpus = lambda: 2
+        fork = os.fork
+
+        def warning_fork():
+            # as CPython 3.12+ warns on forking a process that runs more than
+            # one OS thread, which numpy's BLAS thread pool can make this one
+            warnings.warn(f"This process (pid={os.getpid()}) is multi-threaded, use of "
+                          "fork() may lead to deadlocks in the child.", DeprecationWarning)
+            return fork()
+
+        if scenario == "fork warns":
+            os.fork = warning_fork
 
         class Deque(deque):
             # serves newest first, which breaks FIFO order, in the caller only
             # or in the children only
             def popleft(self):
                 lifo = (os.getpid() == caller) == (scenario == "caller raises")
-                return self.pop() if lifo and scenario != "clean" else super().popleft()
+                return self.pop() if lifo and scenario.endswith("raises") else super().popleft()
 
         simulate.deque = Deque
         mu_c = rate_from_us(240.0)
@@ -447,13 +458,17 @@ class TestForkedLifecycle:
 
     @pytest.mark.parametrize("scenario, outcome", [
         ("clean", "returned"),
+        # run under -W error::DeprecationWarning, the fork's warning must not
+        # reach the caller
+        ("fork warns", "returned"),
         # replication 1 runs in the child, whose error the caller raises
         ("child raises", "SimulationInvariantError: FIFO order violated at the "),
         # replication 0 fails in the caller while the child runs 200k packets
         ("caller raises", "SimulationInvariantError: FIFO order violated at the ")])
     def test_no_child_outlives_the_run(self, scenario, outcome):
         src = Path(__file__).resolve().parents[1] / "src"
-        proc = subprocess.run([sys.executable, "-c", self.SCRIPT, scenario],
+        proc = subprocess.run([sys.executable, "-W", "error::DeprecationWarning", "-c",
+                               self.SCRIPT, scenario],
                               capture_output=True, text=True,
                               env=dict(os.environ, PYTHONPATH=str(src)), timeout=120)
         assert proc.returncode == 0, proc.stderr
