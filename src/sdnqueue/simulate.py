@@ -72,14 +72,14 @@ Lindley loops.  In those loops routing is control flow, not packet state, so
 there is nothing per packet to check; tests hold them to the event loop's
 bits.
 
-Identical (seed, config, parameters) give bit-identical results.  A single
-node's replications run on P = min(replications, usable CPUs) processes:
+Identical (seed, config, parameters) give bit-identical results.  A run's
+replications run on P = min(replications, usable CPUs) processes:
 replication k runs on process k mod P, where process 0 is the caller and the
 others are forked for the call (P is 1 where ``os.fork`` is missing).  Usable
 CPUs are the process's affinity set where the platform has one, so
 ``taskset`` limits P, else every CPU.  The caller merges the replications'
-statistics and reservoir writes in replication order, so the bits never
-depend on P.  A chain's replications run one after another in the caller.
+statistics, reservoir writes and, for a chain, class samples in replication
+order, so the bits never depend on P.
 """
 
 from __future__ import annotations
@@ -245,6 +245,21 @@ class _SlotLog(_Reservoir):
         self.hit[slots] = True
 
 
+class _Spool:
+    """A forked replication's measured samples of one class, held for the
+    caller to feed its class reservoir: the class reservoirs' draws depend
+    on the earlier replications' class counts, so only the caller draws."""
+
+    __slots__ = ("parts",)
+
+    def __init__(self):
+        self.parts: list[np.ndarray] = []
+
+    def extend(self, values: np.ndarray) -> None:
+        # a copy: _Tally._add writes the running sum into values[0] after this
+        self.parts.append(values.copy())
+
+
 def _stream_at(seed_seq: np.random.SeedSequence, draws: int) -> np.random.Generator:
     """The reservoir stream of ``seed_seq`` after ``draws`` draws (none if
     ``draws`` < 0): each ``random()`` double is one PCG64 step."""
@@ -266,7 +281,8 @@ class _Tally:
     __slots__ = ("skip", "sums", "counts", "visits", "agg", "classes",
                  "sojourns", "new_at", "cls")
 
-    def __init__(self, n: int, skip: int, agg: _Reservoir, classes: list[_Reservoir]):
+    def __init__(self, n: int, skip: int, agg: _Reservoir,
+                 classes: list[_Reservoir] | list[_Spool]):
         self.skip = skip
         self.sums = [0.0] * n
         self.counts = [0] * n
@@ -336,10 +352,8 @@ def run_chain(chain: ChainModel, cfg: SimConfig, audit: bool = False) -> ChainSi
     Lindley loop, or either the checked event loop when ``audit`` is set; all
     give the same bits.
 
-    A single node's replications run on min(replications, usable CPUs)
-    processes (see :func:`_run_forked`), with the same bits at every count.
-    A chain's run one after another: a class reservoir's offsets depend on
-    the class counts of earlier replications, which are not known in advance.
+    The replications run on min(replications, usable CPUs) processes (see
+    :func:`_run_forked`), with the same bits at every count.
     """
     n = len(chain.nodes)
     reps = cfg.replications
@@ -356,7 +370,7 @@ def run_chain(chain: ChainModel, cfg: SimConfig, audit: bool = False) -> ChainSi
     agg_reservoir = _Reservoir(cap, np.random.default_rng(children[reps + n]))
     engine = _run_events if audit else _run_lindley if n == 1 else _run_joins
     tallies = [_Tally(n, cutoff, agg_reservoir, class_reservoirs) for _ in range(reps)]
-    procs = min(reps, _cpus()) if n == 1 and hasattr(os, "fork") else 1
+    procs = min(reps, _cpus()) if hasattr(os, "fork") else 1
     _run_forked(procs, functools.partial(engine, chain, cfg.packets_per_replication),
                 tallies, children[:reps], children[reps + n], measured)
     aggregate = _result(tallies, slice(None), agg_reservoir)
@@ -380,21 +394,26 @@ def _run_forked(procs: int, run, tallies: list[_Tally], seeds: list,
     """A run's replications, replication k on process k mod ``procs``: the
     caller is process 0, the others are forked for this call.  With
     ``procs`` 1 this is the serial run, the caller running every replication
-    straight into the reservoir; a chain's replications always run so.
+    straight into the reservoirs.
 
     ``run(tally, seed_seq)`` runs one replication.  Each measures ``measured``
     samples, so replication k's are the run's samples k·measured onward and
     a child runs each of its replications into a :class:`_SlotLog` from
-    there.  The caller applies the replications in order: before it runs one
-    of its own straight into the reservoir, it reads every earlier child
-    replication's statistics and last write per slot into place.  So the
-    results are those of the serial run, bit for bit.
+    there.  A class's samples start where the earlier replications' class
+    counts end, which a child does not know, so it holds them in a
+    :class:`_Spool` per class.  The caller applies the replications in
+    order: before it runs one of its own straight into the reservoirs, it
+    reads every earlier child replication's statistics and last write per
+    slot into place and feeds its class samples to the class reservoirs.
+    So the results are those of the serial run, bit for bit.
 
     A child ends with ``os._exit`` and sends an exception it raises on to the
     caller, which raises it; a child that dies shows up as the end of its
     pipe.  If the caller raises, it kills its children; it reaps them always.
     """
     reservoir = tallies[0].agg
+    classes = tallies[0].classes
+    counts = [0] * len(classes)  # each class's samples so far
     readers: list = []
     pids: list[int] = []
     try:
@@ -419,6 +438,12 @@ def _run_forked(procs: int, run, tallies: list[_Tally], seeds: list,
                 raise SimulationInvariantError(
                     f"replication {k} ends at sample {reservoir.seen}, not at "
                     f"{(k + 1) * measured}")
+            for i, class_reservoir in enumerate(classes):
+                counts[i] += tally.counts[i]
+                if class_reservoir.seen != counts[i]:
+                    raise SimulationInvariantError(
+                        f"replication {k} ends class {i} at sample "
+                        f"{class_reservoir.seen}, not at {counts[i]}")
     except BaseException:
         for pid in pids:
             os.kill(pid, signal.SIGKILL)
@@ -452,7 +477,8 @@ def _serve(w: int, readers: list, ks: range, run, tallies: list[_Tally], seeds: 
         with open(w, "wb") as out:
             for k in ks:
                 log = _SlotLog(tallies[k].agg.cap, stream, k * measured)
-                tally = _Tally(1, tallies[k].skip, log, [])
+                tally = _Tally(len(tallies[k].sums), tallies[k].skip, log,
+                               [_Spool() for _ in tallies[k].classes])
                 try:
                     run(tally, seeds[k])
                 except Exception as exc:
@@ -465,16 +491,25 @@ def _serve(w: int, readers: list, ks: range, run, tallies: list[_Tally], seeds: 
 
 
 def _send(out, tally: _Tally) -> None:
-    """Send a replication's statistics, then its last write to each slot of its
-    :class:`_SlotLog` as (slots, values) chunks."""
+    """Send a replication: a pickled header, then its last write to each slot
+    of its :class:`_SlotLog` as (slots, values) chunks of up to ``_BLOCK``,
+    then each class's samples in class order.
+
+    The header holds the statistics, the log's sample count, its number of
+    slots and each :class:`_Spool`'s sample count.  A spool is written part
+    by part, as the replication fed it, so no part is copied again."""
     log = tally.agg
     log.hit[min(log.start, log.cap):min(log.seen, log.cap)] = True  # filled below the cap
     slots = np.flatnonzero(log.hit)
-    pickle.dump((None, tally.sums, tally.counts, tally.visits, log.seen, len(slots)), out)
+    pickle.dump((None, tally.sums, tally.counts, tally.visits, log.seen, len(slots),
+                 [sum(map(len, spool.parts)) for spool in tally.classes]), out)
     for c in range(0, len(slots), _BLOCK):
         chunk = slots[c:c + _BLOCK]
         out.write(chunk)
         out.write(log.items[chunk])
+    for spool in tally.classes:
+        for part in spool.parts:
+            out.write(part)
     out.flush()
 
 
@@ -492,22 +527,28 @@ def _send_error(out, exc: Exception) -> None:
 
 def _receive(reader, tally: _Tally, reservoir: _Reservoir) -> None:
     """Apply a child's replication, sent by :func:`_send`: its statistics to
-    ``tally`` and its writes to ``reservoir``, read straight into place; or
-    raise the exception it sent."""
+    ``tally``, its writes to ``reservoir``, read straight into place, and
+    each class's samples to ``tally.classes``, read and fed ``_BLOCK`` at a
+    time; or raise the exception it sent."""
     try:
         header = pickle.load(reader)
     except EOFError:
         raise ChildProcessError("a replication process ended without its results") from None
     if header[0] is not None:
         raise pickle.loads(header[0])
-    _, tally.sums, tally.counts, tally.visits, reservoir.seen, n_slots = header
-    slots = np.empty(min(n_slots, _BLOCK), dtype=np.intp)
-    values = np.empty(len(slots))
+    _, tally.sums, tally.counts, tally.visits, reservoir.seen, n_slots, sizes = header
+    slots = np.empty(_BLOCK, dtype=np.intp)
+    values = np.empty(_BLOCK)
     for c in range(0, n_slots, _BLOCK):
         k = min(_BLOCK, n_slots - c)
         _read_into(reader, slots[:k])
         _read_into(reader, values[:k])
         reservoir.items[slots[:k]] = values[:k]
+    for class_reservoir, size in zip(tally.classes, sizes):
+        for c in range(0, size, _BLOCK):
+            k = min(_BLOCK, size - c)
+            _read_into(reader, values[:k])
+            class_reservoir.extend(values[:k])
 
 
 def _read_into(reader, array: np.ndarray) -> None:

@@ -340,26 +340,37 @@ class TestEngineProperties:
 
 
 class TestProcessCount:
-    """A single node's replications run on min(replications, ``_cpus()``)
-    processes, replication k on process k mod that count; no bit may depend
-    on the count."""
+    """A run's replications run on min(replications, ``_cpus()``) processes,
+    replication k on process k mod that count; no bit of the aggregate or of
+    a class may depend on the count."""
 
     # the run's samples below, at or over the reservoir cap; over it,
     # replications other than the first draw replacement slots from the
-    # reservoir's advanced stream
-    RUNS = given(chain=_chains(st.just(1)), seed=st.integers(0, 2 ** 64 - 1),
-                 warmup=st.floats(0.0, 0.49), block=st.integers(16, 5000),
-                 reps=st.integers(3, 4), data=st.data())
+    # reservoir's advanced stream, and a chain's class reservoirs draw theirs
+    # in the caller, after the earlier replications' class samples
+    RUNS = dict(seed=st.integers(0, 2 ** 64 - 1), warmup=st.floats(0.0, 0.49),
+                block=st.integers(16, 5000), reps=st.integers(3, 4), data=st.data())
 
     @pytest.mark.parametrize("fill", ["below", "at", "over"])
     @settings(max_examples=4)
-    @RUNS
+    @given(chain=_chains(st.just(1)), **RUNS)
     def test_process_count_does_not_move_bits(self, fill, **run):
         self._assert_same_bits(audit=False, fill=fill, **run)
 
     @settings(max_examples=2)
-    @RUNS
+    @given(chain=_chains(st.just(1)), **RUNS)
     def test_process_count_does_not_move_audited_bits(self, **run):
+        self._assert_same_bits(audit=True, fill="over", **run)
+
+    @pytest.mark.parametrize("fill", ["below", "at", "over"])
+    @settings(max_examples=4)
+    @given(chain=_chains(st.integers(2, 3)), **RUNS)
+    def test_process_count_does_not_move_chain_bits(self, fill, **run):
+        self._assert_same_bits(audit=False, fill=fill, **run)
+
+    @settings(max_examples=2)
+    @given(chain=_chains(st.integers(2, 3)), **RUNS)
+    def test_process_count_does_not_move_audited_chain_bits(self, **run):
         self._assert_same_bits(audit=True, fill="over", **run)
 
     @staticmethod
@@ -380,31 +391,44 @@ class TestProcessCount:
 
     @settings(max_examples=100)
     @given(cap=st.integers(1, 300), reps=st.integers(2, 5), measured=st.integers(1, 200),
-           data=st.data())
-    def test_replications_applied_in_order_match_one_feed(self, cap, reps, measured, data):
-        # each replication fills a _SlotLog from its own start, in blocks;
-        # sent and received in replication order, the logs must leave the
+           n=st.integers(1, 2), data=st.data())
+    def test_replications_applied_in_order_match_one_feed(self, cap, reps, measured, n,
+                                                          data):
+        # each replication fills a _SlotLog from its own start and, for a
+        # 2-class chain, a _Spool per class, in blocks; sent and received in
+        # replication order, they must leave the aggregate and every class
         # reservoir as one feed of every sample does
         values = np.random.default_rng(cap).random(reps * measured)
-        stream = np.random.SeedSequence(reps * measured)
+        cls = np.random.default_rng(measured).integers(0, n, reps * measured)
+        stream, *class_streams = np.random.SeedSequence(reps * measured).spawn(n + 1)
         whole = _Reservoir(cap, np.random.default_rng(stream))
         whole.extend(values)
         merged = _Reservoir(cap, np.random.default_rng(stream))
+        if n == 1:  # a single node's one class is the aggregate
+            class_streams = []
+        whole_classes = [_Reservoir(cap, np.random.default_rng(s)) for s in class_streams]
+        for i, reservoir in enumerate(whole_classes):
+            reservoir.extend(values[cls == i])
+        merged_classes = [_Reservoir(cap, np.random.default_rng(s)) for s in class_streams]
         for k in range(reps):
-            tally = simulate._Tally(1, 0, simulate._SlotLog(cap, stream, k * measured), [])
-            own = values[k * measured:(k + 1) * measured]
+            tally = simulate._Tally(n, 0, simulate._SlotLog(cap, stream, k * measured),
+                                    [simulate._Spool() for _ in class_streams])
+            own = slice(k * measured, (k + 1) * measured)
             cuts = sorted(data.draw(st.lists(st.integers(0, measured), max_size=4)))
             for lo, hi in zip([0, *cuts], [*cuts, measured]):
-                tally.take(list(own[lo:hi]), [])
+                tally.take(list(values[own][lo:hi]), [], list(cls[own][lo:hi]))
             pipe = io.BytesIO()
             simulate._send(pipe, tally)
             pipe.seek(0)
-            received = simulate._Tally(1, 0, merged, [])
+            received = simulate._Tally(n, 0, merged, merged_classes)
             simulate._receive(pipe, received, merged)
             assert pipe.read() == b""
             assert (received.sums, received.counts) == (tally.sums, tally.counts)
         assert merged.seen == whole.seen == reps * measured
         assert merged.sorted_array().tobytes() == whole.sorted_array().tobytes()
+        for got, want in zip(merged_classes, whole_classes, strict=True):
+            assert got.seen == want.seen
+            assert got.sorted_array().tobytes() == want.sorted_array().tobytes()
 
 
 class TestForkedLifecycle:
@@ -415,7 +439,7 @@ class TestForkedLifecycle:
         import os, sys, warnings
         from collections import deque
         from sdnqueue import simulate
-        from sdnqueue.analytic import ControllerParams, NodeParams, rate_from_us
+        from sdnqueue.analytic import ChainModel, ControllerParams, NodeParams, rate_from_us
 
         scenario = sys.argv[1]
         caller = os.getpid()
@@ -436,16 +460,21 @@ class TestForkedLifecycle:
             # serves newest first, which breaks FIFO order, in the caller only
             # or in the children only
             def popleft(self):
-                lifo = (os.getpid() == caller) == (scenario == "caller raises")
+                lifo = (os.getpid() == caller) == scenario.endswith("caller raises")
                 return self.pop() if lifo and scenario.endswith("raises") else super().popleft()
 
         simulate.deque = Deque
         mu_c = rate_from_us(240.0)
-        node = NodeParams(1.3 * mu_c, rate_from_us(9.8), 1.0)
-        packets = 200_000 if scenario == "caller raises" else 10_000
+        # a saturated controller: one node at 1.3 times its rate, or two
+        # chained at 0.7 each
+        nodes = ((NodeParams(0.7 * mu_c, rate_from_us(9.8), 1.0),) * 2
+                 if scenario.startswith("chain") else
+                 (NodeParams(1.3 * mu_c, rate_from_us(9.8), 1.0),))
+        packets = 200_000 if scenario.endswith("caller raises") else 10_000
         cfg = simulate.SimConfig(seed=3, packets_per_replication=packets, replications=2)
         try:
-            simulate.run_single_node(node, ControllerParams(mu_c), cfg, audit=True)
+            simulate.run_chain(ChainModel(nodes=nodes, controller=ControllerParams(mu_c)),
+                               cfg, audit=True)
             print("returned")
         except Exception as exc:
             print(type(exc).__name__ + ":", exc)
@@ -464,7 +493,10 @@ class TestForkedLifecycle:
         # replication 1 runs in the child, whose error the caller raises
         ("child raises", "SimulationInvariantError: FIFO order violated at the "),
         # replication 0 fails in the caller while the child runs 200k packets
-        ("caller raises", "SimulationInvariantError: FIFO order violated at the ")])
+        ("caller raises", "SimulationInvariantError: FIFO order violated at the "),
+        # the same two with a 2-node chain, whose child holds class samples
+        ("chain child raises", "SimulationInvariantError: FIFO order violated at the "),
+        ("chain caller raises", "SimulationInvariantError: FIFO order violated at the ")])
     def test_no_child_outlives_the_run(self, scenario, outcome):
         src = Path(__file__).resolve().parents[1] / "src"
         proc = subprocess.run([sys.executable, "-W", "error::DeprecationWarning", "-c",
@@ -478,9 +510,9 @@ class TestForkedLifecycle:
 
 
 class TestFlatMemory:
-    """Peak memory does not grow with the packet budget.  The reservoir is
-    capped at 1000 samples in the child, so only the budget differs between
-    its two runs.  The peak is the child's own VmHWM: its ``ru_maxrss`` starts
+    """Peak memory does not grow with the packet budget, except a forked chain
+    replication's by the class samples it holds.  The reservoir is capped at
+    1000 samples in the child, so only the budget differs between its runs.  The peak is the child's own VmHWM: its ``ru_maxrss`` starts
     at the peak of the process that launched it (Linux keeps it across exec),
     which under pytest hides tens of MB of growth."""
 
@@ -526,13 +558,56 @@ class TestFlatMemory:
         grow_small, grow_large = map(float, proc.stdout.split())
         assert grow_large - grow_small <= self.BOUND_MB, (grow_small, grow_large)
 
+    CHILD_SCRIPT = textwrap.dedent("""
+        import resource, sys
+        from sdnqueue import simulate
+        from sdnqueue.analytic import ChainModel, ControllerParams, NodeParams, rate_from_us
+
+        simulate.SAMPLE_CAP = 1000
+        simulate._cpus = lambda: 2
+        mu_l = rate_from_us(9.8)
+        # class 0 has 95% of the samples
+        nodes = (NodeParams(3800.0, mu_l, 0.5), NodeParams(200.0, mu_l, 0.5))
+        chain = ChainModel(nodes=nodes, controller=ControllerParams(rate_from_us(240.0)))
+        cfg = simulate.SimConfig(seed=1, packets_per_replication=int(sys.argv[1]),
+                                 replications=2)
+        simulate.run_chain(chain, cfg)
+        # ru_maxrss is in kB on Linux, in bytes on macOS
+        scale = 2 ** 20 if sys.platform == "darwin" else 2 ** 10
+        print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / scale)
+    """)
+
+    def test_forked_chain_child_grows_by_its_class_samples(self):
+        # A forked chain replication holds its measured class samples, 8 B
+        # each, until it sends them: the only growth of a child's peak with
+        # the budget, on top of the caller's at the fork.  Each budget runs
+        # in a fresh interpreter, so both children fork from the same caller.
+        # The measured growth is ~8 MB against a 12 MB bound; a second copy
+        # of class 0's samples, as joining them before sending makes, reads
+        # ~14.5 MB.
+        src = Path(__file__).resolve().parents[1] / "src"
+
+        def children_peak_mb(packets):
+            proc = subprocess.run([sys.executable, "-c", self.CHILD_SCRIPT, str(packets)],
+                                  capture_output=True, text=True,
+                                  env=dict(os.environ, PYTHONPATH=str(src)), timeout=300)
+            assert proc.returncode == 0, proc.stderr
+            return float(proc.stdout)
+
+        small, large = 25_000, 1_000_000
+        extra = (large - int(0.1 * large)) - (small - int(0.1 * small))
+        grow = children_peak_mb(large) - children_peak_mb(small)
+        assert grow <= 8 * extra / 2 ** 20 + self.BOUND_MB, grow
 
     @pytest.mark.parametrize("audit", [False, True])
     def test_chain_blocks_bounded_while_draining(self, monkeypatch, audit):
         # with the controller at load 1.4, about 2,800 new flows of each
         # replication are still queued when arrivals stop, so the drain
         # alone makes several blocks: every block, the drain's too, holds at
-        # most _BLOCK departures, and every admitted packet departs once
+        # most _BLOCK departures, and every admitted packet departs once.
+        # The spy sees only the caller's blocks, so the replications run
+        # there; a forked child runs the same engine code
+        monkeypatch.setattr(simulate, "_cpus", lambda: 1)
         monkeypatch.setattr(simulate, "_BLOCK", 1000)
         sizes = []
         take = simulate._Tally.take
