@@ -28,9 +28,10 @@ Engine design, fixed for reproducibility:
   drop the warm-up, carry the running sums and feed the reservoirs: every
   ``_BLOCK`` departures, except that the single-node loop hands over one
   block per block of ``_BLOCK`` arrivals, which holds a few departures more
-  or fewer (see :func:`_run_lindley`).  So a run's memory is bounded by
-  ``SAMPLE_CAP`` samples per reservoir plus about one block (and the packets
-  in the system), whatever its packet budget;
+  or fewer (see :func:`_run_lindley`).  So the caller's memory is bounded
+  by ``SAMPLE_CAP`` samples per reservoir plus about one block (and the
+  packets in the system), whatever its packet budget; a forked process's
+  grows with one replication's measured samples, which it holds until sent;
 * a packet's state (arrival time, entry node, new-flow mark, progress along
   its route) is held only while the packet is in the system.
 
@@ -77,9 +78,10 @@ replications run on P = min(replications, usable CPUs) processes:
 replication k runs on process k mod P, where process 0 is the caller and the
 others are forked for the call (P is 1 where ``os.fork`` is missing).  Usable
 CPUs are the process's affinity set where the platform has one, so
-``taskset`` limits P, else every CPU.  The caller merges the replications'
-statistics, reservoir writes and, for a chain, class samples in replication
-order, so the bits never depend on P.
+``taskset`` limits P, else every CPU.  A forked process records its
+replications' measured blocks and sends them; the caller feeds them, in
+replication order, through the code a serial run uses, and so makes every
+statistic and every reservoir draw itself: the bits never depend on P.
 """
 
 from __future__ import annotations
@@ -205,11 +207,8 @@ class _Reservoir:
         idx = self.seen + np.arange(1, m + 1, dtype=np.float64)
         slots = (self.rng.random(m) * idx).astype(np.int64)
         mask = slots < cap
-        self._replace(slots[mask], values[take:][mask])
+        self.items[slots[mask]] = values[take:][mask]
         self.seen += m
-
-    def _replace(self, slots: np.ndarray, values: np.ndarray) -> None:
-        self.items[slots] = values
 
     def sorted_array(self) -> np.ndarray:
         """The samples in ascending order, as an array of their own.  A full
@@ -221,68 +220,24 @@ class _Reservoir:
         return self.items
 
 
-class _SlotLog(_Reservoir):
-    """One replication's share of a run's reservoir, run apart from it.
-
-    Every admitted packet departs, so the replication's first sample is the
-    run's sample ``start`` and every sample before it past the cap has drawn
-    once from the reservoir's stream: the log starts there, with the stream
-    ``seed_seq`` advanced past those draws.  ``hit`` marks the slots written
-    past the cap; with the slots filled below it, they are the slots the log
-    wrote, whose last writes are sent and applied in replication order (see
-    :func:`_send` and :func:`_receive`).
-    """
-
-    __slots__ = ("start", "hit")
-
-    def __init__(self, cap: int, seed_seq: np.random.SeedSequence, start: int):
-        super().__init__(cap, _stream_at(seed_seq, start - cap))
-        self.seen = self.start = start
-        self.hit = np.zeros(cap, dtype=bool)
-
-    def _replace(self, slots: np.ndarray, values: np.ndarray) -> None:
-        self.items[slots] = values
-        self.hit[slots] = True
-
-
-class _Spool:
-    """A forked replication's measured samples of one class, held for the
-    caller to feed its class reservoir: the class reservoirs' draws depend
-    on the earlier replications' class counts, so only the caller draws."""
-
-    __slots__ = ("parts",)
-
-    def __init__(self):
-        self.parts: list[np.ndarray] = []
-
-    def extend(self, values: np.ndarray) -> None:
-        # a copy: _Tally._add writes the running sum into values[0] after this
-        self.parts.append(values.copy())
-
-
-def _stream_at(seed_seq: np.random.SeedSequence, draws: int) -> np.random.Generator:
-    """The reservoir stream of ``seed_seq`` after ``draws`` draws (none if
-    ``draws`` < 0): each ``random()`` double is one PCG64 step."""
-    return np.random.Generator(np.random.PCG64(seed_seq).advance(max(draws, 0)))
-
-
 class _Tally:
     """One replication's measured statistics, fed its departures in blocks.
 
     An engine appends each departure to the block being filled: its sojourn
     to ``sojourns``, its position there to ``new_at`` if it is a new flow and,
     for a chain, its class to ``cls``; then it calls :meth:`flush`.  The first
-    ``skip`` departures are warm-up and dropped.  The rest go to the run's
-    reservoirs, and each class's sum carries from block to block: the running
-    total is added to the block's first sojourn before ``np.cumsum``, so the
-    sum makes the same sequential additions as ``total += sojourn`` would.
+    ``skip`` departures are warm-up and dropped.  The rest are measured and
+    go to :meth:`feed`, which extends the run's reservoirs and carries each
+    class's sum from block to block: the running total is added to the
+    block's first sojourn before ``np.cumsum``, so the sum makes the same
+    sequential additions as ``total += sojourn`` would.
     """
 
     __slots__ = ("skip", "sums", "counts", "visits", "agg", "classes",
                  "sojourns", "new_at", "cls")
 
-    def __init__(self, n: int, skip: int, agg: _Reservoir,
-                 classes: list[_Reservoir] | list[_Spool]):
+    def __init__(self, n: int, skip: int, agg: _Reservoir | None,
+                 classes: list[_Reservoir]):
         self.skip = skip
         self.sums = [0.0] * n
         self.counts = [0] * n
@@ -294,32 +249,40 @@ class _Tally:
         self.cls: list[int] = []
 
     def flush(self) -> None:
-        """:meth:`take` the block being filled, then empty it for the next."""
-        self.take(self.sojourns, self.new_at, self.cls)
-        self.sojourns.clear()
-        self.new_at.clear()
-        self.cls.clear()
-
-    def take(self, sojourns: list[float], new_at: list[int],
-             cls: list[int] | None = None) -> None:
+        """Drop the warm-up from the block being filled and :meth:`feed` the
+        rest: its sojourns, their classes (None for a single node, else in
+        the smallest integer dtype that holds n) and each class's controller
+        visits.  Then empty the block for the next."""
+        sojourns, new_at, cls = self.sojourns, self.new_at, self.cls
         skip = self.skip
         if skip >= len(sojourns):
             self.skip = skip - len(sojourns)
-            return
-        self.skip = 0
-        x = np.array(sojourns)[skip:]
+        else:
+            self.skip = 0
+            x = np.array(sojourns)[skip:]
+            n = len(self.sums)
+            if n == 1:
+                self.feed(x, None, [len(new_at) - bisect_left(new_at, skip)])
+            else:
+                c = np.array(cls, dtype=np.min_scalar_type(n))
+                new = np.asarray(new_at, dtype=np.intp)
+                self.feed(x, c[skip:], np.bincount(c[new[new >= skip]], minlength=n).tolist())
+        sojourns.clear()
+        new_at.clear()
+        cls.clear()
+
+    def feed(self, x: np.ndarray, c: np.ndarray | None, visits: list[int]) -> None:
+        """Feed measured sojourns ``x`` of classes ``c`` to the reservoirs and
+        add them, with ``visits[i]`` controller visits in class i, to the
+        statistics."""
         self.agg.extend(x)
-        if not self.classes:
-            self._add(0, x, len(new_at) - bisect_left(new_at, skip))
+        if c is None:
+            self._add(0, x, visits[0])
             return
-        c = np.array(cls)
-        new = np.asarray(new_at, dtype=np.intp)
-        new_cls = c[new[new >= skip]]
-        c = c[skip:]
         for i, reservoir in enumerate(self.classes):
             xi = x[c == i]
             reservoir.extend(xi)
-            self._add(i, xi, int(np.count_nonzero(new_cls == i)))
+            self._add(i, xi, visits[i])
 
     def _add(self, i: int, x: np.ndarray, visits: int) -> None:
         # x has been fed to the reservoirs, so the carry goes in in place
@@ -328,6 +291,22 @@ class _Tally:
             self.sums[i] = float(np.cumsum(x)[-1])
             self.counts[i] += len(x)
             self.visits[i] += visits
+
+
+class _Record(_Tally):
+    """A forked replication's measured blocks, kept as :meth:`_Tally.feed`
+    is given them, for the caller to feed in replication order: every
+    reservoir's draws depend on the earlier replications' samples, so only
+    the caller draws."""
+
+    __slots__ = ("blocks",)
+
+    def __init__(self, n: int, skip: int):
+        super().__init__(n, skip, None, [])
+        self.blocks: list[tuple] = []
+
+    def feed(self, x: np.ndarray, c: np.ndarray | None, visits: list[int]) -> None:
+        self.blocks.append((x, c, visits))
 
 
 def run_single_node(node: NodeParams, ctrl: ControllerParams, cfg: SimConfig,
@@ -353,7 +332,8 @@ def run_chain(chain: ChainModel, cfg: SimConfig, audit: bool = False) -> ChainSi
     give the same bits.
 
     The replications run on min(replications, usable CPUs) processes (see
-    :func:`_run_forked`), with the same bits at every count.
+    :func:`_run_forked`): forked ones record their measured blocks and the
+    caller feeds them, with the same bits at every count.
     """
     n = len(chain.nodes)
     reps = cfg.replications
@@ -372,7 +352,7 @@ def run_chain(chain: ChainModel, cfg: SimConfig, audit: bool = False) -> ChainSi
     tallies = [_Tally(n, cutoff, agg_reservoir, class_reservoirs) for _ in range(reps)]
     procs = min(reps, _cpus()) if hasattr(os, "fork") else 1
     _run_forked(procs, functools.partial(engine, chain, cfg.packets_per_replication),
-                tallies, children[:reps], children[reps + n], measured)
+                tallies, children[:reps], measured)
     aggregate = _result(tallies, slice(None), agg_reservoir)
     per_class = (tuple(_result(tallies, slice(i, i + 1), reservoir)
                        for i, reservoir in enumerate(class_reservoirs))
@@ -390,22 +370,19 @@ def _cpus() -> int:
 
 
 def _run_forked(procs: int, run, tallies: list[_Tally], seeds: list,
-                stream: np.random.SeedSequence, measured: int) -> None:
+                measured: int) -> None:
     """A run's replications, replication k on process k mod ``procs``: the
     caller is process 0, the others are forked for this call.  With
     ``procs`` 1 this is the serial run, the caller running every replication
     straight into the reservoirs.
 
-    ``run(tally, seed_seq)`` runs one replication.  Each measures ``measured``
-    samples, so replication k's are the run's samples k·measured onward and
-    a child runs each of its replications into a :class:`_SlotLog` from
-    there.  A class's samples start where the earlier replications' class
-    counts end, which a child does not know, so it holds them in a
-    :class:`_Spool` per class.  The caller applies the replications in
-    order: before it runs one of its own straight into the reservoirs, it
-    reads every earlier child replication's statistics and last write per
-    slot into place and feeds its class samples to the class reservoirs.
-    So the results are those of the serial run, bit for bit.
+    ``run(tally, seed_seq)`` runs one replication, which measures
+    ``measured`` samples.  A child runs each of its replications into a
+    :class:`_Record` and sends the recorded blocks.  The caller takes the
+    replications in order: it runs its own straight into the reservoirs and
+    feeds a child's recorded blocks through the same :meth:`_Tally.feed`,
+    so it makes every reservoir draw in the serial run's order and the
+    results are those of the serial run, bit for bit.
 
     A child ends with ``os._exit`` and sends an exception it raises on to the
     caller, which raises it; a child that dies shows up as the end of its
@@ -423,16 +400,14 @@ def _run_forked(procs: int, run, tallies: list[_Tally], seeds: list,
             try:
                 pid = _fork()
                 if pid == 0:
-                    _serve(w, readers, range(p, len(tallies), procs), run, tallies, seeds,
-                           stream, measured)
+                    _serve(w, readers, range(p, len(tallies), procs), run, tallies, seeds)
             finally:  # the caller's; a child never returns from _serve
                 os.close(w)
             pids.append(pid)
         for k, (tally, seed_seq) in enumerate(zip(tallies, seeds)):
             if k % procs:
-                _receive(readers[k % procs - 1], tally, reservoir)
+                _receive(readers[k % procs - 1], tally)
             else:
-                reservoir.rng = _stream_at(stream, k * measured - reservoir.cap)
                 run(tally, seed_seq)
             if reservoir.seen != (k + 1) * measured:
                 raise SimulationInvariantError(
@@ -466,56 +441,39 @@ def _fork() -> int:
         return os.fork()
 
 
-def _serve(w: int, readers: list, ks: range, run, tallies: list[_Tally], seeds: list,
-           stream: np.random.SeedSequence, measured: int) -> None:
-    """A forked child: run replications ``ks``, sending each one's results, or
-    the exception it raises, to the pipe ``w``.  Never returns."""
+def _serve(w: int, readers: list, ks: range, run, tallies: list[_Tally],
+           seeds: list) -> None:
+    """A forked child: run replications ``ks``, sending each one's recorded
+    blocks, or the exception it raises, to the pipe ``w``.  Never returns."""
     code = 1
     try:
         for reader in readers:  # the caller's ends of the pipes
             reader.close()
         with open(w, "wb") as out:
             for k in ks:
-                log = _SlotLog(tallies[k].agg.cap, stream, k * measured)
-                tally = _Tally(len(tallies[k].sums), tallies[k].skip, log,
-                               [_Spool() for _ in tallies[k].classes])
+                record = _Record(len(tallies[k].sums), tallies[k].skip)
                 try:
-                    run(tally, seeds[k])
+                    run(record, seeds[k])
                 except Exception as exc:
                     _send_error(out, exc)
                     break
-                _send(out, tally)
+                _send(out, record)
         code = 0
     finally:
         os._exit(code)
 
 
-def _send(out, tally: _Tally) -> None:
-    """Send a replication: a pickled header, then its last write to each slot
-    of its :class:`_SlotLog` as (slots, values) chunks of up to ``_BLOCK``,
-    then each class's samples in class order.
-
-    The header holds the statistics, the log's sample count, its number of
-    slots and each :class:`_Spool`'s sample count.  A spool is written part
-    by part, as the replication fed it, so no part is copied again."""
-    log = tally.agg
-    log.hit[min(log.start, log.cap):min(log.seen, log.cap)] = True  # filled below the cap
-    slots = np.flatnonzero(log.hit)
-    pickle.dump((None, tally.sums, tally.counts, tally.visits, log.seen, len(slots),
-                 [sum(map(len, spool.parts)) for spool in tally.classes]), out)
-    for c in range(0, len(slots), _BLOCK):
-        chunk = slots[c:c + _BLOCK]
-        out.write(chunk)
-        out.write(log.items[chunk])
-    for spool in tally.classes:
-        for part in spool.parts:
-            out.write(part)
+def _send(out, record: _Record) -> None:
+    """Send a replication's recorded blocks, one pickle each, then ``None``."""
+    for block in record.blocks:
+        pickle.dump(block, out)
+    pickle.dump(None, out)
     out.flush()
 
 
 def _send_error(out, exc: Exception) -> None:
-    """Send ``exc`` pickled, or a RuntimeError naming it if it does not
-    survive pickling."""
+    """Send ``exc`` pickled, as a 1-tuple, or a RuntimeError naming it if it
+    does not survive pickling."""
     try:
         data = pickle.dumps(exc)
         pickle.loads(data)
@@ -525,36 +483,19 @@ def _send_error(out, exc: Exception) -> None:
     out.flush()
 
 
-def _receive(reader, tally: _Tally, reservoir: _Reservoir) -> None:
-    """Apply a child's replication, sent by :func:`_send`: its statistics to
-    ``tally``, its writes to ``reservoir``, read straight into place, and
-    each class's samples to ``tally.classes``, read and fed ``_BLOCK`` at a
-    time; or raise the exception it sent."""
-    try:
-        header = pickle.load(reader)
-    except EOFError:
-        raise ChildProcessError("a replication process ended without its results") from None
-    if header[0] is not None:
-        raise pickle.loads(header[0])
-    _, tally.sums, tally.counts, tally.visits, reservoir.seen, n_slots, sizes = header
-    slots = np.empty(_BLOCK, dtype=np.intp)
-    values = np.empty(_BLOCK)
-    for c in range(0, n_slots, _BLOCK):
-        k = min(_BLOCK, n_slots - c)
-        _read_into(reader, slots[:k])
-        _read_into(reader, values[:k])
-        reservoir.items[slots[:k]] = values[:k]
-    for class_reservoir, size in zip(tally.classes, sizes):
-        for c in range(0, size, _BLOCK):
-            k = min(_BLOCK, size - c)
-            _read_into(reader, values[:k])
-            class_reservoir.extend(values[:k])
-
-
-def _read_into(reader, array: np.ndarray) -> None:
-    """Fill ``array`` from ``reader``; an early end is a dead child."""
-    if reader.readinto(memoryview(array).cast("B")) != array.nbytes:
-        raise ChildProcessError("a replication process ended without its results")
+def _receive(reader, tally: _Tally) -> None:
+    """Feed a child's replication, sent by :func:`_send`, to ``tally`` one
+    block at a time; or raise the exception it sent."""
+    while True:
+        try:
+            block = pickle.load(reader)
+        except (EOFError, pickle.UnpicklingError):
+            raise ChildProcessError("a replication process ended without its results") from None
+        if block is None:
+            return
+        if len(block) == 1:
+            raise pickle.loads(block[0])
+        tally.feed(*block)
 
 
 def _result(tallies: list[_Tally], classes: slice, reservoir: _Reservoir) -> SimResult:
