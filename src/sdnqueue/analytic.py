@@ -23,6 +23,11 @@ from dataclasses import dataclass
 STABILITY_MARGIN = 1e-9
 
 
+def _saturated(rho: float) -> bool:
+    """A load not below 1 - STABILITY_MARGIN, NaN included."""
+    return not rho < 1.0 - STABILITY_MARGIN
+
+
 class UnstableSystemError(Exception):
     """A delay formula was evaluated at a saturated station.
 
@@ -102,14 +107,13 @@ class SolvedRates:
 
     @property
     def stable(self) -> bool:
-        return (self.rho_switch < 1.0 - STABILITY_MARGIN
-                and self.rho_controller < 1.0 - STABILITY_MARGIN)
+        return not self.saturated_stations()
 
     def saturated_stations(self) -> tuple[str, ...]:
         out = []
-        if self.rho_switch >= 1.0 - STABILITY_MARGIN:
+        if _saturated(self.rho_switch):
             out.append("switch")
-        if self.rho_controller >= 1.0 - STABILITY_MARGIN:
+        if _saturated(self.rho_controller):
             out.append("controller")
         return tuple(out)
 
@@ -143,12 +147,12 @@ class ChainSolution:
 
     @property
     def stable(self) -> bool:
-        return all(r.stable for r in self.nodes)
+        return not self.saturated_stations()
 
     def saturated_stations(self) -> tuple[str, ...]:
         out = [f"switch[{i}]" for i, r in enumerate(self.nodes)
-               if r.rho_switch >= 1.0 - STABILITY_MARGIN]
-        if self.rho_controller >= 1.0 - STABILITY_MARGIN:
+               if _saturated(r.rho_switch)]
+        if _saturated(self.rho_controller):
             out.append("controller")
         return tuple(out)
 

@@ -71,6 +71,21 @@ class TestSolveRates:
         assert not rates.stable
         assert rates.saturated_stations() == ("controller",)
 
+    def test_nan_load_names_its_station(self):
+        # infinite rates make the loads inf/inf = NaN: not stable, and every
+        # NaN station is named, so the verdict and the error agree
+        inf = math.inf
+        rates = solve_rates(NodeParams(inf, inf, 0.5), ControllerParams(inf))
+        assert math.isnan(rates.rho_switch) and math.isnan(rates.rho_controller)
+        assert not rates.stable
+        assert rates.saturated_stations() == ("switch", "controller")
+        sol = solve_chain(ChainModel(nodes=(NodeParams(inf, inf, 0.5),),
+                                     controller=ControllerParams(inf)))
+        assert not sol.stable
+        assert sol.saturated_stations() == ("switch[0]", "controller")
+        with pytest.raises(UnstableSystemError, match="switch, controller"):
+            mean_sojourn_openflow(NodeParams(inf, inf, 0.5), ControllerParams(inf), rates)
+
     def test_no_new_flows(self):
         rates = solve_rates(NodeParams(1000.0, MU_L, 0.0), CTRL)
         assert rates.gamma_switch == 1000.0

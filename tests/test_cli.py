@@ -26,6 +26,9 @@ MU_C = rate_from_us(240.0)
 NODE_FLAGS = ["--lam", "2000", "--q-nf", "0.5",
               "--mu-switch-us", "9.8", "--mu-controller-us", "240"]
 
+# Infinite arrival and switch rates: both loads are NaN
+INF_FLAGS = ["--lam", "inf", "--mu-switch", "inf", "--q-nf", "0",
+             "--mu-controller", "1000"]
 
 # A valid config document and, per command, the sections it reads from one
 NODE_SECTION = {"lambda": 2000.0, "q_nf": 0.5, "mu_switch_us": 9.8}
@@ -83,6 +86,11 @@ class TestAnalyze:
                        "--mu-switch-us", "9.8", "--mu-controller", "1e9"])
         assert rc == 2
         assert "unstable: switch" in capsys.readouterr().out
+
+    def test_nan_load_verdict_names_stations(self, capsys):
+        rc = cli.main(["analyze"] + INF_FLAGS)
+        assert rc == 2
+        assert "verdict: unstable: switch, controller" in capsys.readouterr().out
 
     def test_missing_field_named(self, capsys):
         rc = cli.main(["analyze", "--lam", "2000", "--q-nf", "0.5",
@@ -223,6 +231,14 @@ class TestDistributionCmd:
         assert rc == 2
         assert "unstable" in capsys.readouterr().err
 
+    def test_nan_load_exit_two(self, capsys):
+        # no table of blank cells: the NaN loads are saturated stations
+        rc = cli.main(["distribution"] + INF_FLAGS)
+        out, err = capsys.readouterr()
+        assert rc == 2
+        assert out == ""
+        assert "error: unstable: switch, controller" in err
+
 
 class TestSimulateCmd:
     def test_csv_layout_and_determinism(self, tmp_path, capsys):
@@ -279,6 +295,11 @@ class TestChainCmd:
         assert rc == 0
         header, rows = read_csv(out)
         assert "sim_mean" in header and "sim_ci" in header
+
+    def test_nan_load_exit_two(self, capsys):
+        rc = cli.main(["chain"] + INF_FLAGS)
+        assert rc == 2
+        assert "error: unstable: switch[0], controller" in capsys.readouterr().err
 
 
 class TestDimensionCmd:
@@ -411,6 +432,29 @@ class TestValidateCmd:
         out = capsys.readouterr().out
         assert rc == 0
         assert out.count("[PASS]") == 3
+
+    def test_runs_without_scipy(self, tmp_path):
+        # a stub scipy first on the path makes any scipy import fail
+        stub = tmp_path / "scipy"
+        stub.mkdir()
+        (stub / "__init__.py").write_text("raise ImportError('scipy is not a runtime dependency')\n")
+        src = str(Path(validation.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(tmp_path), src])}
+        proc = subprocess.run(
+            [sys.executable, "-m", "sdnqueue", "validate", "--quick", "--criteria", "1,2,3,7"],
+            env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.count("[PASS]") == 4
+        # with the real scipy importable, criterion 3 still leaves it unloaded
+        # (under the stub a failed import leaves no entry in sys.modules)
+        check = ("import sys\n"
+                 "from sdnqueue import validation\n"
+                 "assert validation.run_criteria((3,))[0].passed\n"
+                 "assert 'scipy' not in sys.modules, 'criterion 3 loaded scipy'\n")
+        env["PYTHONPATH"] = src
+        proc = subprocess.run([sys.executable, "-c", check], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
 
     def test_unknown_criterion_rejected(self, capsys):
         assert cli.main(["validate", "--criteria", "11"]) == 1

@@ -27,6 +27,7 @@ from sdnqueue.distribution import (
     prob_within_deadline,
     quantile,
 )
+from sdnqueue.validation import _law_integrals, _random_stable_point
 
 MU_L = rate_from_us(9.8)
 MU_C = rate_from_us(240.0)
@@ -231,6 +232,48 @@ class TestCcdf:
             closed = ((1.0 - q) * a_l / (a_l + s)
                       + q * (a_l / (a_l + s)) ** 2 * (a_c / (a_c + s)))
             assert num == pytest.approx(closed, rel=1e-6)
+
+
+def _rule_laws():
+    """Criterion 3's six integration laws, the equal-rates law of its
+    continuity check, and a controller ~200 times slower than the switch."""
+    rng = np.random.default_rng(0xC3)
+    for _ in range(300):
+        _random_stable_point(rng)
+    laws = [_random_stable_point(rng) for _ in range(6)]
+    laws.append((NodeParams(1000.0, 10000.0, 0.5), ControllerParams(9000.0)))
+    laws.append((NodeParams(1000.0, 1e5, 0.5), ControllerParams(1000.0)))
+    return laws
+
+
+class TestCriterion3Rule:
+    """Criterion 3's Gauss-Legendre rule against the closed forms, with quad
+    (at criterion 3's former tolerances) as the independent reference."""
+
+    @pytest.mark.parametrize("law", range(8))
+    def test_rule_matches_closed_forms_and_quad(self, law):
+        node, ctrl = _rule_laws()[law]
+        d = build_distribution(node, ctrl, solve_rates(node, ctrl))
+        a_l, a_c, q = d.a_switch, d.a_controller, d.q_nf
+        horizon = 50.0 / min(a_l, a_c)
+        s_values = (a_l / 2.0, a_l, 2.0 * a_l)
+        mass, mean, laplace = _law_integrals(d, horizon, s_values)
+        want_mean = (1.0 + q) / a_l + q / a_c
+        checks = [(mass, 1.0, quad(lambda t: pdf(d, t), 0.0, horizon,
+                                   epsabs=1e-12, limit=300)[0]),
+                  (mean, want_mean, quad(lambda t: ccdf(d, t), 0.0, horizon,
+                                         epsabs=1e-14, limit=300)[0])]
+        for s, value in zip(s_values, laplace):
+            closed = ((1.0 - q) * a_l / (a_l + s)
+                      + q * (a_l / (a_l + s)) ** 2 * (a_c / (a_c + s)))
+            checks.append((value, closed, quad(lambda t: math.exp(-s * t) * pdf(d, t),
+                                               0.0, horizon, epsabs=1e-13, limit=300)[0]))
+        for got, want, by_quad in checks:
+            err = abs(got - want) / want
+            assert err <= 1e-12, (got, want)
+            # no farther than quad, up to a few ulps of summation rounding
+            assert err <= abs(by_quad - want) / want + 4 * np.finfo(float).eps, \
+                (got, by_quad, want)
 
 
 class TestDeadlinesAndQuantiles:
