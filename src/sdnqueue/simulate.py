@@ -25,11 +25,13 @@ Engine design, fixed for reproducibility:
 * retained sojourn samples are capped per run at 10**6 by uniform reservoir
   sampling with its own streams;
 * each replication hands its departures to the statistics in blocks, which
-  drop the warm-up, carry the running sums and feed the reservoirs: every
-  ``_BLOCK`` departures, except that the single-node loop hands over one
-  block per block of ``_BLOCK`` arrivals, which holds a few departures more
-  or fewer (see :func:`_run_lindley`).  So the caller's memory is bounded
-  by ``SAMPLE_CAP`` samples per reservoir plus about one block (and the
+  drop the warm-up, count the controller visits by sojourns' sign bits (see
+  :class:`_Tally`), carry the running sums and feed the reservoirs: every
+  ``_BLOCK`` = 2**12 departures, whose Python floats (~0.7 MB) then fit a
+  2 MB L2 cache, except that the single-node loop hands over one block per
+  block of ``_BLOCK`` arrivals, which holds a few departures more or fewer
+  (see :func:`_run_lindley`).  So the caller's memory is bounded by
+  ``SAMPLE_CAP`` samples per reservoir plus about one block (and the
   packets in the system), whatever its packet budget; a forked process's
   grows with one replication's measured samples, which it holds until sent;
 * a packet's state (arrival time, entry node, new-flow mark, progress along
@@ -95,7 +97,6 @@ import os
 import pickle
 import signal
 import warnings
-from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 
@@ -103,7 +104,7 @@ import numpy as np
 
 from .analytic import ChainModel, ControllerParams, NodeParams
 
-_BLOCK = 1 << 14
+_BLOCK = 1 << 12
 SAMPLE_CAP = 1_000_000
 _Z95 = 1.96
 
@@ -224,17 +225,18 @@ class _Tally:
     """One replication's measured statistics, fed its departures in blocks.
 
     An engine appends each departure to the block being filled: its sojourn
-    to ``sojourns``, its position there to ``new_at`` if it is a new flow and,
-    for a chain, its class to ``cls``; then it calls :meth:`flush`.  The first
-    ``skip`` departures are warm-up and dropped.  The rest are measured and
-    go to :meth:`feed`, which extends the run's reservoirs and carries each
-    class's sum from block to block: the running total is added to the
+    to ``sojourns``, negated (``-(f - a)``, so a zero is -0.0) if it visited
+    the controller, and for a chain its class to ``cls``; then it calls
+    :meth:`flush`.  The first ``skip`` departures are warm-up and dropped.
+    The rest are measured and go to :meth:`feed` as magnitudes, with the
+    sign bits counted as visits.  It extends the run's reservoirs and carries
+    each class's sum from block to block: the running total is added to the
     block's first sojourn before ``np.cumsum``, so the sum makes the same
     sequential additions as ``total += sojourn`` would.
     """
 
     __slots__ = ("skip", "sums", "counts", "visits", "agg", "classes",
-                 "sojourns", "new_at", "cls")
+                 "sojourns", "cls")
 
     def __init__(self, n: int, skip: int, agg: _Reservoir | None,
                  classes: list[_Reservoir]):
@@ -245,30 +247,29 @@ class _Tally:
         self.agg = agg
         self.classes = classes  # empty for a single node, whose class is `agg`
         self.sojourns: list[float] = []
-        self.new_at: list[int] = []
         self.cls: list[int] = []
 
     def flush(self) -> None:
         """Drop the warm-up from the block being filled and :meth:`feed` the
-        rest: its sojourns, their classes (None for a single node, else in
-        the smallest integer dtype that holds n) and each class's controller
-        visits.  Then empty the block for the next."""
-        sojourns, new_at, cls = self.sojourns, self.new_at, self.cls
+        rest: its sojourns' magnitudes, their classes (None for a single
+        node, else in the smallest integer dtype that holds n) and each
+        class's count of set sign bits.  Then empty the block for the next."""
+        sojourns, cls = self.sojourns, self.cls
         skip = self.skip
         if skip >= len(sojourns):
             self.skip = skip - len(sojourns)
         else:
             self.skip = 0
             x = np.array(sojourns)[skip:]
+            new = np.signbit(x)
+            np.abs(x, out=x)
             n = len(self.sums)
             if n == 1:
-                self.feed(x, None, [len(new_at) - bisect_left(new_at, skip)])
+                self.feed(x, None, [int(np.count_nonzero(new))])
             else:
-                c = np.array(cls, dtype=np.min_scalar_type(n))
-                new = np.asarray(new_at, dtype=np.intp)
-                self.feed(x, c[skip:], np.bincount(c[new[new >= skip]], minlength=n).tolist())
+                c = np.array(cls, dtype=np.min_scalar_type(n))[skip:]
+                self.feed(x, c, np.bincount(c[new], minlength=n).tolist())
         sojourns.clear()
-        new_at.clear()
         cls.clear()
 
     def feed(self, x: np.ndarray, c: np.ndarray | None, visits: list[int]) -> None:
@@ -543,7 +544,7 @@ def _run_events(chain: ChainModel, n_packets: int, tally: _Tally,
     admitted = 0
     departed = 0
 
-    sojourns, new_at, classes = tally.sojourns, tally.new_at, tally.cls
+    sojourns, classes = tally.sojourns, tally.cls
 
     # FIFO audit: every join of a station's queue gets a per-station stamp;
     # service starts must consume stamps in increasing order.
@@ -595,9 +596,7 @@ def _run_events(chain: ChainModel, n_packets: int, tally: _Tally,
                         f"packet entering at node {pkt[1]} departs with new-flow mark "
                         f"{pkt[2]} but controller visit {pkt[3]}")
                 departed += 1
-                if pkt[3]:
-                    new_at.append(len(sojourns))
-                sojourns.append(t - pkt[0])
+                sojourns.append(-(t - pkt[0]) if pkt[3] else t - pkt[0])
                 classes.append(pkt[1])
                 if len(sojourns) == _BLOCK:
                     tally.flush()
@@ -630,8 +629,9 @@ def _run_lindley(chain: ChainModel, n_packets: int, tally: _Tally,
     loop's bits (see the module docstring).
 
     A first pass that starts at or after arrival ``a`` returns after ``a``, so
-    when ``a`` is reached every earlier return is already in ``returns``; an
-    exact tie is served arrival-first.
+    when ``a`` is reached every earlier return is already queued: ``head``,
+    the next one's time (inf if none), ``backs``, the later ones' times, and
+    ``firsts``, their arrival times.  An exact tie is served arrival-first.
 
     ``tally`` gets one block per block of ``_BLOCK`` arrivals, which holds a
     few departures more or fewer, as controller returns leave after later
@@ -641,37 +641,39 @@ def _run_lindley(chain: ChainModel, n_packets: int, tally: _Tally,
     """
     (arr_rng,), (mark_rng,), (next_svc, next_ctl) = _streams(chain, seed_seq)
     node = chain.nodes[0]
-    q = node.q_nf
-
-    returns: deque[tuple[float, float]] = deque()  # (back from the controller, arrival)
-    sojourns, new_at = tally.sojourns, tally.new_at
+    backs, firsts = deque(), deque()
+    next_back, next_first = backs.popleft, firsts.popleft
+    depart = tally.sojourns.append
+    head = math.inf
     free = cfree = 0.0
     left = n_packets
     for times in _arrival_blocks(arr_rng, 1.0 / node.lam):
         if left < _BLOCK:
             times = times[:left]
         left -= len(times)
-        for a, new in zip(times.tolist(), (mark_rng.random(_BLOCK) < q).tolist()):
-            while returns and returns[0][0] < a:
-                r, a0 = returns.popleft()
-                free = (r if r > free else free) + next_svc()
-                new_at.append(len(sojourns))
-                sojourns.append(free - a0)
+        for a, new in zip(times.tolist(), (mark_rng.random(_BLOCK) < node.q_nf).tolist()):
+            while head < a:
+                free = (head if head > free else free) + next_svc()
+                depart(-(free - next_first()))
+                head = next_back() if backs else math.inf
             free = (a if a > free else free) + next_svc()
             if new:
                 cfree = (free if free > cfree else cfree) + next_ctl()
-                returns.append((cfree, a))
+                if firsts:
+                    backs.append(cfree)
+                else:
+                    head = cfree
+                firsts.append(a)
             else:
-                sojourns.append(free - a)
+                depart(free - a)
         tally.flush()
         if not left:
             break
-    while returns:  # arrivals have stopped: the returns drain in order
-        for _ in range(min(_BLOCK, len(returns))):
-            r, a0 = returns.popleft()
-            free = (r if r > free else free) + next_svc()
-            new_at.append(len(sojourns))
-            sojourns.append(free - a0)
+    while firsts:  # arrivals have stopped: the returns drain in order
+        for _ in range(min(_BLOCK, len(firsts))):
+            free = (head if head > free else free) + next_svc()
+            depart(-(free - next_first()))
+            head = next_back() if backs else math.inf
         tally.flush()
 
 
@@ -696,7 +698,7 @@ def _run_joins(chain: ChainModel, n_packets: int, tally: _Tally,
     pending: list[deque[tuple]] = [deque() for _ in range(n + 1)]
     heads = [math.inf] * (n + 1)
     free = [0.0] * (n + 1)
-    sojourns, new_at, classes = tally.sojourns, tally.new_at, tally.cls
+    sojourns, classes = tally.sojourns, tally.cls
     t = math.inf  # the earliest head
     for times, cls, marks in arrivals:
         for a, c, new in zip(times, cls, marks):
@@ -708,9 +710,7 @@ def _run_joins(chain: ChainModel, n_packets: int, tally: _Tally,
                 f = free[s]
                 free[s] = f = (t if t > f else f) + draw[s]()
                 if s == last:  # a second pass or a transit: the final pass
-                    if new0:
-                        new_at.append(len(sojourns))
-                    sojourns.append(f - a0)
+                    sojourns.append(-(f - a0) if new0 else f - a0)
                     classes.append(c0)
                     if len(sojourns) == _BLOCK:
                         tally.flush()

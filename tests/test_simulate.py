@@ -418,8 +418,8 @@ class TestProcessCount:
             record = simulate._Record(n, 0)
             cuts = sorted(data.draw(st.lists(st.integers(0, measured), max_size=4)))
             for lo, hi in zip([0, *cuts], [*cuts, measured]):
-                record.sojourns.extend(values[own][lo:hi].tolist())
-                record.new_at.extend(np.flatnonzero(new[own][lo:hi]).tolist())
+                record.sojourns.extend(np.where(new[own][lo:hi], -values[own][lo:hi],
+                                                values[own][lo:hi]).tolist())
                 record.cls.extend(cls[own][lo:hi].tolist())
                 record.flush()
             pipe = io.BytesIO()
@@ -730,3 +730,31 @@ class TestReservoir:
             split.extend(values[lo:hi])
         assert split.seen == whole.seen == length
         assert split.sorted_array().tobytes() == whole.sorted_array().tobytes()
+
+
+class TestTally:
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_flush_counts_sign_bits_and_feeds_magnitudes(self, n):
+        # an engine stores a departure that visited the controller negated,
+        # so a zero sojourn is -0.0; the block straddles the warm-up (3
+        # departures, two of them flagged), and only the measured flags count
+        sojourns = [-1.0, 2.0, -0.0, 0.5, -0.0, -3.0, 0.0, 4.0]
+        cls = [0, 1, 1, 0, 1, 0, 1, 1]
+        streams = np.random.SeedSequence(0).spawn(n + 1)
+        agg = _Reservoir(100, np.random.default_rng(streams[0]))
+        classes = ([_Reservoir(100, np.random.default_rng(s)) for s in streams[1:]]
+                   if n > 1 else [])
+        tally = simulate._Tally(n, 3, agg, classes)
+        tally.sojourns.extend(sojourns)
+        tally.cls.extend(cls)  # the event loop fills it for one node too, and flush ignores it
+        tally.flush()
+        assert (tally.skip, tally.sojourns, tally.cls) == (0, [], [])
+        # magnitudes only, so -0.0 arrives as +0.0
+        measured = np.array([0.5, 0.0, 3.0, 0.0, 4.0])
+        assert agg.items[:agg.seen].tobytes() == measured.tobytes()
+        if n == 1:
+            assert (tally.visits, tally.counts, tally.sums) == ([2], [5], [7.5])
+        else:
+            assert (tally.visits, tally.counts, tally.sums) == ([1, 1], [2, 3], [3.5, 4.0])
+            assert classes[0].items[:classes[0].seen].tobytes() == measured[[0, 2]].tobytes()
+            assert classes[1].items[:classes[1].seen].tobytes() == measured[[1, 3, 4]].tobytes()
