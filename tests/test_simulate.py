@@ -303,6 +303,56 @@ class TestEngineEquivalence:
             self._assert_same_bits(f, d)
 
 
+class _OnGrid:
+    """A generator whose exponential draws are rounded to a 10 us grid."""
+
+    def __init__(self, rng):
+        self.rng = rng
+
+    def exponential(self, scale, size):
+        return np.round(self.rng.exponential(scale, size) / 1e-5) * 1e-5
+
+
+class TestTieRules:
+    """Draws on a 10 us grid make exact ties common: two classes' arrivals, a
+    completion and an arrival, and same-station completions of zero service.
+    The join loop orders them by fixed rules (see the ``simulate`` module
+    docstring), which these digests of every field of every result, recorded
+    before the loop was rewritten, pin bit for bit."""
+
+    CASES = {
+        "criterion 9 symmetric": (TestEngineEquivalence.SYMMETRIC, CTRL, 5, 0.1,
+                                  "b11d7ad210b65ed5c19ff67d28205685c1c93eaf8fb9a100cae9376ce761a1e8"),
+        "criterion 9 asymmetric": (
+            TestEngineEquivalence.CHAIN_CASES["criterion 9 asymmetric"][0], CTRL, 5, 0.1,
+            "eb5bc60c7f3e57602b5ddd75fa56d88808c59d3a6e27dab7b85b1203896b4950"),
+        "3 nodes": (*TestEngineEquivalence.CHAIN_CASES["3 nodes, last switch rho 0.81"][:2],
+                    5, 0.1,
+                    "38a98ee141900367f1de96a3b68df93dd40b64d401aa6e5d383146533558abb2"),
+        # replication 0's first class-0 gap, 3.7 us, rounds to 0.0: a new flow
+        # arrives at time 0.0 and, with no warm-up, its visit is counted
+        "first gap 0.0, q_nf 1": (
+            (NodeParams(2000.0, MU_L, 1.0), NodeParams(1000.0, MU_L, 0.5)), CTRL, 18, 0.0,
+            "bf6e8c76bfbab89535bf4ee69ed9c9f1f8054d6950ded54e691c650e801222fc"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_tie_rules_pinned(self, monkeypatch, case):
+        nodes, ctrl, seed, warmup, sha256 = self.CASES[case]
+        exponentials, arrival_blocks = simulate._exponentials, simulate._arrival_blocks
+        monkeypatch.setattr(simulate, "_cpus", lambda: 1)
+        monkeypatch.setattr(simulate, "_exponentials",
+                            lambda rng, scale: exponentials(_OnGrid(rng), scale))
+        monkeypatch.setattr(simulate, "_arrival_blocks",
+                            lambda rng, scale: arrival_blocks(_OnGrid(rng), scale))
+        cfg = SimConfig(seed=seed, packets_per_replication=20_000, replications=2,
+                        warmup_fraction=warmup)
+        res = run_chain(ChainModel(nodes=nodes, controller=ctrl), cfg)
+        if nodes[0].q_nf == 1.0:  # every class-0 packet visits, the one at 0.0 too
+            assert res.per_class[0].controller_visit_fraction == 1.0
+        assert hashlib.sha256(b"".join(_bits(res))).hexdigest() == sha256
+
+
 @st.composite
 def _chains(draw, sizes=st.integers(1, 3)):
     """Random chains of ``sizes`` (1-3) nodes, from idle to saturated switches
