@@ -62,10 +62,8 @@ class NodeParams:
     q_nf: float
 
     def __post_init__(self):
-        if not self.lam > 0.0:
-            raise ValueError(f"lam must be > 0, got {self.lam}")
-        if not self.mu_switch > 0.0:
-            raise ValueError(f"mu_switch must be > 0, got {self.mu_switch}")
+        _check_rate("lam", self.lam)
+        _check_rate("mu_switch", self.mu_switch)
         if not 0.0 <= self.q_nf <= 1.0:
             raise ValueError(f"q_nf must be in [0, 1], got {self.q_nf}")
 
@@ -81,8 +79,16 @@ class ControllerParams:
     mu_controller: float
 
     def __post_init__(self):
-        if not self.mu_controller > 0.0:
-            raise ValueError(f"mu_controller must be > 0, got {self.mu_controller}")
+        _check_rate("mu_controller", self.mu_controller)
+
+
+def _check_rate(name: str, rate: float) -> None:
+    """Raise unless ``rate`` is > 0 with a finite mean time 1/rate, which a
+    rate below ~5.6e-309 lacks.  An infinite rate (mean time 0) is legal."""
+    if not rate > 0.0:
+        raise ValueError(f"{name} must be > 0, got {rate}")
+    if not math.isfinite(1.0 / float(rate)):
+        raise ValueError(f"{name} must have a finite mean time 1/{name}, got {rate}")
 
 
 @dataclass(frozen=True)

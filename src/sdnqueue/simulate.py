@@ -52,11 +52,12 @@ Three engines run a replication, and all give the same bits:
 * a chain without ``audit`` runs the join-ordered loop, Lindley's recursion
   at every station.  Each station is a FIFO single server, so its
   completions leave in join order and each is known at its join,
-  ``max(join, free) + service``.  The loop keeps each station's unrouted
-  completions in order, routes the earliest one before the next external
-  arrival (to the controller, back to its entry node, downstream, or out)
-  and computes the completion of the station it joins; a final pass at the
-  last node departs at its join, in departure order.
+  ``max(join, free) + service``.  The loop keeps every unrouted completion
+  in one binary heap keyed by (completion time, station, push order),
+  routes the earliest before the next external arrival (to the controller,
+  back to its entry node, downstream, or out) and computes the completion
+  of the station it joins; a final pass at the last node departs at its
+  join, in departure order.
 
 The two Lindley loops draw the event loop's streams in the same blocks and
 order (marks per arrival, services per join, which is each station's
@@ -64,8 +65,9 @@ service-start order) and emit departures in time order.  They differ from it
 only at exact float ties, which have probability zero and which they order by
 fixed rules where the event loop orders by sequence number: a controller
 return or other completion tied with an arrival goes after the arrival, two
-classes' tied arrivals go lower class first, and two tied completions lower
-station first.
+classes' tied arrivals go lower class first, two tied completions lower
+station first, and tied completions at one station in FIFO order, which is
+why the heap's key has the push order.
 
 Invariant checks raise :class:`SimulationInvariantError` explicitly, so they
 still run under ``python -O``.  The event loop checks that every departure
@@ -682,62 +684,60 @@ def _run_joins(chain: ChainModel, n_packets: int, tally: _Tally,
     """One chain replication in join order, with the event loop's bits (see
     the module docstring).
 
-    ``pending[s]`` holds station s's unrouted completions in completion order,
-    each as (time, station it joins next, arrival time, class, new-flow mark),
-    and ``heads[s]`` the first one's time (inf when there is none).  Before an
-    arrival is joined, every completion strictly earlier is routed, earliest
-    first and the lower station first on a tie; each routing joins one
-    station and queues the completion that join makes, which is later than
-    it.  A final pass at the last node departs at its join.
+    ``heap`` holds every unrouted completion as (time, station, push order,
+    arrival time, code) over a sentinel at inf.  The controller's (station
+    n) rejoin their code, the entry node; a switch's join the controller if
+    their code is ~class, else go downstream.  A packet bound for the
+    controller carries its arrival time negated, -0.0 if it arrived at 0.0.
+    Before each arrival every earlier completion is routed, replaced in the
+    heap by the completion of the station it joins; a final pass departs.
     """
     n = len(chain.nodes)
     last = n - 1
     arr_rngs, mark_rngs, draw = _streams(chain, seed_seq)
-    arrivals = _merged_arrivals(chain.nodes, arr_rngs, mark_rngs, n_packets)
-
-    pending: list[deque[tuple]] = [deque() for _ in range(n + 1)]
-    heads = [math.inf] * (n + 1)
+    heap = [(math.inf, n + 1, 0, 0.0, 0)]
+    push, replace, pop = heapq.heappush, heapq.heapreplace, heapq.heappop
+    order = itertools.count().__next__
     free = [0.0] * (n + 1)
     sojourns, classes = tally.sojourns, tally.cls
-    t = math.inf  # the earliest head
-    for times, cls, marks in arrivals:
+    t = math.inf  # heap[0][0]
+    for times, cls, marks in _merged_arrivals(chain.nodes, arr_rngs, mark_rngs, n_packets):
         for a, c, new in zip(times, cls, marks):
             while t < a:
-                k = heads.index(t)
-                queue = pending[k]
-                _, s, a0, c0, new0 = queue.popleft()
-                heads[k] = queue[0][0] if queue else math.inf
+                _, k, _, a0, code = heap[0]
+                if k == n:
+                    s = code
+                elif code < 0:
+                    s, code = n, ~code
+                else:
+                    s = k + 1
                 f = free[s]
                 free[s] = f = (t if t > f else f) + draw[s]()
                 if s == last:  # a second pass or a transit: the final pass
-                    sojourns.append(-(f - a0) if new0 else f - a0)
-                    classes.append(c0)
+                    pop(heap)
+                    sojourns.append(-(f + a0) if math.copysign(1.0, a0) < 0.0 else f - a0)
+                    classes.append(code)
                     if len(sojourns) == _BLOCK:
                         tally.flush()
                 else:
-                    if not pending[s]:
-                        heads[s] = f
-                    pending[s].append((f, c0 if s == n else s + 1, a0, c0, new0))
-                t = min(heads)
+                    replace(heap, (f, s, order(), a0, code))
+                t = heap[0][0]
             if c == n:  # the sentinel after the last admitted arrival: drained
                 break
             f = free[c]
             free[c] = f = (a if a > f else f) + draw[c]()
             if new:
-                s = n
+                push(heap, (f, c, order(), -a, ~c))
             elif c < last:
-                s = c + 1
+                push(heap, (f, c, order(), a, c))
             else:  # a local packet at the last node: its only pass
                 sojourns.append(f - a)
                 classes.append(c)
                 if len(sojourns) == _BLOCK:
                     tally.flush()
                 continue
-            if not pending[c]:
-                heads[c] = f
-                if f < t:
-                    t = f
-            pending[c].append((f, s, a, c, new))
+            if f < t:
+                t = f
     tally.flush()
 
 

@@ -121,6 +121,18 @@ class TestSolveRates:
         with pytest.raises(ValueError):
             ControllerParams(0.0)
 
+    @pytest.mark.parametrize("make, name", [
+        (lambda rate: NodeParams(rate, MU_L, 0.5), "lam"),
+        (lambda rate: NodeParams(1000.0, rate, 0.5), "mu_switch"),
+        (lambda rate: ControllerParams(rate), "mu_controller"),
+    ])
+    def test_rate_without_finite_mean_time_rejected(self, make, name):
+        # 1/1e-310 overflows, so every simulated time would be inf
+        with pytest.raises(ValueError, match=f"^{name} must have a finite mean time"):
+            make(1e-310)
+        make(5.6e-309)  # 1/rate = 1.79e308, still finite
+        make(math.inf)  # mean time 0
+
 
 class TestMeanSojourn:
     def test_equivalence_property(self):
