@@ -684,20 +684,18 @@ def _run_joins(chain: ChainModel, n_packets: int, tally: _Tally,
     """One chain replication in join order, with the event loop's bits (see
     the module docstring).
 
-    ``heap`` holds every unrouted completion as (time, station, push order,
-    arrival time, code) over a sentinel at inf.  The controller's (station
-    n) rejoin their code, the entry node; a switch's join the controller if
-    their code is ~class, else go downstream.  A packet bound for the
-    controller carries its arrival time negated, -0.0 if it arrived at 0.0.
-    Before each arrival every earlier completion is routed, replaced in the
-    heap by the completion of the station it joins; a final pass departs.
+    ``heap`` holds each unrouted completion as (time, station, push order,
+    arrival time, code) above a sentinel at inf.  The controller's (station
+    n) rejoin their code's node; a switch's join the controller if the code
+    is ~class, else go downstream.  A new flow's arrival time is negated
+    (-0.0 at 0.0).  A routed completion is replaced by the one its join makes.
     """
     n = len(chain.nodes)
     last = n - 1
     arr_rngs, mark_rngs, draw = _streams(chain, seed_seq)
     heap = [(math.inf, n + 1, 0, 0.0, 0)]
     push, replace, pop = heapq.heappush, heapq.heapreplace, heapq.heappop
-    order = itertools.count().__next__
+    i = 0  # the push order
     free = [0.0] * (n + 1)
     sojourns, classes = tally.sojourns, tally.cls
     t = math.inf  # heap[0][0]
@@ -715,21 +713,22 @@ def _run_joins(chain: ChainModel, n_packets: int, tally: _Tally,
                 free[s] = f = (t if t > f else f) + draw[s]()
                 if s == last:  # a second pass or a transit: the final pass
                     pop(heap)
-                    sojourns.append(-(f + a0) if math.copysign(1.0, a0) < 0.0 else f - a0)
+                    visited = a0 < 0.0 or a0 == 0.0 and math.copysign(1.0, a0) < 0.0
+                    sojourns.append(-(f + a0) if visited else f - a0)
                     classes.append(code)
                     if len(sojourns) == _BLOCK:
                         tally.flush()
                 else:
-                    replace(heap, (f, s, order(), a0, code))
+                    replace(heap, (f, s, (i := i + 1), a0, code))
                 t = heap[0][0]
             if c == n:  # the sentinel after the last admitted arrival: drained
                 break
             f = free[c]
             free[c] = f = (a if a > f else f) + draw[c]()
             if new:
-                push(heap, (f, c, order(), -a, ~c))
+                push(heap, (f, c, (i := i + 1), -a, ~c))
             elif c < last:
-                push(heap, (f, c, order(), a, c))
+                push(heap, (f, c, (i := i + 1), a, c))
             else:  # a local packet at the last node: its only pass
                 sojourns.append(f - a)
                 classes.append(c)
