@@ -62,8 +62,9 @@ class NodeParams:
     q_nf: float
 
     def __post_init__(self):
-        _check_rate("lam", self.lam)
-        _check_rate("mu_switch", self.mu_switch)
+        if not (self.lam >= _SAFE_RATE and self.mu_switch >= _SAFE_RATE):
+            _check_rate("lam", self.lam)
+            _check_rate("mu_switch", self.mu_switch)
         if not 0.0 <= self.q_nf <= 1.0:
             raise ValueError(f"q_nf must be in [0, 1], got {self.q_nf}")
 
@@ -79,7 +80,14 @@ class ControllerParams:
     mu_controller: float
 
     def __post_init__(self):
-        _check_rate("mu_controller", self.mu_controller)
+        if not self.mu_controller >= _SAFE_RATE:
+            _check_rate("mu_controller", self.mu_controller)
+
+
+# Every rate at or above this has a finite mean time 1/rate, so the
+# constructors, which closed-form searches call thousands of times, check
+# only smaller ones (or NaN, or a non-number) exactly.
+_SAFE_RATE = 1e-300
 
 
 def _check_rate(name: str, rate: float) -> None:
