@@ -60,7 +60,6 @@ from .simulate import SimConfig, run_chain, run_single_node
 from . import validation
 
 SEED_ENV_VAR = "SDNQUEUE_SEED"
-_DEFAULT_SEED = 12345
 _FIGURES = ("fig2", "fig3", "fig4", "fig5", "fig6")
 
 # Config sections and their keys.  A key's flag has the key's name as its
@@ -280,37 +279,43 @@ def _chain(flags: dict, doc: dict, ctrl: ControllerParams) -> ChainModel:
     return ChainModel(nodes=tuple(_node([s]) for s in sections), controller=ctrl)
 
 
-def _env_seed() -> int:
-    raw = os.environ.get(SEED_ENV_VAR, str(_DEFAULT_SEED))
+def _env_seed() -> int | None:
+    raw = os.environ.get(SEED_ENV_VAR)
     try:
-        return int(raw)
+        return None if raw is None else int(raw)
     except ValueError as exc:
         raise CliError(f"{SEED_ENV_VAR} must be an integer, got {raw!r}") from exc
+
+
+def _given(**values) -> dict:
+    """The values that were given, so the rest take the library's defaults."""
+    return {key: value for key, value in values.items() if value is not None}
 
 
 def _sim(layers: list[dict]) -> SimConfig:
     # the environment is read only when no flag or file gives a seed, so a
     # malformed value there cannot fail a run that does not use it
     seed = _pick(layers, "seed", kind=int)
-    return SimConfig(seed=_env_seed() if seed is None else seed,
-                     packets_per_replication=_pick(layers, "packets_per_replication", 200_000,
-                                                   kind=int),
-                     replications=_pick(layers, "replications", 5, kind=int),
-                     warmup_fraction=_pick(layers, "warmup_fraction", 0.1, kind=float))
+    return SimConfig(**_given(
+        seed=_env_seed() if seed is None else seed,
+        packets_per_replication=_pick(layers, "packets_per_replication", kind=int),
+        replications=_pick(layers, "replications", kind=int),
+        warmup_fraction=_pick(layers, "warmup_fraction", kind=float)))
 
 
 def _sweep(layers: list[dict], node: NodeParams, ctrl: ControllerParams,
            sim: SimConfig) -> SweepSpec:
     variable = _pick(layers, "variable", required=f"one of {SWEEP_VARIABLES}")
     raw_grid = _pick(layers, "grid", required="the swept values")
-    outputs = _pick(layers, "outputs", ("analytic_mean",))
+    outputs = _pick(layers, "outputs")
     if isinstance(outputs, str):
         outputs = [s.strip() for s in outputs.split(",")]
-    if not (isinstance(outputs, (list, tuple)) and all(isinstance(o, str) for o in outputs)):
+    if not (outputs is None or isinstance(outputs, (list, tuple))
+            and all(isinstance(o, str) for o in outputs)):
         raise CliError(f"sweep 'outputs' must be a list of names, got {outputs!r}")
     return SweepSpec(variable=str(variable), grid=_parse_grid(raw_grid), node=node,
-                     controller=ctrl, outputs=tuple(outputs),
-                     deadline=_pick(layers, "deadline", 5e-4, kind=float), sim=sim)
+                     controller=ctrl, sim=sim,
+                     **_given(outputs=outputs, deadline=_pick(layers, "deadline", kind=float)))
 
 
 def _parse_grid(raw) -> tuple[float, ...]:
@@ -562,19 +567,9 @@ def _cmd_dimension(args) -> int:
 
 def _cmd_sweep(args) -> int:
     cfg = _resolve_args(args, "node", "controller", "sim", "sweep")
-    spec = cfg.sweep
     with _usage_errors():
-        rows = sweep(spec)
-    columns = [spec.variable]
-    if spec.variable != "delay_bound":
-        columns.append("lambda")
-    for out in SWEEP_OUTPUTS:
-        if out in spec.outputs:
-            columns.append(out)
-            if out == "simulated_mean":
-                columns.append("sim_ci_halfwidth")
-    columns.append("status")
-    _write_table(cfg, columns, rows)
+        rows = sweep(cfg.sweep)
+    _write_table(cfg, list(rows[0]), rows)
     return 0
 
 
@@ -700,7 +695,7 @@ def _add_controller_flags(p: _Parser) -> None:
 
 def _add_sim_flags(p: _Parser) -> None:
     p.add_argument("--seed", type=int, help=f"RNG seed (default ${SEED_ENV_VAR} "
-                                            f"or {_DEFAULT_SEED})")
+                                            f"or {SimConfig.seed})")
     p.add_argument("--packets", type=int, help="packets per replication")
     p.add_argument("--replications", type=int, help="independent replications")
     p.add_argument("--warmup-fraction", type=float,

@@ -181,26 +181,21 @@ def sweep(spec: SweepSpec) -> list[dict]:
     Every row carries the swept variable's value, the effective arrival rate
     ``lambda`` (when one exists), the requested outputs (None where a model is
     unstable or undefined, with the reason listed in ``status``), and
-    ``sim_ci_halfwidth`` alongside ``simulated_mean``.
+    ``sim_ci_halfwidth`` alongside ``simulated_mean``.  The outputs are
+    evaluated, and their keys and ``status`` notes ordered, as in
+    SWEEP_OUTPUTS, so a row's keys are the sweep table's columns.
     """
-    rows = []
-    for value in spec.grid:
-        rows.append(_sweep_point(spec, value))
-    return rows
+    return [_sweep_point(spec, value) for value in spec.grid]
 
 
 def _sweep_point(spec: SweepSpec, value: float) -> dict:
     node0, ctrl = spec.node, spec.controller
     row: dict = {spec.variable: value}
-    status: list[str] = []
 
     if spec.variable == "delay_bound":
         res = max_throughput(value, q_nf=node0.q_nf, mu_switch=node0.mu_switch,
                              mu_controller=ctrl.mu_controller)
-        row["throughput"] = res.rate
-        if not res.feasible:
-            status.append(res.note)
-        row["status"] = ";".join(status) if status else "ok"
+        row.update(throughput=res.rate, status="ok" if res.feasible else res.note)
         return row
 
     mu_c = ctrl.mu_controller
@@ -219,8 +214,9 @@ def _sweep_point(spec: SweepSpec, value: float) -> dict:
     ctrl = ControllerParams(mu_c)
     rates = solve_rates(node, ctrl)
     row["lambda"] = lam
+    status: list[str] = []
 
-    for out in spec.outputs:
+    for out in [o for o in SWEEP_OUTPUTS if o in spec.outputs]:
         if out == "analytic_mean":
             row[out] = _try_model(status, "analytic",
                                   lambda: mean_sojourn_openflow(node, ctrl, rates))
@@ -236,7 +232,7 @@ def _sweep_point(spec: SweepSpec, value: float) -> dict:
             res = run_single_node(node, ctrl, spec.sim)
             row[out] = res.mean_sojourn
             row["sim_ci_halfwidth"] = res.ci_halfwidth
-    row["status"] = ";".join(status) if status else "ok"
+    row["status"] = ";".join(status) or "ok"
     return row
 
 

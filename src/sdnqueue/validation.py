@@ -40,21 +40,29 @@ from .analytic import (
 )
 from .distribution import build_distribution, ccdf, pdf, prob_within_deadline
 from .dimensioning import (
+    SweepSpec,
     default_delay_bound_grid,
     max_throughput,
     stability_supremum,
+    sweep,
     zero_load_sojourn,
 )
 from .simulate import SimConfig, run_chain, run_single_node
 
-DEFAULT_SEED = 12345
+DEFAULT_SEED = SimConfig.seed
 MU_SWITCH = rate_from_us(9.8)
 MU_CONTROLLER = rate_from_us(240.0)
 DEADLINE = 0.5e-3
 
-_FULL_PACKETS = 200_000
 _QUICK_PACKETS = 20_000
 _KS_PACKETS = 222_223    # 5 reps, 10% warmup -> ~1e6 measured samples
+
+# the paper's operating point: its controller, and a node at controller load rho_c
+_CTRL = ControllerParams(MU_CONTROLLER)
+
+
+def _paper_node(q: float, rho_c: float) -> NodeParams:
+    return NodeParams(rho_c * MU_CONTROLLER / q, MU_SWITCH, q)
 
 
 @dataclass(frozen=True)
@@ -72,10 +80,9 @@ class CriterionResult:
                 f"({self.runtime_s:.1f}s / budget {self.budget_s:.0f}s): {self.details}")
 
 
-def _sim_cfg(seed: int, quick: bool, packets: int | None = None) -> SimConfig:
-    if packets is None:
-        packets = _QUICK_PACKETS if quick else _FULL_PACKETS
-    return SimConfig(seed=seed, packets_per_replication=packets, replications=5)
+def _sim_cfg(seed: int, quick: bool,
+             packets: int = SimConfig.packets_per_replication) -> SimConfig:
+    return SimConfig(seed=seed, packets_per_replication=_QUICK_PACKETS if quick else packets)
 
 
 def _point_seed(seed: int, *key: int) -> int:
@@ -209,17 +216,15 @@ def _criterion_3(quick: bool, seed: int) -> tuple[bool, str]:
 
 
 def _criterion_4(quick: bool, seed: int) -> tuple[bool, str]:
-    ctrl = ControllerParams(MU_CONTROLLER)
     hits = 0
     points = []
     rhos = [round(0.1 * k, 1) for k in range(1, 10)]
     for qi, q in enumerate((0.2, 1.0)):
         for ri, rho_c in enumerate(rhos):
-            lam = rho_c * MU_CONTROLLER / q
-            node = NodeParams(lam, MU_SWITCH, q)
-            pred = mean_sojourn_openflow(node, ctrl, solve_rates(node, ctrl))
+            node = _paper_node(q, rho_c)
+            pred = mean_sojourn_openflow(node, _CTRL, solve_rates(node, _CTRL))
             cfg = _sim_cfg(_point_seed(seed, 40, qi, ri), quick)
-            res = run_single_node(node, ctrl, cfg)
+            res = run_single_node(node, _CTRL, cfg)
             inside = abs(res.mean_sojourn - pred) <= res.ci_halfwidth
             hits += inside
             if not inside:
@@ -231,7 +236,6 @@ def _criterion_4(quick: bool, seed: int) -> tuple[bool, str]:
 
 
 def _criterion_5(quick: bool, seed: int) -> tuple[bool, str]:
-    ctrl = ControllerParams(MU_CONTROLLER)
     cfg = _sim_cfg(seed, quick)
     parts = []
     ok = True
@@ -239,14 +243,13 @@ def _criterion_5(quick: bool, seed: int) -> tuple[bool, str]:
     # is still stable (it inflates the controller load tenfold); at
     # (0.5, 0.8) the uncorrected model is saturated outright.
     for q, rho_c in ((0.9, 0.09), (0.5, 0.8)):
-        lam = rho_c * MU_CONTROLLER / q
-        node = NodeParams(lam, MU_SWITCH, q)
-        rates = solve_rates(node, ctrl)
-        pred = mean_sojourn_openflow(node, ctrl, rates)
-        res = run_single_node(node, ctrl, cfg)
+        node = _paper_node(q, rho_c)
+        rates = solve_rates(node, _CTRL)
+        pred = mean_sojourn_openflow(node, _CTRL, rates)
+        res = run_single_node(node, _CTRL, cfg)
         mod_dev = abs(res.mean_sojourn - pred) / res.ci_halfwidth
         try:
-            naive = mean_sojourn_naive_jackson(node, ctrl)
+            naive = mean_sojourn_naive_jackson(node, _CTRL)
             naive_dev = abs(res.mean_sojourn - naive) / res.ci_halfwidth
             naive_txt = f"{naive_dev:.0f}ci"
         except UnstableSystemError:
@@ -259,20 +262,17 @@ def _criterion_5(quick: bool, seed: int) -> tuple[bool, str]:
 
 
 def _criterion_6(quick: bool, seed: int) -> tuple[bool, str]:
-    ctrl = ControllerParams(MU_CONTROLLER)
-    packets = _QUICK_PACKETS if quick else _KS_PACKETS
-    cfg = _sim_cfg(seed, quick, packets=packets)
-    n_samples = 5 * (packets - int(0.1 * packets))
-    ks_tol = 0.01 * math.sqrt(1e6 / min(n_samples, 1e6))
+    cfg = _sim_cfg(seed, quick, _KS_PACKETS)
     ok = True
     parts = []
     for rho in (0.3, 0.6, 0.9):
         lam = rho * MU_SWITCH
         node = NodeParams(lam, MU_SWITCH, 0.0)
-        res = run_single_node(node, ctrl, cfg)
+        res = run_single_node(node, _CTRL, cfg)
         a = MU_SWITCH - lam
         dev = abs(res.mean_sojourn - 1.0 / a) / res.ci_halfwidth
         s = res.empirical_ccdf
+        ks_tol = 0.01 * math.sqrt(1e6 / len(s))  # len(s) = min(1e6, samples measured)
         ks = _ks_distance(s, 1.0 - np.exp(-a * s))
         # The KS gate applies at the low/moderate loads; at rho=0.9 the
         # sojourn autocorrelation alone pushes the sup-deviation of 1e6
@@ -304,29 +304,24 @@ def _criterion_7(quick: bool, seed: int) -> tuple[bool, str]:
 
 
 def _criterion_8(quick: bool, seed: int) -> tuple[bool, str]:
-    ctrl = ControllerParams(MU_CONTROLLER)
-    packets = _QUICK_PACKETS if quick else _KS_PACKETS
-    cfg = _sim_cfg(seed, quick, packets=packets)
-    n_samples = 5 * (packets - int(0.1 * packets))
-    scale = math.sqrt(1e6 / min(n_samples, 1e6))
-    tol_low, tol_high = 0.01 * scale, 0.03 * scale
+    cfg = _sim_cfg(seed, quick, _KS_PACKETS)
     ok = True
     parts = []
     for q in (0.2, 0.5, 1.0):
-        probs = []
-        for rho_c in [0.05 * k for k in range(1, 20)]:
-            lam = rho_c * MU_CONTROLLER / q
-            node = NodeParams(lam, MU_SWITCH, q)
-            d = build_distribution(node, ctrl, solve_rates(node, ctrl))
-            probs.append(prob_within_deadline(d, DEADLINE))
+        scan = SweepSpec("rho_controller", [0.05 * k for k in range(1, 20)],
+                         _paper_node(q, 1.0), _CTRL,  # the node's lambda is swept
+                         ("deadline_prob",), deadline=DEADLINE)
+        probs = [row["deadline_prob"] for row in sweep(scan)]
         monotone = all(b <= a + 1e-12 for a, b in zip(probs, probs[1:]))
         ok = ok and monotone
         for rho_c in (0.3, 0.5, 0.7):
-            lam = rho_c * MU_CONTROLLER / q
-            node = NodeParams(lam, MU_SWITCH, q)
-            d = build_distribution(node, ctrl, solve_rates(node, ctrl))
+            node = _paper_node(q, rho_c)
+            d = build_distribution(node, _CTRL, solve_rates(node, _CTRL))
             pred = prob_within_deadline(d, DEADLINE)
-            res = run_single_node(node, ctrl, cfg)
+            res = run_single_node(node, _CTRL, cfg)
+            # the tolerances scale with the samples kept, min(1e6, samples measured)
+            scale = math.sqrt(1e6 / len(res.empirical_ccdf))
+            tol_low, tol_high = 0.01 * scale, 0.03 * scale
             emp = float(np.mean(res.empirical_ccdf <= DEADLINE))
             dev = abs(pred - emp)
             tol = tol_high if rho_c >= 0.7 else tol_low
@@ -360,11 +355,11 @@ def _criterion_9(quick: bool, seed: int) -> tuple[bool, str]:
         ("symmetric", ChainModel(
             nodes=(NodeParams(3000.0, MU_SWITCH, 0.5),
                    NodeParams(3000.0, MU_SWITCH, 0.5)),
-            controller=ControllerParams(MU_CONTROLLER))),
+            controller=_CTRL)),
         ("asymmetric", ChainModel(
             nodes=(NodeParams(2000.0, MU_SWITCH, 0.2),
                    NodeParams(1000.0, MU_SWITCH, 1.0)),
-            controller=ControllerParams(MU_CONTROLLER))),
+            controller=_CTRL)),
     ]
     for ci, (label, chain) in enumerate(cases):
         sol = solve_chain(chain)
@@ -388,17 +383,16 @@ def _criterion_10(quick: bool, seed: int) -> tuple[bool, str]:
 
     from . import cli
 
-    ctrl = ControllerParams(MU_CONTROLLER)
     audit_cfg = SimConfig(seed=seed, packets_per_replication=10_000, replications=2)
     # audited runs raise on a conservation or FIFO violation, or unless the
     # controller is visited exactly when a new flow
-    run_single_node(NodeParams(0.5 * MU_CONTROLLER, MU_SWITCH, 0.5), ctrl,
+    run_single_node(NodeParams(0.5 * MU_CONTROLLER, MU_SWITCH, 0.5), _CTRL,
                     audit_cfg, audit=True)
-    run_single_node(NodeParams(1.2 * MU_CONTROLLER, MU_SWITCH, 1.0), ctrl,
+    run_single_node(NodeParams(1.2 * MU_CONTROLLER, MU_SWITCH, 1.0), _CTRL,
                     audit_cfg, audit=True)  # saturated controller, still legal
     run_chain(ChainModel(nodes=(NodeParams(2000.0, MU_SWITCH, 0.3),
                                 NodeParams(1500.0, MU_SWITCH, 0.8)),
-                         controller=ctrl),
+                         controller=_CTRL),
               audit_cfg, audit=True)
 
     with tempfile.TemporaryDirectory() as tmp:
@@ -418,36 +412,37 @@ def _criterion_10(quick: bool, seed: int) -> tuple[bool, str]:
                 f"repeat CSV byte-identical={identical} ({size} bytes)")
 
 
-_CRITERIA = [
-    (1, "feedback-correction exactness", _criterion_1, 1.0),
-    (2, "mean-sojourn equivalence (two forms)", _criterion_2, 1.0),
-    (3, "sojourn-distribution internal consistency", _criterion_3, 10.0),
-    (4, "model vs simulation grid", _criterion_4, 180.0),
-    (5, "uncorrected-model discrimination", _criterion_5, 60.0),
-    (6, "M/M/1 degenerate sanity", _criterion_6, 60.0),
-    (7, "throughput saturation limit", _criterion_7, 5.0),
-    (8, "deadline probability vs controller load", _criterion_8, 180.0),
-    (9, "two-node chain consistency", _criterion_9, 120.0),
-    (10, "simulator invariants & reproducibility", _criterion_10, 60.0),
-]
+# criterion number -> (name, check, runtime budget in seconds)
+_CRITERIA = {
+    1: ("feedback-correction exactness", _criterion_1, 1.0),
+    2: ("mean-sojourn equivalence (two forms)", _criterion_2, 1.0),
+    3: ("sojourn-distribution internal consistency", _criterion_3, 10.0),
+    4: ("model vs simulation grid", _criterion_4, 180.0),
+    5: ("uncorrected-model discrimination", _criterion_5, 60.0),
+    6: ("M/M/1 degenerate sanity", _criterion_6, 60.0),
+    7: ("throughput saturation limit", _criterion_7, 5.0),
+    8: ("deadline probability vs controller load", _criterion_8, 180.0),
+    9: ("two-node chain consistency", _criterion_9, 120.0),
+    10: ("simulator invariants & reproducibility", _criterion_10, 60.0),
+}
 
 
 def criterion_numbers() -> tuple[int, ...]:
-    return tuple(num for num, _, _, _ in _CRITERIA)
+    return tuple(_CRITERIA)
 
 
 def run_criterion(number: int, quick: bool = False,
                   seed: int = DEFAULT_SEED) -> CriterionResult:
-    for num, name, fn, budget in _CRITERIA:
-        if num == number:
-            start = time.perf_counter()
-            passed, details = fn(quick, seed)
-            elapsed = time.perf_counter() - start
-            if not quick and elapsed >= budget:
-                passed = False
-                details += f"; RUNTIME {elapsed:.1f}s exceeded budget {budget:.0f}s"
-            return CriterionResult(num, name, passed, elapsed, budget, details)
-    raise ValueError(f"unknown criterion {number}; valid: {criterion_numbers()}")
+    if number not in _CRITERIA:
+        raise ValueError(f"unknown criterion {number}; valid: {criterion_numbers()}")
+    name, fn, budget = _CRITERIA[number]
+    start = time.perf_counter()
+    passed, details = fn(quick, seed)
+    elapsed = time.perf_counter() - start
+    if not quick and elapsed >= budget:
+        passed = False
+        details += f"; RUNTIME {elapsed:.1f}s exceeded budget {budget:.0f}s"
+    return CriterionResult(number, name, passed, elapsed, budget, details)
 
 
 def run_criteria(numbers: tuple[int, ...] | None = None, quick: bool = False,

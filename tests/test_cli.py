@@ -357,7 +357,8 @@ class TestSweepCmd:
         capsys.readouterr()
         assert rc == 0
         header, rows = read_csv(out)
-        assert [(r[header.index("deadline_prob")], r[-1]) for r in rows] == [("1.0", "ok")] * 2
+        assert header == ["lambda", "deadline_prob", "status"]  # the swept lambda once
+        assert [(r[1], r[2]) for r in rows] == [("1.0", "ok")] * 2
 
     def test_grid_expression(self, tmp_path, capsys):
         out = tmp_path / "sweep.csv"

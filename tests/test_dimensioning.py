@@ -1,6 +1,7 @@
 """Throughput inversion and one-variable sweeps."""
 
 import math
+from dataclasses import replace
 from decimal import Decimal, localcontext
 
 import pytest
@@ -228,7 +229,12 @@ class TestSweep:
         spec = SweepSpec(variable="rho_controller", grid=(0.4, 0.8, 1.2), node=node,
                          controller=CTRL, outputs=("analytic_mean", "naive_mean"))
         rows = sweep(spec)
-        assert len(rows) == 3
+        # keys and status notes follow SWEEP_OUTPUTS, whatever the order asked
+        for got in (rows, sweep(replace(spec, outputs=spec.outputs[::-1]))):
+            assert [list(r) for r in got] == [["rho_controller", "lambda", "analytic_mean",
+                                               "naive_mean", "status"]] * 3
+            assert got[2]["status"] == ("analytic unstable: controller;"
+                                        "naive unstable: controller")
         # uncorrected model doubles the controller load: saturated from 0.5 up
         assert rows[0]["naive_mean"] is not None
         assert rows[1]["naive_mean"] is None
