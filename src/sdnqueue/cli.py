@@ -487,7 +487,8 @@ def _cmd_distribution(args) -> int:
 def _cmd_simulate(args) -> int:
     cfg = _resolve_args(args, "node", "controller", "sim", report=True)
     sim = cfg.sim
-    res = run_single_node(cfg.node, cfg.controller, sim)
+    with _usage_errors():  # a rate too small for the packet budget
+        res = run_single_node(cfg.node, cfg.controller, sim)
     print(f"replications        {sim.replications} x {sim.packets_per_replication} packets "
           f"(seed {sim.seed}, warmup {sim.warmup_fraction})")
     print(f"mean sojourn        {res.mean_sojourn * 1e6:.6f} us")
@@ -524,7 +525,8 @@ def _cmd_chain(args) -> int:
                                                     sojourns.per_class))]
     rows.append({"class": "aggregate", "analytic_mean": sojourns.aggregate})
     if args.simulate:
-        sim_res = run_chain(chain, cfg.sim)
+        with _usage_errors():  # a rate too small for the packet budget
+            sim_res = run_chain(chain, cfg.sim)
         columns += ["sim_mean", "sim_ci"]
         for row, res in zip(rows, sim_res.per_class + (sim_res.aggregate,)):
             row["sim_mean"], row["sim_ci"] = res.mean_sojourn, res.ci_halfwidth

@@ -337,7 +337,12 @@ def run_chain(chain: ChainModel, cfg: SimConfig, audit: bool = False) -> ChainSi
     The replications run on min(replications, usable CPUs) processes (see
     :func:`_run_forked`): forked ones record their measured blocks and the
     caller feeds them, with the same bits at every count.
+
+    Raises ValueError, naming the parameter, when a rate is so small that a
+    replication's simulated time may not be representable (see
+    :func:`_check_time_range`).
     """
+    _check_time_range(chain, cfg.packets_per_replication)
     n = len(chain.nodes)
     reps = cfg.replications
     children = np.random.SeedSequence(cfg.seed).spawn(reps + n + 1)
@@ -361,6 +366,34 @@ def run_chain(chain: ChainModel, cfg: SimConfig, audit: bool = False) -> ChainSi
                        for i, reservoir in enumerate(class_reservoirs))
                  if n > 1 else (aggregate,))
     return ChainSimResult(per_class=per_class, aggregate=aggregate)
+
+
+def _check_time_range(chain: ChainModel, n_packets: int) -> None:
+    """Raise ValueError, naming the parameter with the largest term, unless
+
+        T = 2 ((N + _BLOCK) sum_i 1/lam_i + N (sum_i 2/mu_i + 1/mu_c))
+
+    is finite, for N = ``n_packets``.  T bounds a replication's simulated
+    time with a margin of 2.  The last departure comes at most the total
+    service work after the last arrival, since a station with packets is
+    never idle.  Class i draws at most N + _BLOCK arrival gaps (whole blocks
+    of them), switch i serves at most 2N visits and the controller at most
+    N, and each of these sums of n >= 10**4 exponential draws exceeds twice
+    its mean with probability below e^(-n (1 - ln 2)) < e^(-3000).
+    """
+    n = len(chain.nodes)
+    terms = {}
+    for i, node in enumerate(chain.nodes):
+        where = f"nodes[{i}]." if n > 1 else ""
+        terms[where + "lam"] = (n_packets + _BLOCK) / node.lam, node.lam
+        terms[where + "mu_switch"] = 2 * n_packets / node.mu_switch, node.mu_switch
+    mu_c = chain.controller.mu_controller
+    terms["mu_controller"] = n_packets / mu_c, mu_c
+    if not math.isfinite(2.0 * sum(time for time, _ in terms.values())):
+        name = max(terms, key=terms.get)
+        raise ValueError(f"{name} = {terms[name][1]!r} is too small for "
+                         f"{n_packets} packets per replication: the run's "
+                         "simulated time may exceed the float range")
 
 
 def _cpus() -> int:

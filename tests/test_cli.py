@@ -524,6 +524,12 @@ class TestTableInputErrors:
          "--mu-controller-us", "240"],
         ["analyze", "--lam", "1e-310", "--q-nf", "0.5", "--mu-switch-us", "9.8",
          "--mu-controller-us", "240"],     # 1/lam overflows
+        ["simulate", "--lam", "1e-305", "--q-nf", "0.5", "--mu-switch-us", "9.8",
+         "--mu-controller-us", "240", "--packets", "10000",
+         "--replications", "2"],           # the simulated clock would overflow
+        ["chain", "--lam", "1e-305,1000", "--q-nf", "0.2,1.0", "--mu-switch-us", "9.8",
+         "--mu-controller-us", "240", "--simulate", "--packets", "10000",
+         "--replications", "2"],
     ])
     def test_usage_error_exit_one(self, argv, capsys):
         assert cli.main(argv) == 1

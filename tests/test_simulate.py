@@ -3,6 +3,7 @@
 import hashlib
 import io
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -53,6 +54,20 @@ class TestConfig:
     def test_numpy_integers_accepted(self):
         SimConfig(seed=np.uint64(3), packets_per_replication=np.int64(10_000),
                   replications=np.int32(2))
+
+    # rates with finite mean times whose run would overflow the simulated
+    # clock: unchecked, these returned NaN or inf means
+    @pytest.mark.parametrize("nodes, mu_c, named", [
+        ([(1e-305, MU_L, 0.5)], MU_C, "lam = 1e-305"),
+        ([(2000.0, 1e-305, 0.5)], MU_C, "mu_switch = 1e-305"),
+        ([(2000.0, MU_L, 0.5)], 1e-305, "mu_controller = 1e-305"),
+        ([(1e-305, MU_L, 0.2), (1000.0, MU_L, 1.0)], MU_C, "nodes[0].lam = 1e-305"),
+    ])
+    def test_unrepresentable_run_time_rejected(self, nodes, mu_c, named):
+        chain = ChainModel(tuple(NodeParams(*nd) for nd in nodes), ControllerParams(mu_c))
+        cfg = SimConfig(seed=1, packets_per_replication=10_000, replications=2)
+        with pytest.raises(ValueError, match="^" + re.escape(named)):
+            run_chain(chain, cfg)
 
 
 class TestSingleNode:
