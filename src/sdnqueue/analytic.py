@@ -308,22 +308,24 @@ def chain_sojourn(chain: ChainModel, solution: ChainSolution) -> ChainSojourn:
     addition of per-station mean delays rests on the product-form station
     independence of the rate-matched network; the chain case itself is an
     extension of the single-node model (see README).
+
+    The terms are formed and added as in :func:`mean_sojourn_openflow` (the
+    downstream delays, summed from the last node back, go between the entry
+    and the controller terms), and the aggregate is sum_i (lam_i/Lambda) w_i,
+    so a one-node chain gives that function's value bit for bit.
     """
     _require_stable(solution)
-    n = len(chain.nodes)
     mu_c = chain.controller.mu_controller
-    station_delay = [1.0 / (chain.nodes[i].mu_switch - solution.nodes[i].gamma_switch)
-                     for i in range(n)]
-    # suffix[i] = sum of mean delays at nodes i..n-1
-    suffix = [0.0] * (n + 1)
-    for i in range(n - 1, -1, -1):
-        suffix[i] = suffix[i + 1] + station_delay[i]
     per_class = []
-    for i, node in enumerate(chain.nodes):
-        w = (1.0 + node.q_nf) * station_delay[i] + suffix[i + 1]
+    downstream = 0.0  # sum of mean delays at the nodes after the current one
+    for node, rates in zip(reversed(chain.nodes), reversed(solution.nodes)):
+        free = node.mu_switch - rates.gamma_switch
+        w = (1.0 + node.q_nf) / free + downstream
         if node.q_nf > 0.0:
             w += node.q_nf / (mu_c - solution.gamma_controller)
         per_class.append(w)
+        downstream += 1.0 / free
+    per_class.reverse()
     total_lam = sum(nd.lam for nd in chain.nodes)
-    aggregate = sum(nd.lam * w for nd, w in zip(chain.nodes, per_class)) / total_lam
+    aggregate = sum(nd.lam / total_lam * w for nd, w in zip(chain.nodes, per_class))
     return ChainSojourn(per_class=tuple(per_class), aggregate=aggregate)

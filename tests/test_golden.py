@@ -87,7 +87,7 @@ GOLDEN = {
         "exit": 0,
         "stdout": "5b70f0156dff683224c64c7fa346070ec80dd7c3a00b3e7ff28d9d3965dac6fb",
         "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-        "chain.csv": "2c8d5129186a479480484a5bd2c51be231fef19293889b35b5c0d5b26e2eceb3",
+        "chain.csv": "abb0c237d8cc3ced1d7dcb1f29b8034f4da731236738e901e570bea95f2a684f",
     },
     "readme simulate": {
         "exit": 0,
