@@ -55,8 +55,7 @@ class TestConfig:
         SimConfig(seed=np.uint64(3), packets_per_replication=np.int64(10_000),
                   replications=np.int32(2))
 
-    # rates with finite mean times whose run would overflow the simulated
-    # clock: unchecked, these returned NaN or inf means
+    # rates with finite mean times whose run would overflow the simulated clock
     @pytest.mark.parametrize("nodes, mu_c, named", [
         ([(1e-305, MU_L, 0.5)], MU_C, "lam = 1e-305"),
         ([(2000.0, 1e-305, 0.5)], MU_C, "mu_switch = 1e-305"),
