@@ -310,8 +310,8 @@ def _sweep(layers: list[dict], node: NodeParams, ctrl: ControllerParams,
     outputs = _pick(layers, "outputs")
     if isinstance(outputs, str):
         outputs = [s.strip() for s in outputs.split(",")]
-    if not (outputs is None or isinstance(outputs, (list, tuple))
-            and all(isinstance(o, str) for o in outputs)):
+    if not (outputs is None or (isinstance(outputs, (list, tuple))
+                                and all(isinstance(o, str) for o in outputs))):
         raise CliError(f"sweep 'outputs' must be a list of names, got {outputs!r}")
     return SweepSpec(variable=str(variable), grid=_parse_grid(raw_grid), node=node,
                      controller=ctrl, sim=sim,
