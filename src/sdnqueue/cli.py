@@ -11,9 +11,12 @@ flag > config file > ``SDNQUEUE_SEED`` (the seed only) > default.  Every
 command except ``figure`` and ``validate`` takes a JSON config file
 (``--config``, read once) with sections {node|chain, controller, sim, sweep,
 output}; ``runconfig_from_json`` runs the same resolver with no flags.
-Service rates may be given per second (``mu_switch``) or as mean service
-times in microseconds (``mu_switch_us``); giving both forms of the same
-parameter in one source is an error.
+Each flag sets one config key (``_PARAMS``) and its string is read like
+that key's value in a file, so a bad flag's error names the key.  The
+``chain`` command's list flags give one value per node and layer over the
+config's nodes key by key.  Service rates may be given per second
+(``mu_switch``) or as mean service times in microseconds (``mu_switch_us``);
+giving both forms of the same parameter in one source is an error.
 
 Exit codes: 0 success, 1 usage/config error, 2 model unstable, 3 validation
 failure.  CSV output is RFC-4180 style (header row, '.' decimal separator,
@@ -62,17 +65,40 @@ from . import validation
 SEED_ENV_VAR = "SDNQUEUE_SEED"
 _FIGURES = ("fig2", "fig3", "fig4", "fig5", "fig6")
 
-# Config sections and their keys.  A key's flag has the key's name as its
-# argparse dest, except where _FLAG_DEST says otherwise.
-_SECTION_KEYS = {
-    "node": {"lambda", "q_nf", "mu_switch", "mu_switch_us"},
-    "chain": {"nodes"},
-    "controller": {"mu_controller", "mu_controller_us"},
-    "sim": {"seed", "packets_per_replication", "replications", "warmup_fraction"},
-    "sweep": {"variable", "grid", "outputs", "deadline"},
-    "output": {"path", "format"},
+# Every config key a flag can set: key -> (section, flag, help).  The flag
+# stores its string under the key, and the resolver reads it as it reads the
+# key's value from a config file.
+_PARAMS = {
+    "lambda": ("node", "--lam", "external arrival rate (packets/s)"),
+    "q_nf": ("node", "--q-nf", "new-flow probability"),
+    "mu_switch": ("node", "--mu-switch", "switch service rate (packets/s)"),
+    "mu_switch_us": ("node", "--mu-switch-us", "mean switch service time (microseconds)"),
+    "mu_controller": ("controller", "--mu-controller", "controller service rate (responses/s)"),
+    "mu_controller_us": ("controller", "--mu-controller-us",
+                         "mean controller service time (microseconds)"),
+    "seed": ("sim", "--seed", f"RNG seed (default ${SEED_ENV_VAR} or {SimConfig.seed})"),
+    "packets_per_replication": ("sim", "--packets", "packets per replication"),
+    "replications": ("sim", "--replications", "independent replications"),
+    "warmup_fraction": ("sim", "--warmup-fraction",
+                        "fraction of departures discarded as warm-up"),
+    "variable": ("sweep", "--variable", f"one of {SWEEP_VARIABLES}"),
+    "grid": ("sweep", "--grid", "comma list or start:stop:count[:log]"),
+    "outputs": ("sweep", "--outputs", f"comma list from {SWEEP_OUTPUTS}"),
+    "deadline": ("sweep", "--deadline", "deadline for deadline_prob (seconds)"),
+    "path": ("output", "--output", "output file (default: the config's output.path, "
+                                   "else stdout for tables; figure: <name>.csv)"),
+    "format": ("output", "--format", "table format: csv (default) or json"),
 }
-_FLAG_DEST = {"lambda": "lam", "packets_per_replication": "packets", "path": "output"}
+
+
+def _keys(*sections: str) -> list[str]:
+    """The config keys of ``sections``, in table order."""
+    return [key for key, (section, _, _) in _PARAMS.items() if section in sections]
+
+
+# Config sections and their keys
+_SECTION_KEYS = {"chain": {"nodes"}} | {section: set(_keys(section))
+                                        for section, _, _ in _PARAMS.values()}
 
 
 class CliError(Exception):
@@ -142,9 +168,10 @@ def resolve(doc: dict, flags: dict | None = None, want=None,
             defaults: dict | None = None) -> RunConfig:
     """Build the parts named in ``want`` ("node", "chain", "controller",
     "sim", "sweep") plus the output path and format, taking each value from
-    ``flags`` (argparse dests; None = not given), else the config document,
-    else the command's ``defaults``; a seed given by neither flag nor file
-    comes from ``SDNQUEUE_SEED``.  Without ``want``, the controller, the
+    ``flags`` (keyed by config key and read like the document's values; None
+    = not given), else the config document, else the command's
+    ``defaults``; a seed given by neither flag nor file comes from
+    ``SDNQUEUE_SEED``.  Without ``want``, the controller, the
     simulation plan and every section ``doc`` has are built: that is how a
     config document is read on its own.
     """
@@ -164,8 +191,7 @@ def resolve(doc: dict, flags: dict | None = None, want=None,
     defaults = defaults or {}
 
     def layers(name: str) -> list[dict]:
-        from_flags = {key: flags.get(_FLAG_DEST.get(key, key)) for key in _SECTION_KEYS[name]}
-        return [from_flags, doc.get(name, {}), defaults.get(name, {})]
+        return [flags, doc.get(name, {}), defaults.get(name, {})]
 
     with _usage_errors():
         # a sweep varies one field of the node, so it needs the node too
@@ -255,28 +281,26 @@ def _node(layers: list[dict]) -> NodeParams:
 
 
 def _chain(flags: dict, doc: dict, ctrl: ControllerParams) -> ChainModel:
-    """Chain nodes from the ``chain`` command's comma-list flags when --lam is
-    given (one switch rate may serve every node), else from the config."""
-    if flags.get("lam") is not None:
-        lists: dict[str, list[float]] = {}
-        for key in ("lambda", "q_nf", "mu_switch", "mu_switch_us"):
-            dest = _FLAG_DEST.get(key, key)
-            if flags.get(dest) is None:
-                continue
-            flag = "--" + dest.replace("_", "-")
-            lists[key] = _parse_float_list(flags[dest], flag)
-            if key.startswith("mu_switch") and len(lists[key]) == 1:
-                lists[key] *= len(lists["lambda"])
-            if len(lists[key]) != len(lists["lambda"]):
-                raise CliError(f"{flag} must list one value per node")
-        sections = [{key: values[i] for key, values in lists.items()}
-                    for i in range(len(lists["lambda"]))]
-    elif "chain" in doc:
-        sections = doc["chain"].get("nodes", [])
+    """Chain nodes layered key by key: node i reads each key from the i-th
+    value of its comma-list flag, else from the config's node i.  The config's
+    nodes, else --lam, give the node count; one switch rate may serve every
+    node."""
+    lists = {key: flags[key].split(",") for key in _keys("node") if flags.get(key) is not None}
+    if "chain" in doc:
+        nodes = doc["chain"].get("nodes", [])
+    elif "lambda" in lists:
+        nodes = [{}] * len(lists["lambda"])
     else:
         raise CliError("give chain nodes via --lam/--q-nf/--mu-switch-us lists "
                        "or a config file with a 'chain' section")
-    return ChainModel(nodes=tuple(_node([s]) for s in sections), controller=ctrl)
+    for key, values in lists.items():
+        if key.startswith("mu_switch") and len(values) == 1:
+            values *= len(nodes)
+        if len(values) != len(nodes):
+            raise CliError(f"{_PARAMS[key][1]} must list one value per node")
+    return ChainModel(nodes=tuple(_node([{key: values[i] for key, values in lists.items()},
+                                         node]) for i, node in enumerate(nodes)),
+                      controller=ctrl)
 
 
 def _env_seed() -> int | None:
@@ -647,8 +671,8 @@ def _cmd_figure(args) -> int:
     # --mu-switch-us still conflicts and --packets overrides --quick; rho
     # sweeps back-solve the node's lambda
     cfg = resolve({}, vars(args), ("node", "controller", "sim"), defaults={
-        "node": {"lambda": 1.0, "q_nf": 0.5, "mu_switch_us": 9.8},
-        "controller": {"mu_controller_us": 240.0},
+        "node": {"lambda": 1.0, "q_nf": 0.5, "mu_switch": validation.MU_SWITCH},
+        "controller": {"mu_controller": validation.MU_CONTROLLER},
         "sim": {"packets_per_replication": 20_000} if args.quick else {},
         "output": {"path": f"{args.name}.csv"}})
     columns, rows = _figure_table(args, cfg)
@@ -675,33 +699,14 @@ def _cmd_validate(args) -> int:
 # ---------------------------------------------------------------------------
 # parser assembly
 
-def _add_output_flags(p: _Parser) -> None:
-    p.add_argument("--output", help="output file (default: stdout for tables, "
-                                    "or the config's output.path)")
-    p.add_argument("--format", choices=("csv", "json"))
-    p.add_argument("--config", help="JSON config file; flags override it")
-
-
-def _add_node_flags(p: _Parser) -> None:
-    p.add_argument("--lam", type=float, help="external arrival rate (packets/s)")
-    p.add_argument("--q-nf", type=float, help="new-flow probability")
-    p.add_argument("--mu-switch", type=float, help="switch service rate (packets/s)")
-    p.add_argument("--mu-switch-us", type=float, help="mean switch service time (microseconds)")
-
-
-def _add_controller_flags(p: _Parser) -> None:
-    p.add_argument("--mu-controller", type=float, help="controller service rate (responses/s)")
-    p.add_argument("--mu-controller-us", type=float,
-                   help="mean controller service time (microseconds)")
-
-
-def _add_sim_flags(p: _Parser) -> None:
-    p.add_argument("--seed", type=int, help=f"RNG seed (default ${SEED_ENV_VAR} "
-                                            f"or {SimConfig.seed})")
-    p.add_argument("--packets", type=int, help="packets per replication")
-    p.add_argument("--replications", type=int, help="independent replications")
-    p.add_argument("--warmup-fraction", type=float,
-                   help="fraction of departures discarded as warm-up")
+def _add_flags(p: _Parser, *keys: str, config: bool = False) -> None:
+    """Declare the flags of config ``keys`` (and ``--config``).  A flag keeps
+    its string under the key: the resolver reads and checks it."""
+    for key in keys:
+        _, flag, help_ = _PARAMS[key]
+        p.add_argument(flag, dest=key, metavar=flag[2:].replace("-", "_").upper(), help=help_)
+    if config:
+        p.add_argument("--config", help="JSON config file; flags override it")
 
 
 @functools.cache
@@ -711,11 +716,11 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("analyze", help="balance solution, mean sojourn, stability verdict")
-    _add_node_flags(p); _add_controller_flags(p); _add_output_flags(p)
+    _add_flags(p, *_keys("node", "controller", "output"), config=True)
     p.set_defaults(fn=_cmd_analyze)
 
     p = sub.add_parser("distribution", help="pdf/ccdf or quantile tables")
-    _add_node_flags(p); _add_controller_flags(p); _add_output_flags(p)
+    _add_flags(p, *_keys("node", "controller", "output"), config=True)
     p.add_argument("--t-max", type=float, help="table horizon (seconds)")
     p.add_argument("--points", type=int, default=200)
     p.add_argument("--quantiles", help="comma list of probabilities; emit quantile table")
@@ -723,44 +728,33 @@ def build_parser() -> _Parser:
     p.set_defaults(fn=_cmd_distribution)
 
     p = sub.add_parser("simulate", help="discrete-event simulation of one node")
-    _add_node_flags(p); _add_controller_flags(p); _add_sim_flags(p); _add_output_flags(p)
+    _add_flags(p, *_keys("node", "controller", "sim", "output"), config=True)
     p.set_defaults(fn=_cmd_simulate)
 
-    p = sub.add_parser("chain", help="tandem chain sharing one controller")
-    p.add_argument("--lam", help="comma list: external rate per node")
-    p.add_argument("--q-nf", help="comma list: new-flow probability per node")
-    p.add_argument("--mu-switch", help="comma list (packets/s)")
-    p.add_argument("--mu-switch-us", help="comma list (microseconds)")
-    _add_controller_flags(p)
+    p = sub.add_parser("chain", help="tandem chain sharing one controller",
+                       description="--lam, --q-nf, --mu-switch and --mu-switch-us take comma "
+                                   "lists, one value per node (one switch rate may serve "
+                                   "every node), and override the config's nodes key by key.")
+    _add_flags(p, *_keys("node", "controller"))
     p.add_argument("--simulate", action="store_true", help="add DES columns")
-    _add_sim_flags(p); _add_output_flags(p)
+    _add_flags(p, *_keys("sim", "output"), config=True)
     p.set_defaults(fn=_cmd_chain)
 
     p = sub.add_parser("dimension", help="max admissible throughput for a delay bound")
-    p.add_argument("--q-nf", type=float)
-    p.add_argument("--mu-switch", type=float)
-    p.add_argument("--mu-switch-us", type=float)
-    _add_controller_flags(p)
+    _add_flags(p, "q_nf", "mu_switch", "mu_switch_us", *_keys("controller"))
     p.add_argument("--delay-bound-us", type=float, help="single delay bound (microseconds)")
     p.add_argument("--curve-points", type=int, default=40,
                    help="points of the default bound grid when no single bound given")
-    _add_output_flags(p)
+    _add_flags(p, *_keys("output"), config=True)
     p.set_defaults(fn=_cmd_dimension)
 
     p = sub.add_parser("sweep", help="one-variable sweep from config/flags")
-    _add_node_flags(p); _add_controller_flags(p); _add_sim_flags(p)
-    p.add_argument("--variable", choices=SWEEP_VARIABLES)
-    p.add_argument("--grid", help="comma list or start:stop:count[:log]")
-    p.add_argument("--outputs", help=f"comma list from {SWEEP_OUTPUTS}")
-    p.add_argument("--deadline", type=float, help="deadline for deadline_prob (seconds)")
-    _add_output_flags(p)
+    _add_flags(p, *_keys("node", "controller", "sim", "sweep", "output"), config=True)
     p.set_defaults(fn=_cmd_sweep)
 
     p = sub.add_parser("figure", help="emit the data file behind one canned figure")
     p.add_argument("name", choices=_FIGURES)
-    for flag in ("--mu-switch", "--mu-switch-us", "--mu-controller", "--mu-controller-us"):
-        p.add_argument(flag, type=float)
-    p.add_argument("--q-nf", type=float, help="new-flow probability (fig2, fig5)")
+    _add_flags(p, "mu_switch", "mu_switch_us", *_keys("controller"), "q_nf")
     p.add_argument("--q-set", default="0.2,0.5,1",
                    help="comma list of q_nf values (fig4, fig6)")
     p.add_argument("--mu-c-us-set", default="120,240,480",
@@ -769,18 +763,16 @@ def build_parser() -> _Parser:
                    help="controller-load grid (fig2, fig3, fig5, fig6)")
     p.add_argument("--deadline-us", type=float, default=500.0)
     p.add_argument("--points", type=int, default=40, help="delay-bound grid size (fig4)")
-    for flag in ("--seed", "--packets", "--replications"):
-        p.add_argument(flag, type=int)
+    _add_flags(p, "seed", "packets_per_replication", "replications")
     p.add_argument("--quick", action="store_true", help="small simulations (20k packets)")
-    p.add_argument("--output", help="output file (default <name>.csv)")
-    p.add_argument("--format", choices=("csv", "json"))
+    _add_flags(p, *_keys("output"))
     p.set_defaults(fn=_cmd_figure)
 
     p = sub.add_parser("validate", help="run the acceptance criteria")
     p.add_argument("--quick", action="store_true",
                    help="reduced packet counts, rescaled tolerances, < 30 s")
     p.add_argument("--criteria", help="comma list of criterion numbers (default all)")
-    p.add_argument("--seed", type=int)
+    _add_flags(p, "seed")
     p.set_defaults(fn=_cmd_validate)
     return parser
 

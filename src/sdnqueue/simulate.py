@@ -543,9 +543,13 @@ def _result(tallies: list[_Tally], classes: slice, reservoir: _Reservoir) -> Sim
     count = sum(counts)
     visits = sum(sum(t.visits[classes]) for t in tallies)
     arr = np.asarray(means, dtype=np.float64)
+    # np.std squares deviations, so it runs on the means scaled below 1 by a
+    # power of two: exact, so the spread keeps every bit and cannot overflow
+    e = math.frexp(float(np.max(np.abs(arr))))[1]
+    spread = math.ldexp(float(np.std(np.ldexp(arr, -e), ddof=1)), e)
     return SimResult(
         mean_sojourn=float(np.mean(arr)),
-        ci_halfwidth=float(_Z95 * np.std(arr, ddof=1) / np.sqrt(len(arr))),
+        ci_halfwidth=float(_Z95 * spread / np.sqrt(len(arr))),
         per_replication_means=tuple(means),
         empirical_ccdf=reservoir.sorted_array(),
         controller_visit_fraction=visits / count if count else float("nan"),

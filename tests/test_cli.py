@@ -1,10 +1,13 @@
 """Command-line interface: flags, config files, emission, exit codes."""
 
+import argparse
 import csv
 import io
 import json
 import math
 import os
+import re
+import shlex
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -15,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sdnqueue import cli
-from sdnqueue.analytic import ChainModel, ControllerParams, NodeParams, rate_from_us
+from sdnqueue.analytic import ChainModel, ControllerParams, NodeParams, rate_from_us, solve_chain
 from sdnqueue.dimensioning import SWEEP_OUTPUTS, SWEEP_VARIABLES, SweepSpec
 from sdnqueue.simulate import SimConfig
 from sdnqueue import validation
@@ -300,6 +303,44 @@ class TestChainCmd:
         rc = cli.main(["chain"] + INF_FLAGS)
         assert rc == 2
         assert "error: unstable: switch[0], controller" in capsys.readouterr().err
+
+    # config nodes (2000/s, q 0.2; 1000/s, q 1.0; 9.8 us switches) under list
+    # flags: each node takes each key from its flag value, else from the config
+    @pytest.mark.parametrize("flags, nodes", [
+        (["--q-nf", "0.5,0.5"], [(2000.0, MU_L, 0.5), (1000.0, MU_L, 0.5)]),
+        (["--lam", "3000,1500"], [(3000.0, MU_L, 0.2), (1500.0, MU_L, 1.0)]),
+        (["--mu-switch-us", "5"], [(2000.0, rate_from_us(5.0), 0.2),
+                                   (1000.0, rate_from_us(5.0), 1.0)]),
+        (["--mu-switch", "1e5,2e5", "--q-nf", "0.1,0.3"],
+         [(2000.0, 1e5, 0.1), (1000.0, 2e5, 0.3)]),
+    ])
+    def test_list_flags_layer_over_config_nodes(self, flags, nodes, tmp_path, capsys):
+        path = tmp_path / "chain.json"
+        path.write_text(json.dumps({"chain": {"nodes": [
+                                        {"lambda": 2000.0, "q_nf": 0.2, "mu_switch_us": 9.8},
+                                        {"lambda": 1000.0, "q_nf": 1.0, "mu_switch_us": 9.8}]},
+                                    "controller": {"mu_controller_us": 240.0}}))
+        out = tmp_path / "chain.csv"
+        rc = cli.main(["chain", "--config", str(path), *flags, "--output", str(out)])
+        capsys.readouterr()
+        assert rc == 0
+        solution = solve_chain(ChainModel(tuple(NodeParams(*nd) for nd in nodes),
+                                          ControllerParams(MU_C)))
+        header, rows = read_csv(out)
+        got = [{c: row[header.index(c)] for c in ("lambda", "q_jack", "rho_switch")}
+               for row in rows[:-1]]
+        assert got == [{"lambda": repr(nd[0]), "q_jack": repr(r.q_jack),
+                        "rho_switch": repr(r.rho_switch)}
+                       for nd, r in zip(nodes, solution.nodes)]
+
+    @pytest.mark.parametrize("flags", [["--lam", "3000"], ["--lam", "1,2,3"],
+                                       ["--q-nf", "0.5"], ["--mu-switch-us", "5,5,5"]])
+    def test_list_flag_must_match_the_config_nodes(self, flags, tmp_path, capsys):
+        path = tmp_path / "chain.json"
+        path.write_text(json.dumps(config_for("chain", "chain", "q_nf", 0.5)))
+        assert cli.main(["chain", "--config", str(path), *flags]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: " + flags[0] + " must list one value per node")
 
 
 class TestDimensionCmd:
@@ -619,6 +660,24 @@ class TestOneResolver:
         assert cli.main(["simulate", "--config", str(path)]) == 0
         assert "2 x 20000 packets" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("argv, named", [
+        (["analyze", "--lam", "abc", "--q-nf", "0.5", "--mu-switch-us", "9.8",
+          "--mu-controller-us", "240"], "'lambda' must be a number, got 'abc'"),
+        (["simulate"] + NODE_FLAGS + ["--packets", "2.5"],
+         "'packets_per_replication' must be an integer, got '2.5'"),
+        (["chain", "--lam", "2000,1000", "--q-nf", "0.5,x", "--mu-switch-us", "9.8",
+          "--mu-controller-us", "240"], "'q_nf' must be a number, got 'x'"),
+        (["sweep"] + NODE_FLAGS + ["--variable", "lambda", "--grid", "1,2",
+                                   "--deadline", "soon"], "'deadline' must be a number"),
+        (["analyze"] + NODE_FLAGS + ["--output", "x.json", "--format", "xml"],
+         "output format must be 'csv' or 'json', got 'xml'"),
+    ])
+    def test_flag_read_like_a_config_value(self, argv, named, capsys):
+        # a flag's string is read and checked by the resolver, so its error
+        # names the config key, as a bad value in a config file does
+        assert cli.main(argv) == 1
+        assert capsys.readouterr().err.startswith("error: " + named)
+
     def test_document_and_flags_resolve_alike(self):
         doc = {"node": {"lambda": 2000.0, "q_nf": 0.5, "mu_switch_us": 9.8},
                "controller": {"mu_controller_us": 240.0},
@@ -658,6 +717,56 @@ class TestParserReuse:
                 rc = exc.code
             out, err = capsys.readouterr()
             assert (rc, out, err) == self._fresh_process(argv), argv
+
+
+# Each subcommand's option strings, so that adding or removing an option
+# means editing this table
+_OPTION_STRINGS = {
+    "analyze": {"--lam", "--q-nf", "--mu-switch", "--mu-switch-us", "--mu-controller",
+                "--mu-controller-us", "--output", "--format", "--config"},
+    "distribution": {"--lam", "--q-nf", "--mu-switch", "--mu-switch-us", "--mu-controller",
+                     "--mu-controller-us", "--output", "--format", "--config", "--t-max",
+                     "--points", "--quantiles", "--deadline-us"},
+    "simulate": {"--lam", "--q-nf", "--mu-switch", "--mu-switch-us", "--mu-controller",
+                 "--mu-controller-us", "--seed", "--packets", "--replications",
+                 "--warmup-fraction", "--output", "--format", "--config"},
+    "chain": {"--lam", "--q-nf", "--mu-switch", "--mu-switch-us", "--mu-controller",
+              "--mu-controller-us", "--simulate", "--seed", "--packets", "--replications",
+              "--warmup-fraction", "--output", "--format", "--config"},
+    "dimension": {"--q-nf", "--mu-switch", "--mu-switch-us", "--mu-controller",
+                  "--mu-controller-us", "--delay-bound-us", "--curve-points", "--output",
+                  "--format", "--config"},
+    "sweep": {"--lam", "--q-nf", "--mu-switch", "--mu-switch-us", "--mu-controller",
+              "--mu-controller-us", "--seed", "--packets", "--replications",
+              "--warmup-fraction", "--variable", "--grid", "--outputs", "--deadline",
+              "--output", "--format", "--config"},
+    "figure": {"--mu-switch", "--mu-switch-us", "--mu-controller", "--mu-controller-us",
+               "--q-nf", "--q-set", "--mu-c-us-set", "--rho-grid", "--deadline-us",
+               "--points", "--seed", "--packets", "--replications", "--quick", "--output",
+               "--format"},
+    "validate": {"--quick", "--criteria", "--seed"},
+}
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+class TestCommandLineSurface:
+    def test_option_strings_pinned(self):
+        subparsers = next(a.choices for a in cli.build_parser()._actions
+                          if isinstance(a, argparse._SubParsersAction))
+        got = {name: {o for a in p._actions for o in a.option_strings} - {"-h", "--help"}
+               for name, p in subparsers.items()}
+        assert got == _OPTION_STRINGS
+
+    def test_readme_command_lines_parse(self):
+        # every sdnqueue line of README's shell blocks, parsed but not run
+        blocks = re.findall(r"```sh\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+        lines = "".join(blocks).replace("\\\n", " ").splitlines()
+        commands = [shlex.split(line, comments=True)[1:] for line in lines
+                    if line.startswith("sdnqueue ")]
+        assert {argv[0] for argv in commands} == set(_OPTION_STRINGS)
+        for argv in commands:
+            cli.build_parser().parse_args(argv)  # a CliError names an unknown flag
 
 
 @st.composite

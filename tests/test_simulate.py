@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import textwrap
+import warnings
 from collections import deque
 from pathlib import Path
 from unittest import mock
@@ -107,6 +108,18 @@ class TestSingleNode:
                                                     replications=2))
         assert np.isfinite(res.mean_sojourn)
         assert res.mean_sojourn > 1.0 / (MU_C - 0)  # far above any stable mean
+
+    @pytest.mark.parametrize("mu_switch", [1e-200, 1e-300])
+    def test_huge_finite_means_keep_a_finite_ci(self, mu_switch):
+        # a saturated switch this slow gives means near 1e204 and 1e304,
+        # whose squares overflow
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = run_single_node(NodeParams(2000.0, mu_switch, 0.5), CTRL,
+                                  SimConfig(seed=1, packets_per_replication=10_000,
+                                            replications=2))
+        assert np.isfinite(res.mean_sojourn) and np.isfinite(res.ci_halfwidth)
+        assert 0.0 < res.ci_halfwidth < res.mean_sojourn
 
     def test_result_shape(self):
         res = run_single_node(NodeParams(2000.0, MU_L, 0.5), CTRL, SMALL)
