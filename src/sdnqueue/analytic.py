@@ -237,9 +237,19 @@ def mean_sojourn_openflow(node: NodeParams, ctrl: ControllerParams,
     switch pass.  Equal to :func:`mean_sojourn_jackson` on the same inputs.
     """
     _require_stable(rates)
-    w = (1.0 + node.q_nf) / (node.mu_switch - rates.gamma_switch)
-    if node.q_nf > 0.0:
-        w += node.q_nf / (ctrl.mu_controller - rates.gamma_controller)
+    return _detour_sojourn(node.q_nf, node.mu_switch, rates.gamma_switch,
+                           ctrl.mu_controller, rates.gamma_controller)
+
+
+def _detour_sojourn(q_nf: float, mu_switch: float, gamma_switch: float,
+                    mu_controller: float, gamma_controller: float) -> float:
+    """(1 + q_nf)/(mu_switch - gamma_switch) + q_nf/(mu_controller -
+    gamma_controller), the controller term only for q_nf > 0, in plain
+    floats: the formula of :func:`mean_sojourn_openflow`, which the
+    throughput search also evaluates without building dataclasses."""
+    w = (1.0 + q_nf) / (mu_switch - gamma_switch)
+    if q_nf > 0.0:
+        w += q_nf / (mu_controller - gamma_controller)
     return w
 
 

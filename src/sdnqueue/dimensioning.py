@@ -17,6 +17,7 @@ from .analytic import (
     ControllerParams,
     NodeParams,
     UnstableSystemError,
+    _detour_sojourn,
     mean_sojourn_naive_jackson,
     mean_sojourn_openflow,
     solve_rates,
@@ -77,28 +78,37 @@ def max_throughput(delay_bound: float, *, q_nf: float, mu_switch: float,
     the bound, so it always meets the bound and lies within a few such ulps
     of the exact root.  An infeasible bound (at or below the zero-load
     sojourn) yields a flagged zero-rate result rather than an exception.
+
+    Raises ValueError for a bound not > 0, and as :class:`NodeParams` and
+    :class:`ControllerParams` do for ``q_nf``, ``mu_switch`` and
+    ``mu_controller``.
     """
     if not delay_bound > 0.0:
         raise ValueError(f"delay_bound must be > 0, got {delay_bound}")
-    ctrl = ControllerParams(mu_controller)
+    ControllerParams(mu_controller)
+    NodeParams(1.0, mu_switch, q_nf)  # checks q_nf and mu_switch; the rate is found below
     w0 = zero_load_sojourn(q_nf, mu_switch, mu_controller)
     if delay_bound <= w0:
         return ThroughputResult(rate=0.0, feasible=False, note="bound infeasible")
     lam_sup = stability_supremum(q_nf, mu_switch, mu_controller)
 
-    def sojourn(lam: float) -> float:
-        node = NodeParams(lam, mu_switch, q_nf)
-        return mean_sojourn_openflow(node, ctrl, solve_rates(node, ctrl))
-
-    p_l, p_c, b = (1.0 + q_nf) / mu_switch, q_nf / mu_controller, delay_bound
+    q1 = 1.0 + q_nf
+    p_l, p_c, b = q1 / mu_switch, q_nf / mu_controller, delay_bound
     den = 0.5 * b * w0 - p_l * p_c + math.hypot(0.5 * b * (p_l - p_c), p_l * p_c)
     if math.isfinite(den):
         root = (b - w0) / den
     else:  # divided through by B, as at an infinite or huge bound B w0 overflows
-        root = (1.0 - w0 / b) / (0.5 * w0 - p_l * p_c / b
-                                 + math.hypot(0.5 * (p_l - p_c), p_l * p_c / b))
+        # p_l p_c / B; where p_l p_c overflows, B > w0 > max(p_l, p_c) and
+        # min(p_l, p_c) > 1, so the larger is divided by B first
+        pc_b = (p_l * p_c / b if math.isfinite(p_l * p_c)
+                else max(p_l, p_c) / b * min(p_l, p_c))
+        root = (1.0 - w0 / b) / (0.5 * w0 - pc_b + math.hypot(0.5 * (p_l - p_c), pc_b))
     rate = min(lam_sup * (1.0 - _SUP_MARGIN), root)
-    while rate > 0.0 and sojourn(rate) > b:
+    # mean_sojourn_openflow's floats at rate, as solve_rates forms the station
+    # rates; below the cap both loads are under 1 - _SUP_MARGIN, so its
+    # stability check has nothing to reject
+    while rate > 0.0 and _detour_sojourn(q_nf, mu_switch, rate * q1, mu_controller,
+                                         q_nf * rate) > b:
         rate = max(rate - math.ulp(lam_sup), 0.0)
     return ThroughputResult(rate=rate, feasible=True)
 

@@ -18,7 +18,11 @@ Engine design, fixed for reproducibility:
   replication's 3n + 1 streams and every engine takes its generators from
   it; every stream is drawn ``_BLOCK`` values at a time, and one helper,
   :func:`_draws`, hands out a block's values one per call and draws the next
-  block when it runs out;
+  block when it runs out.  The loops read every block of draws, arrival
+  times, marks and merged classes straight from its numpy buffer through a
+  ``memoryview``, which makes each value a Python float, int or bool as it
+  is read (the values ``tolist()`` gives, without a list per block), and a
+  block of departures goes back to numpy by ``np.fromiter``;
 * per replication, arrivals stop once ``packets_per_replication`` packets have
   been admitted and the system drains; the first ``warmup_fraction`` of
   departures is discarded from statistics;
@@ -262,14 +266,14 @@ class _Tally:
             self.skip = skip - len(sojourns)
         else:
             self.skip = 0
-            x = np.array(sojourns)[skip:]
+            x = np.fromiter(sojourns, np.float64, len(sojourns))[skip:]
             new = np.signbit(x)
             np.abs(x, out=x)
             n = len(self.sums)
             if n == 1:
                 self.feed(x, None, [int(np.count_nonzero(new))])
             else:
-                c = np.array(cls, dtype=np.min_scalar_type(n))[skip:]
+                c = np.fromiter(cls, np.min_scalar_type(n), len(cls))[skip:]
                 self.feed(x, c, np.bincount(c[new], minlength=n).tolist())
         sojourns.clear()
         cls.clear()
@@ -690,7 +694,7 @@ def _run_lindley(chain: ChainModel, n_packets: int, tally: _Tally,
         if left < _BLOCK:
             times = times[:left]
         left -= len(times)
-        for a, new in zip(times.tolist(), (mark_rng.random(_BLOCK) < node.q_nf).tolist()):
+        for a, new in zip(memoryview(times), memoryview(mark_rng.random(_BLOCK) < node.q_nf)):
             while head < a:
                 free = (head if head > free else free) + next_svc()
                 depart(-(free - next_first()))
@@ -779,8 +783,8 @@ def _run_joins(chain: ChainModel, n_packets: int, tally: _Tally,
 
 def _merged_arrivals(nodes, arr_rngs, mark_rngs, n_packets: int):
     """The first ``n_packets`` external arrivals of every class in time order,
-    chunk by chunk, as lists of times, classes and new-flow marks; then one
-    sentinel chunk, (inf, len(nodes), False).
+    chunk by chunk, as memoryviews of their times, classes and new-flow marks;
+    then one sentinel chunk, (inf, len(nodes), False).
 
     Each class draws its arrival times and marks one ``_BLOCK`` at a time, as
     the event loop does; a chunk is every drawn arrival up to the earliest
@@ -803,8 +807,8 @@ def _merged_arrivals(nodes, arr_rngs, mark_rngs, n_packets: int):
         merged = np.concatenate([t[:k] for t, k in zip(times, cut)])
         order = np.argsort(merged, kind="stable")[:left]
         left -= len(order)
-        yield (merged[order].tolist(), np.repeat(ids, cut)[order].tolist(),
-               np.concatenate([m[:k] for m, k in zip(marks, cut)])[order].tolist())
+        yield (memoryview(merged[order]), memoryview(np.repeat(ids, cut)[order]),
+               memoryview(np.concatenate([m[:k] for m, k in zip(marks, cut)])[order]))
         times = [t[k:] for t, k in zip(times, cut)]
         marks = [m[k:] for m, k in zip(marks, cut)]
     yield [math.inf], [n], [False]
@@ -826,9 +830,10 @@ def _streams(chain: ChainModel, seed_seq: np.random.SeedSequence):
 
 
 def _draws(block):
-    """The next of the values ``block(_BLOCK)`` returns, per call; a new block
-    is drawn when the last one runs out."""
-    return itertools.chain.from_iterable(iter(lambda: block(_BLOCK).tolist(), None)).__next__
+    """The next of the values ``block(_BLOCK)`` returns, per call, read from
+    its buffer as a Python scalar; a new block is drawn when the last one
+    runs out."""
+    return itertools.chain.from_iterable(iter(lambda: memoryview(block(_BLOCK)), None)).__next__
 
 
 def _exponentials(rng: np.random.Generator, scale: float):

@@ -1,6 +1,8 @@
 """Throughput inversion and one-variable sweeps."""
 
 import math
+import re
+import time
 from dataclasses import replace
 from decimal import Decimal, localcontext
 
@@ -93,6 +95,16 @@ class TestMaxThroughput:
         with pytest.raises(ValueError):
             max_throughput(0.0, q_nf=0.5, mu_switch=MU_L, mu_controller=MU_C)
 
+    @pytest.mark.parametrize("q, mu_l", [(math.nan, MU_L), (0.5, -1.0), (0.5, math.nan),
+                                         (0.5, 0.0), (0.5, 1e-310)])
+    def test_bad_node_parameters_rejected_as_node_params_does(self, q, mu_l):
+        # checked up front, whatever the bound: these once returned a NaN or
+        # negative rate, raised ZeroDivisionError or reported infeasibility
+        with pytest.raises(ValueError) as want:
+            NodeParams(1.0, mu_l, q)
+        with pytest.raises(ValueError, match=re.escape(str(want.value))):
+            max_throughput(1e-3, q_nf=q, mu_switch=mu_l, mu_controller=MU_C)
+
 
 def exact_root(bound, q, mu_l, mu_c):
     """Smaller root of W(lam) = bound at 50 digits, from the float inputs.
@@ -142,6 +154,31 @@ class TestMaxThroughputExact:
                 assert root >= Decimal(cap) - 4 * Decimal(math.ulp(sup)), (case, factor)
             else:
                 assert ulps <= 4, (case, factor, float(ulps))
+
+    def test_overflowing_pole_product_returns_promptly(self):
+        # B w0 overflows, so the root is divided through by B, and there p_l p_c
+        # overflows too; read as NaN, it left the rate at the cap, ~4e7 ulp
+        # steps above the root
+        bound, q, mu = 1e308, 0.5, 1e-300
+        start = time.perf_counter()
+        res = max_throughput(bound, q_nf=q, mu_switch=mu, mu_controller=mu)
+        assert time.perf_counter() - start < 1.0
+        assert res.feasible and res.rate > 0.0
+        ctrl, node = ControllerParams(mu), NodeParams(res.rate, mu, q)
+        assert mean_sojourn_openflow(node, ctrl, solve_rates(node, ctrl)) <= bound
+        sup = stability_supremum(q, mu, mu)
+        ulps = abs(Decimal(res.rate) - exact_root(bound, q, mu, mu)) / Decimal(math.ulp(sup))
+        assert ulps <= 4
+
+    def test_rate_below_the_safe_range_is_returned(self):
+        # the root itself may be a rate whose reciprocal overflows; it is a
+        # result, not an input, so NodeParams' check on a rate does not apply
+        bound, mu = 1e300 * (1.0 + 1e-12), 1e-300
+        res = max_throughput(bound, q_nf=0.0, mu_switch=mu, mu_controller=1.0)
+        assert res.feasible and 0.0 < res.rate < 5e-309
+        assert 1.0 / (mu - res.rate) <= bound
+        ulps = abs(Decimal(res.rate) - exact_root(bound, 0.0, mu, 1.0)) / Decimal(math.ulp(mu))
+        assert ulps <= 4
 
     def test_plateau_is_reached(self):
         q, mu_l, mu_c = self.CASES["controller bottleneck"]

@@ -2,6 +2,7 @@
 
 import hashlib
 import io
+import math
 import os
 import re
 import subprocess
@@ -835,3 +836,76 @@ class TestTally:
             assert (tally.visits, tally.counts, tally.sums) == ([1, 1], [2, 3], [3.5, 4.0])
             assert classes[0].items[:classes[0].seen].tobytes() == measured[[0, 2]].tobytes()
             assert classes[1].items[:classes[1].seen].tobytes() == measured[[1, 3, 4]].tobytes()
+
+    @pytest.mark.parametrize("n", [1, 2, 256])
+    def test_flush_of_edge_values_matches_np_array(self, n):
+        # signed zeros, subnormals, 1e308 and inf, flagged or not, must reach
+        # the statistics as np.array would read the block; n = 256 puts the
+        # classes in uint16
+        values = [-0.0, 0.0, 5e-324, -5e-324, 2.2e-308, -1e-310, 1e308, -1e308,
+                  math.inf, -math.inf, 1.5]
+        sojourns = values * 30
+        cls = [7 * k % n for k in range(len(sojourns))]
+        skip = 5
+        streams = np.random.SeedSequence(n).spawn(n + 1)
+        agg = _Reservoir(1000, np.random.default_rng(streams[0]))
+        classes = ([_Reservoir(1000, np.random.default_rng(s)) for s in streams[1:]]
+                   if n > 1 else [])
+        tally = simulate._Tally(n, skip, agg, classes)
+        tally.sojourns.extend(sojourns)
+        tally.cls.extend(cls)
+        with np.errstate(over="ignore"):  # 1e308 + 1e308 sums to inf
+            tally.flush()
+        x = np.array(sojourns)[skip:]
+        new = np.signbit(x)
+        x = np.abs(x)
+        c = np.array(cls, dtype=np.min_scalar_type(n))[skip:] if n > 1 else np.zeros(len(x), int)
+        assert agg.items[:agg.seen].tobytes() == x.tobytes()
+        want = [x[c == i] for i in range(n)]
+        for reservoir, xi in zip(classes, want):
+            assert reservoir.items[:reservoir.seen].tobytes() == xi.tobytes()
+        assert tally.counts == [len(xi) for xi in want]
+        assert tally.visits == [int(np.count_nonzero(new[c == i])) for i in range(n)]
+        with np.errstate(over="ignore"):
+            sums = [np.cumsum(xi)[-1] if len(xi) else 0.0 for xi in want]
+        assert np.array(tally.sums).tobytes() == np.array(sums).tobytes()
+
+
+class _TypeLog(simulate._Record):
+    """A record that notes the type of every value an engine appends."""
+
+    __slots__ = ("types",)
+
+    def __init__(self, n: int):
+        super().__init__(n, 0)
+        self.types: set[type] = set()
+
+    def flush(self) -> None:
+        self.types.update(map(type, self.sojourns))
+        self.types.update(map(type, self.cls))
+        super().flush()
+
+
+class TestPythonScalars:
+    """The engines' loops run on Python floats, ints and bools read from numpy
+    buffers.  Numpy scalars there would keep every bit but run several times
+    slower, so no bit test would notice them."""
+
+    def test_streams_hand_out_python_scalars(self):
+        rng = np.random.default_rng(1)
+        assert type(simulate._exponentials(rng, 2.0)()) is float
+        assert type(simulate._draws(rng.random)()) is float
+        nodes = (NodeParams(2000.0, MU_L, 0.5), NodeParams(1000.0, MU_L, 0.2))
+        rngs = [np.random.default_rng(s) for s in range(4)]
+        times, cls, marks = next(simulate._merged_arrivals(nodes, rngs[:2], rngs[2:], 10_000))
+        assert len(times) == len(cls) == len(marks) > 0
+        assert ({type(v) for v in times}, {type(v) for v in cls},
+                {type(v) for v in marks}) == ({float}, {int}, {bool})
+
+    @pytest.mark.parametrize("engine, n", [("_run_lindley", 1), ("_run_joins", 2),
+                                           ("_run_events", 2)])
+    def test_engines_append_python_scalars(self, engine, n):
+        chain = ChainModel(nodes=(NodeParams(2000.0, MU_L, 0.5),) * n, controller=CTRL)
+        record = _TypeLog(n)
+        getattr(simulate, engine)(chain, 5_000, record, np.random.SeedSequence(3))
+        assert record.types == ({float} if engine == "_run_lindley" else {float, int})
