@@ -242,12 +242,14 @@ def mean_sojourn_openflow(node: NodeParams, ctrl: ControllerParams,
 
 
 def _detour_sojourn(q_nf: float, mu_switch: float, gamma_switch: float,
-                    mu_controller: float, gamma_controller: float) -> float:
-    """(1 + q_nf)/(mu_switch - gamma_switch) + q_nf/(mu_controller -
-    gamma_controller), the controller term only for q_nf > 0, in plain
-    floats: the formula of :func:`mean_sojourn_openflow`, which the
-    throughput search also evaluates without building dataclasses."""
-    w = (1.0 + q_nf) / (mu_switch - gamma_switch)
+                    mu_controller: float, gamma_controller: float,
+                    downstream: float = 0.0) -> float:
+    """(1 + q_nf)/(mu_switch - gamma_switch) + downstream + q_nf/(mu_controller
+    - gamma_controller), added in that order, the controller term only for
+    q_nf > 0, in plain floats: the one detour formula, for
+    :func:`mean_sojourn_openflow`, the throughput search and each class of
+    :func:`chain_sojourn`, which passes its downstream delays."""
+    w = (1.0 + q_nf) / (mu_switch - gamma_switch) + downstream
     if q_nf > 0.0:
         w += q_nf / (mu_controller - gamma_controller)
     return w
@@ -319,22 +321,19 @@ def chain_sojourn(chain: ChainModel, solution: ChainSolution) -> ChainSojourn:
     independence of the rate-matched network; the chain case itself is an
     extension of the single-node model (see README).
 
-    The terms are formed and added as in :func:`mean_sojourn_openflow` (the
-    downstream delays, summed from the last node back, go between the entry
-    and the controller terms), and the aggregate is sum_i (lam_i/Lambda) w_i,
-    so a one-node chain gives that function's value bit for bit.
+    Each class's mean is :func:`_detour_sojourn` with the downstream delays,
+    summed from the last node back, and the aggregate is
+    sum_i (lam_i/Lambda) w_i, so a one-node chain gives
+    :func:`mean_sojourn_openflow`'s value bit for bit.
     """
     _require_stable(solution)
     mu_c = chain.controller.mu_controller
     per_class = []
     downstream = 0.0  # sum of mean delays at the nodes after the current one
     for node, rates in zip(reversed(chain.nodes), reversed(solution.nodes)):
-        free = node.mu_switch - rates.gamma_switch
-        w = (1.0 + node.q_nf) / free + downstream
-        if node.q_nf > 0.0:
-            w += node.q_nf / (mu_c - solution.gamma_controller)
-        per_class.append(w)
-        downstream += 1.0 / free
+        per_class.append(_detour_sojourn(node.q_nf, node.mu_switch, rates.gamma_switch,
+                                         mu_c, solution.gamma_controller, downstream))
+        downstream += 1.0 / (node.mu_switch - rates.gamma_switch)
     per_class.reverse()
     total_lam = sum(nd.lam for nd in chain.nodes)
     aggregate = sum(nd.lam / total_lam * w for nd, w in zip(chain.nodes, per_class))

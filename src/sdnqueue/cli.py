@@ -584,8 +584,9 @@ def _cmd_dimension(args) -> int:
         return 0
     if args.curve_points < 2:
         raise CliError(f"--curve-points must be >= 2, got {args.curve_points}")
-    grid = default_delay_bound_grid(node.q_nf, node.mu_switch, ctrl.mu_controller,
-                                    points=args.curve_points)
+    with _usage_errors():
+        grid = default_delay_bound_grid(node.q_nf, node.mu_switch, ctrl.mu_controller,
+                                        points=args.curve_points)
     rows = sweep(SweepSpec("delay_bound", grid, node, ctrl, outputs=("throughput",)))
     _write_table(cfg, ["delay_bound", "throughput"], rows)
     return 0

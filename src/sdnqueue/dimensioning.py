@@ -71,13 +71,17 @@ def max_throughput(delay_bound: float, *, q_nf: float, mu_switch: float,
 
         rate = (B - w0) / (B w0/2 - p_l p_c + hypot(B (p_l - p_c)/2, p_l p_c))
 
-    where w0 = p_l + p_c is the zero-load sojourn; where B w0 overflows, the
-    numerator and denominator are divided through by B.  The rate is capped
-    ``_SUP_MARGIN`` of the stability supremum below it, then stepped down by
-    one ulp of the supremum while :func:`mean_sojourn_openflow` puts it above
-    the bound, so it always meets the bound and lies within a few such ulps
-    of the exact root.  An infeasible bound (at or below the zero-load
-    sojourn) yields a flagged zero-rate result rather than an exception.
+    where w0 = p_l + p_c is the zero-load sojourn, on times scaled by
+    s = 2**-e (e: w0's binary exponent, at least -1023) to put w0 in [0.5, 1),
+    with B clipped at 2**60 w0, where the root is above the cap anyway: no
+    product over- or underflows, and a power of two moves no bit.  The rate,
+    the root times s, is capped ``_SUP_MARGIN`` of the stability supremum
+    below it, then stepped down by one ulp of the supremum while
+    :func:`mean_sojourn_openflow` puts it above the bound, so it always meets
+    the bound and lies within a few such ulps of the exact root.  An
+    infeasible bound (at or below the zero-load sojourn) yields a flagged
+    zero-rate result rather than an exception; a zero-load sojourn of 0 admits
+    every rate, so the rate is inf.
 
     Raises ValueError for a bound not > 0, and as :class:`NodeParams` and
     :class:`ControllerParams` do for ``q_nf``, ``mu_switch`` and
@@ -90,25 +94,21 @@ def max_throughput(delay_bound: float, *, q_nf: float, mu_switch: float,
     w0 = zero_load_sojourn(q_nf, mu_switch, mu_controller)
     if delay_bound <= w0:
         return ThroughputResult(rate=0.0, feasible=False, note="bound infeasible")
+    if w0 == 0.0:
+        return ThroughputResult(rate=math.inf, feasible=True)
     lam_sup = stability_supremum(q_nf, mu_switch, mu_controller)
 
     q1 = 1.0 + q_nf
-    p_l, p_c, b = q1 / mu_switch, q_nf / mu_controller, delay_bound
-    den = 0.5 * b * w0 - p_l * p_c + math.hypot(0.5 * b * (p_l - p_c), p_l * p_c)
-    if math.isfinite(den):
-        root = (b - w0) / den
-    else:  # divided through by B, as at an infinite or huge bound B w0 overflows
-        # p_l p_c / B; where p_l p_c overflows, B > w0 > max(p_l, p_c) and
-        # min(p_l, p_c) > 1, so the larger is divided by B first
-        pc_b = (p_l * p_c / b if math.isfinite(p_l * p_c)
-                else max(p_l, p_c) / b * min(p_l, p_c))
-        root = (1.0 - w0 / b) / (0.5 * w0 - pc_b + math.hypot(0.5 * (p_l - p_c), pc_b))
-    rate = min(lam_sup * (1.0 - _SUP_MARGIN), root)
+    s = 2.0 ** -max(math.frexp(w0)[1], -1023)
+    w, p_l, p_c = w0 * s, q1 / mu_switch * s, q_nf / mu_controller * s
+    b = min(delay_bound * s, 2.0 ** 60 * w)
+    root = (b - w) / (0.5 * b * w - p_l * p_c + math.hypot(0.5 * b * (p_l - p_c), p_l * p_c))
+    rate = min(lam_sup * (1.0 - _SUP_MARGIN), root * s)
     # mean_sojourn_openflow's floats at rate, as solve_rates forms the station
     # rates; below the cap both loads are under 1 - _SUP_MARGIN, so its
     # stability check has nothing to reject
     while rate > 0.0 and _detour_sojourn(q_nf, mu_switch, rate * q1, mu_controller,
-                                         q_nf * rate) > b:
+                                         q_nf * rate) > delay_bound:
         rate = max(rate - math.ulp(lam_sup), 0.0)
     return ThroughputResult(rate=rate, feasible=True)
 
@@ -116,8 +116,12 @@ def max_throughput(delay_bound: float, *, q_nf: float, mu_switch: float,
 def default_delay_bound_grid(q_nf: float, mu_switch: float, mu_controller: float,
                              points: int = 40) -> tuple[float, ...]:
     """Logarithmic delay-bound grid from just above the zero-load sojourn to
-    100x it, covering both the knee and the saturation plateau."""
+    100x it, covering both the knee and the saturation plateau.  Raises
+    ValueError unless the zero-load sojourn is finite and > 0."""
     w0 = zero_load_sojourn(q_nf, mu_switch, mu_controller)
+    if not 0.0 < w0 < math.inf:
+        raise ValueError(f"the zero-load sojourn is {w0!r} s: a log grid of delay "
+                         "bounds needs it finite and > 0")
     return _log_grid(1.05 * w0, 100.0 * w0, points)
 
 

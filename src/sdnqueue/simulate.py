@@ -33,8 +33,10 @@ Engine design, fixed for reproducibility:
   :class:`_Tally`), carry the running sums and feed the reservoirs: every
   ``_BLOCK`` = 2**12 departures, whose Python floats (~0.7 MB) then fit a
   2 MB L2 cache, except that the single-node loop hands over one block per
-  block of ``_BLOCK`` arrivals, which holds a few departures more or fewer
-  (see :func:`_run_lindley`).  So the caller's memory is bounded by
+  block of ``_BLOCK`` arrivals, which holds a few departures more or fewer,
+  and its drain as one block, bounded by the controller returns still
+  queued when arrivals stop, which its deques already hold (see
+  :func:`_run_lindley`).  So the caller's memory is bounded by
   ``SAMPLE_CAP`` samples per reservoir plus about one block (and the
   packets in the system), whatever its packet budget; a forked process's
   grows with one replication's measured samples, which it holds until sent;
@@ -63,23 +65,24 @@ Three engines run a replication, and all give the same bits:
   of the station it joins; a final pass at the last node departs at its
   join, in departure order.
 
-The two Lindley loops draw the event loop's streams in the same blocks and
-order (marks per arrival, services per join, which is each station's
-service-start order) and emit departures in time order.  They differ from it
-only at exact float ties, which have probability zero and which they order by
-fixed rules where the event loop orders by sequence number: a controller
-return or other completion tied with an arrival goes after the arrival, two
-classes' tied arrivals go lower class first, two tied completions lower
-station first, and tied completions at one station in FIFO order, which is
-why the heap's key has the push order.
+The two Lindley loops read their arrivals from one feed,
+:func:`_merged_arrivals`, drain at its closing sentinel, draw the event
+loop's streams in the same blocks and order (marks per arrival, services per
+join, which is each station's service-start order) and emit departures in
+time order.  They differ from it only at exact float ties, which have
+probability zero and which they order by fixed rules where the event loop
+orders by sequence number: a controller return or other completion tied with
+an arrival goes after the arrival, two classes' tied arrivals go lower class
+first, two tied completions lower station first, and tied completions at one
+station in FIFO order, which is why the heap's key has the push order.
 
 Invariant checks raise :class:`SimulationInvariantError` explicitly, so they
 still run under ``python -O``.  The event loop checks that every departure
-visited the controller exactly when it is a new flow, and per-station FIFO
-order and packet conservation on every event; it is the oracle for both
-Lindley loops.  In those loops routing is control flow, not packet state, so
-there is nothing per packet to check; tests hold them to the event loop's
-bits.
+visited the controller exactly when it is a new flow, per-station FIFO
+order by the join stamp each queue entry carries, and packet conservation on
+every event; it is the oracle for both Lindley loops.  In those loops routing
+is control flow, not packet state, so there is nothing per packet to check;
+tests hold them to the event loop's bits.
 
 Identical (seed, config, parameters) give bit-identical results.  A run's
 replications run on P = min(replications, usable CPUs) processes:
@@ -581,29 +584,25 @@ def _run_events(chain: ChainModel, n_packets: int, tally: _Tally,
     pop = heapq.heappop
     seq = itertools.count()
 
+    # a queue entry is (join stamp, packet): services start in stamp order
     queues: list[deque[tuple]] = [deque() for _ in range(n + 1)]
     busy: list[tuple | None] = [None] * (n + 1)
+    joins = [0] * (n + 1)
+    started = [0] * (n + 1)
 
     admitted = 0
     departed = 0
 
     sojourns, classes = tally.sojourns, tally.cls
 
-    # FIFO audit: every join of a station's queue gets a per-station stamp;
-    # service starts must consume stamps in increasing order.
-    stamp_q: list[deque[int]] = [deque() for _ in range(n + 1)]
-    enq_counter = [0] * (n + 1)
-    last_started = [-1] * (n + 1)
-
     def start(s: int, t: float) -> None:
         # station s starts serving the head of its queue at time t
-        busy[s] = queues[s].popleft()
-        push(heap, (t + services[s](), next(seq), n + s))
-        stamp = stamp_q[s].popleft()
-        if stamp <= last_started[s]:
+        stamp, busy[s] = queues[s].popleft()
+        if stamp != started[s] + 1:
             where = "controller" if s == n else f"switch {s}"
             raise SimulationInvariantError(f"FIFO order violated at the {where}")
-        last_started[s] = stamp
+        started[s] = stamp
+        push(heap, (t + services[s](), next(seq), n + s))
 
     # kick off one pending arrival per class
     for i in range(n):
@@ -645,9 +644,8 @@ def _run_events(chain: ChainModel, n_packets: int, tally: _Tally,
                     tally.flush()
         if dest >= 0:
             # join `dest`, served at once if it is idle
-            enq_counter[dest] += 1
-            stamp_q[dest].append(enq_counter[dest])
-            queues[dest].append(pkt)
+            joins[dest] += 1
+            queues[dest].append((joins[dest], pkt))
             if busy[dest] is None:
                 start(dest, t)
         if code < n:
@@ -675,26 +673,23 @@ def _run_lindley(chain: ChainModel, n_packets: int, tally: _Tally,
     when ``a`` is reached every earlier return is already queued: ``head``,
     the next one's time (inf if none), ``backs``, the later ones' times, and
     ``firsts``, their arrival times.  An exact tie is served arrival-first.
+    The closing sentinel of :func:`_merged_arrivals`, a new flow at inf, drains
+    every queued return and is queued for the controller, never to depart.
 
-    ``tally`` gets one block per block of ``_BLOCK`` arrivals, which holds a
+    ``tally`` gets one block per chunk, not per ``_BLOCK`` departures, as
+    counting them would slow the loop: a block of ``_BLOCK`` arrivals holds a
     few departures more or fewer, as controller returns leave after later
     arrivals (at ``_BLOCK`` = 1000 and controller load 0.9, blocks of 975 to
-    1019), and then the drain in blocks of at most ``_BLOCK``: counting the
-    departures one by one would slow the loop.
+    1019), and the sentinel's holds the drain.
     """
-    (arr_rng,), (mark_rng,), (next_svc, next_ctl) = _streams(chain, seed_seq)
-    node = chain.nodes[0]
+    arr_rngs, mark_rngs, (next_svc, next_ctl) = _streams(chain, seed_seq)
     backs, firsts = deque(), deque()
     next_back, next_first = backs.popleft, firsts.popleft
     depart = tally.sojourns.append
     head = math.inf
     free = cfree = 0.0
-    left = n_packets
-    for times in _arrival_blocks(arr_rng, 1.0 / node.lam):
-        if left < _BLOCK:
-            times = times[:left]
-        left -= len(times)
-        for a, new in zip(memoryview(times), memoryview(mark_rng.random(_BLOCK) < node.q_nf)):
+    for times, _, marks in _merged_arrivals(chain.nodes, arr_rngs, mark_rngs, n_packets):
+        for a, new in zip(times, marks):
             while head < a:
                 free = (head if head > free else free) + next_svc()
                 depart(-(free - next_first()))
@@ -709,14 +704,6 @@ def _run_lindley(chain: ChainModel, n_packets: int, tally: _Tally,
                 firsts.append(a)
             else:
                 depart(free - a)
-        tally.flush()
-        if not left:
-            break
-    while firsts:  # arrivals have stopped: the returns drain in order
-        for _ in range(min(_BLOCK, len(firsts))):
-            free = (head if head > free else free) + next_svc()
-            depart(-(free - next_first()))
-            head = next_back() if backs else math.inf
         tally.flush()
 
 
@@ -783,35 +770,41 @@ def _run_joins(chain: ChainModel, n_packets: int, tally: _Tally,
 
 def _merged_arrivals(nodes, arr_rngs, mark_rngs, n_packets: int):
     """The first ``n_packets`` external arrivals of every class in time order,
-    chunk by chunk, as memoryviews of their times, classes and new-flow marks;
-    then one sentinel chunk, (inf, len(nodes), False).
+    chunk by chunk, as memoryviews of their times, classes (for one class, an
+    iterator of zeros) and new-flow marks; then one sentinel chunk, a new flow,
+    (inf, len(nodes), True).
 
     Each class draws its arrival times and marks one ``_BLOCK`` at a time, as
-    the event loop does; a chunk is every drawn arrival up to the earliest
-    last time of a class's block, sorted stably, so an exact tie between two
-    classes goes to the lower class first.
+    the event loop does.  One class's block is a chunk; for more, a chunk is
+    every drawn arrival up to the earliest last time of a class's block,
+    sorted stably, so an exact tie between two classes goes to the lower
+    class first.
     """
     n = len(nodes)
     blocks = [_arrival_blocks(rng, 1.0 / nd.lam) for rng, nd in zip(arr_rngs, nodes)]
     times = [np.empty(0)] * n
     marks = [np.empty(0, dtype=bool)] * n
-    ids = np.arange(n)
     left = n_packets
     while left:
         for i in range(n):
             if not len(times[i]):
                 times[i] = next(blocks[i])
                 marks[i] = mark_rngs[i].random(_BLOCK) < nodes[i].q_nf
-        end = min(t[-1] for t in times)
-        cut = [int(np.searchsorted(t, end, side="right")) for t in times]
-        merged = np.concatenate([t[:k] for t, k in zip(times, cut)])
-        order = np.argsort(merged, kind="stable")[:left]
-        left -= len(order)
-        yield (memoryview(merged[order]), memoryview(np.repeat(ids, cut)[order]),
-               memoryview(np.concatenate([m[:k] for m, k in zip(marks, cut)])[order]))
+        if n == 1:  # one class is in time order: no merge
+            cut = [len(times[0])]
+            chunk, cls, new = times[0][:left], itertools.repeat(0), marks[0][:left]
+        else:
+            end = min(t[-1] for t in times)
+            cut = [int(np.searchsorted(t, end, side="right")) for t in times]
+            merged = np.concatenate([t[:k] for t, k in zip(times, cut)])
+            order = np.argsort(merged, kind="stable")[:left]
+            chunk, cls = merged[order], memoryview(np.repeat(np.arange(n), cut)[order])
+            new = np.concatenate([m[:k] for m, k in zip(marks, cut)])[order]
+        left -= len(chunk)
+        yield memoryview(chunk), cls, memoryview(new)
         times = [t[k:] for t, k in zip(times, cut)]
         marks = [m[k:] for m, k in zip(marks, cut)]
-    yield [math.inf], [n], [False]
+    yield [math.inf], [n], [True]
 
 
 def _streams(chain: ChainModel, seed_seq: np.random.SeedSequence):

@@ -359,6 +359,16 @@ class TestDimensionCmd:
         assert rc == 0
         assert "8333.333 packets/s" in capsys.readouterr().out
 
+    def test_zero_load_sojourn_0(self, capsys):
+        # an infinite switch rate and q_nf 0: no log grid of bounds starts above
+        # w0 = 0, and a single bound admits every rate (these raised
+        # ValueError and ZeroDivisionError)
+        node = ["dimension", "--q-nf", "0", "--mu-switch", "inf", "--mu-controller", "1"]
+        assert cli.main(node) == 1
+        assert "zero-load sojourn is 0.0 s" in capsys.readouterr().err
+        assert cli.main(node + ["--delay-bound-us", "5"]) == 0
+        assert "max throughput for 5 us bound: inf packets/s" in capsys.readouterr().out
+
     def test_curve(self, tmp_path, capsys):
         out = tmp_path / "dim.csv"
         rc = cli.main(["dimension", "--q-nf", "0.5", "--mu-switch-us", "9.8",

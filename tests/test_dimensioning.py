@@ -95,6 +95,15 @@ class TestMaxThroughput:
         with pytest.raises(ValueError):
             max_throughput(0.0, q_nf=0.5, mu_switch=MU_L, mu_controller=MU_C)
 
+    @pytest.mark.parametrize("q, mu_c", [(0.0, 1.0), (0.5, math.inf)])
+    def test_zero_load_sojourn_0_admits_every_rate(self, q, mu_c):
+        # an infinite switch rate and no controller time: W = 0 at any rate,
+        # so every bound is met by every rate (this raised ZeroDivisionError)
+        assert zero_load_sojourn(q, math.inf, mu_c) == 0.0
+        for bound in (1e-300, 1.0, math.inf):
+            res = max_throughput(bound, q_nf=q, mu_switch=math.inf, mu_controller=mu_c)
+            assert (res.rate, res.feasible) == (math.inf, True)
+
     @pytest.mark.parametrize("q, mu_l", [(math.nan, MU_L), (0.5, -1.0), (0.5, math.nan),
                                          (0.5, 0.0), (0.5, 1e-310)])
     def test_bad_node_parameters_rejected_as_node_params_does(self, q, mu_l):
@@ -179,6 +188,31 @@ class TestMaxThroughputExact:
         assert 1.0 / (mu - res.rate) <= bound
         ulps = abs(Decimal(res.rate) - exact_root(bound, 0.0, mu, 1.0)) / Decimal(math.ulp(mu))
         assert ulps <= 4
+
+    @pytest.mark.parametrize("bound_w0, q, mu_l, mu_c", [
+        (3.0, 0.5, 1.5e156, 0.5e156),
+        (1.5, 0.2, 1e200, 3e199),
+        (1.5, 1.0, 1e305, 1e304),
+    ])
+    def test_tiny_bound_matches_exact_root(self, bound_w0, q, mu_l, mu_c):
+        # B w0 underflows: the unscaled root's denominator was subnormal (a
+        # root ~390 ulps low, stepped down one ulp at a time) or 0
+        # (ZeroDivisionError)
+        bound = bound_w0 * zero_load_sojourn(q, mu_l, mu_c)
+        res = max_throughput(bound, q_nf=q, mu_switch=mu_l, mu_controller=mu_c)
+        assert res.feasible and res.rate > 0.0
+        ctrl, node = ControllerParams(mu_c), NodeParams(res.rate, mu_l, q)
+        assert mean_sojourn_openflow(node, ctrl, solve_rates(node, ctrl)) <= bound
+        sup = stability_supremum(q, mu_l, mu_c)
+        ulps = abs(Decimal(res.rate) - exact_root(bound, q, mu_l, mu_c)) / Decimal(math.ulp(sup))
+        assert ulps <= 1, float(ulps)
+
+    def test_tiny_bound_far_above_w0_is_the_cap(self):
+        # w0 = 2e-170, so B w0 underflows to 0 (this raised ZeroDivisionError)
+        q, mu = 0.5, 1e170
+        res = max_throughput(1e-160, q_nf=q, mu_switch=mu, mu_controller=mu)
+        assert res.feasible
+        assert res.rate == stability_supremum(q, mu, mu) * (1.0 - _SUP_MARGIN)
 
     def test_plateau_is_reached(self):
         q, mu_l, mu_c = self.CASES["controller bottleneck"]

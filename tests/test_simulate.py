@@ -724,11 +724,28 @@ class _LifoDeque(deque):
         return self.pop()
 
 
+class _LifoPacketDeque(deque):
+    """A queue that serves its newest entry first when its entries are tuples
+    (packets), and in order otherwise: a station that reorders its packets
+    while a queue of bare stamps beside it stays in order."""
+
+    def popleft(self):
+        return self.pop() if isinstance(self[0], tuple) else super().popleft()
+
+
 class TestInvariantChecks:
     def test_fifo_violation_raises(self, monkeypatch):
         monkeypatch.setattr(simulate, "deque", _LifoDeque)
         cfg = SimConfig(seed=3, packets_per_replication=10_000, replications=2)
         with pytest.raises(SimulationInvariantError, match="FIFO order violated"):
+            run_single_node(NodeParams(1.3 * MU_C, MU_L, 1.0), CTRL, cfg, audit=True)
+
+    def test_fifo_audit_checks_the_served_entry(self, monkeypatch):
+        # the check must read the stamp of the entry served, not one kept apart
+        monkeypatch.setattr(simulate, "deque", _LifoPacketDeque)
+        cfg = SimConfig(seed=3, packets_per_replication=10_000, replications=2)
+        with pytest.raises(SimulationInvariantError,
+                           match="FIFO order violated at the controller"):
             run_single_node(NodeParams(1.3 * MU_C, MU_L, 1.0), CTRL, cfg, audit=True)
 
     def test_fifo_violation_raises_under_optimize(self):
@@ -901,6 +918,10 @@ class TestPythonScalars:
         assert len(times) == len(cls) == len(marks) > 0
         assert ({type(v) for v in times}, {type(v) for v in cls},
                 {type(v) for v in marks}) == ({float}, {int}, {bool})
+        # one class's chunk is its block as drawn, with no merge
+        times, _, marks = next(simulate._merged_arrivals(nodes[:1], rngs[:1], rngs[2:3], 10_000))
+        assert len(times) == len(marks) == simulate._BLOCK
+        assert ({type(v) for v in times}, {type(v) for v in marks}) == ({float}, {bool})
 
     @pytest.mark.parametrize("engine, n", [("_run_lindley", 1), ("_run_joins", 2),
                                            ("_run_events", 2)])
