@@ -93,6 +93,12 @@ CPUs are the process's affinity set where the platform has one, so
 replications' measured blocks and sends them; the caller feeds them, in
 replication order, through the code a serial run uses, and so makes every
 statistic and every reservoir draw itself: the bits never depend on P.
+Where the replications leave one over for the caller (R mod P = 1), a
+single node's last one is cut at a regeneration point, an arrival that
+finds the system empty, and its tail runs in process 1 (see
+:func:`_run_lindley`); where no such point comes soon enough after the
+cut, the caller runs it whole.  A chain's and an audited replication are
+never cut.
 """
 
 from __future__ import annotations
@@ -116,6 +122,13 @@ from .analytic import ChainModel, ControllerParams, NodeParams
 _BLOCK = 1 << 12
 SAMPLE_CAP = 1_000_000
 _Z95 = 1.96
+# the largest float spacing at a run's time bound, as a share of its
+# shortest mean switch service time (see _check_time_range)
+_RESOLUTION = 2.0 ** -20
+# A cut replication's tail starts at arrival int(_CUT * N) and may be spliced
+# on within its first _WINDOW arrivals (see _run_lindley)
+_CUT = 0.6
+_WINDOW = 1 << 10
 
 
 @dataclass(frozen=True)
@@ -237,32 +250,33 @@ class _Tally:
     to ``sojourns``, negated (``-(f - a)``, so a zero is -0.0) if it visited
     the controller, and for a chain its class to ``cls``; then it calls
     :meth:`flush`.  The first ``skip`` departures are warm-up and dropped.
-    The rest are measured and go to :meth:`feed` as magnitudes, with the
-    sign bits counted as visits.  It extends the run's reservoirs and carries
-    each class's sum from block to block: the running total is added to the
-    block's first sojourn before ``np.cumsum``, so the sum makes the same
-    sequential additions as ``total += sojourn`` would.
+    The rest are measured: :meth:`measure` hands them to :meth:`feed` as
+    magnitudes, with the sign bits counted as visits.  It extends the run's
+    reservoirs and carries each class's sum from block to block: the running
+    total is added to the block's first sojourn before ``np.cumsum``, so the
+    sum makes the same sequential additions as ``total += sojourn`` would.
     """
 
     __slots__ = ("skip", "sums", "counts", "visits", "agg", "classes",
-                 "sojourns", "cls")
+                 "shift", "sojourns", "cls")
 
     def __init__(self, n: int, skip: int, agg: _Reservoir | None,
-                 classes: list[_Reservoir]):
+                 classes: list[_Reservoir], shift: int = 0):
         self.skip = skip
         self.sums = [0.0] * n
         self.counts = [0] * n
         self.visits = [0] * n
         self.agg = agg
         self.classes = classes  # empty for a single node, whose class is `agg`
+        self.shift = shift  # the sums are of the sojourns times 2**-shift
         self.sojourns: list[float] = []
         self.cls: list[int] = []
 
     def flush(self) -> None:
-        """Drop the warm-up from the block being filled and :meth:`feed` the
-        rest: its sojourns' magnitudes, their classes (None for a single
-        node, else in the smallest integer dtype that holds n) and each
-        class's count of set sign bits.  Then empty the block for the next."""
+        """Drop the warm-up from the block being filled and :meth:`measure`
+        the rest, with their classes (None for a single node, else in the
+        smallest integer dtype that holds n).  Then empty the block for the
+        next."""
         sojourns, cls = self.sojourns, self.cls
         skip = self.skip
         if skip >= len(sojourns):
@@ -270,16 +284,22 @@ class _Tally:
         else:
             self.skip = 0
             x = np.fromiter(sojourns, np.float64, len(sojourns))[skip:]
-            new = np.signbit(x)
-            np.abs(x, out=x)
             n = len(self.sums)
-            if n == 1:
-                self.feed(x, None, [int(np.count_nonzero(new))])
-            else:
-                c = np.fromiter(cls, np.min_scalar_type(n), len(cls))[skip:]
-                self.feed(x, c, np.bincount(c[new], minlength=n).tolist())
+            self.measure(x, None if n == 1 else
+                         np.fromiter(cls, np.min_scalar_type(n), len(cls))[skip:])
         sojourns.clear()
         cls.clear()
+
+    def measure(self, x: np.ndarray, c: np.ndarray | None) -> None:
+        """:meth:`feed` measured sojourns ``x``, negated where they visited
+        the controller, of classes ``c``: their magnitudes, with each class's
+        count of set sign bits."""
+        new = np.signbit(x)
+        np.abs(x, out=x)
+        if c is None:
+            self.feed(x, None, [int(np.count_nonzero(new))])
+        else:
+            self.feed(x, c, np.bincount(c[new], minlength=len(self.sums)).tolist())
 
     def feed(self, x: np.ndarray, c: np.ndarray | None, visits: list[int]) -> None:
         """Feed measured sojourns ``x`` of classes ``c`` to the reservoirs and
@@ -295,8 +315,11 @@ class _Tally:
             self._add(i, xi, visits[i])
 
     def _add(self, i: int, x: np.ndarray, visits: int) -> None:
-        # x has been fed to the reservoirs, so the carry goes in in place
+        # x has been fed to the reservoirs, so the scaling and the carry go
+        # in in place
         if len(x):
+            if self.shift:
+                np.ldexp(x, -self.shift, out=x)
             x[0] += self.sums[i]
             self.sums[i] = float(np.cumsum(x)[-1])
             self.counts[i] += len(x)
@@ -304,10 +327,11 @@ class _Tally:
 
 
 class _Record(_Tally):
-    """A forked replication's measured blocks, kept as :meth:`_Tally.feed`
-    is given them, for the caller to feed in replication order: every
+    """A forked process's measured blocks, kept as :meth:`_Tally.measure` is
+    given them, for the caller to measure in replication order: every
     reservoir's draws depend on the earlier replications' samples, so only
-    the caller draws."""
+    the caller draws.  The sojourns keep their signs, so the caller can
+    take a block from any departure on."""
 
     __slots__ = ("blocks",)
 
@@ -315,8 +339,8 @@ class _Record(_Tally):
         super().__init__(n, skip, None, [])
         self.blocks: list[tuple] = []
 
-    def feed(self, x: np.ndarray, c: np.ndarray | None, visits: list[int]) -> None:
-        self.blocks.append((x, c, visits))
+    def measure(self, x: np.ndarray, c: np.ndarray | None) -> None:
+        self.blocks.append((x, c))
 
 
 def run_single_node(node: NodeParams, ctrl: ControllerParams, cfg: SimConfig,
@@ -346,10 +370,14 @@ def run_chain(chain: ChainModel, cfg: SimConfig, audit: bool = False) -> ChainSi
     caller feeds them, with the same bits at every count.
 
     Raises ValueError, naming the parameter, when a rate is so small that a
-    replication's simulated time may not be representable (see
-    :func:`_check_time_range`).
+    replication's simulated time may not be representable or may not
+    resolve a switch's service times (see :func:`_check_time_range`).
     """
-    _check_time_range(chain, cfg.packets_per_replication)
+    bound = _check_time_range(chain, cfg.packets_per_replication)
+    # N * T bounds a replication's sum of sojourns: where it is past the
+    # float range, the sums are kept scaled down by 2**shift, which moves no
+    # bit of a sum that would not overflow
+    shift = max(0, math.frexp(bound)[1] + math.frexp(cfg.packets_per_replication)[1] - 1023)
     n = len(chain.nodes)
     reps = cfg.replications
     children = np.random.SeedSequence(cfg.seed).spawn(reps + n + 1)
@@ -364,29 +392,41 @@ def run_chain(chain: ChainModel, cfg: SimConfig, audit: bool = False) -> ChainSi
                         for i in range(n if n > 1 else 0)]
     agg_reservoir = _Reservoir(cap, np.random.default_rng(children[reps + n]))
     engine = _run_events if audit else _run_lindley if n == 1 else _run_joins
-    tallies = [_Tally(n, cutoff, agg_reservoir, class_reservoirs) for _ in range(reps)]
+    tallies = [_Tally(n, cutoff, agg_reservoir, class_reservoirs, shift) for _ in range(reps)]
     procs = min(reps, _cpus()) if hasattr(os, "fork") else 1
-    _run_forked(procs, functools.partial(engine, chain, cfg.packets_per_replication),
-                tallies, children[:reps], measured)
-    aggregate = _result(tallies, slice(None), agg_reservoir)
-    per_class = (tuple(_result(tallies, slice(i, i + 1), reservoir)
-                       for i, reservoir in enumerate(class_reservoirs))
-                 if n > 1 else (aggregate,))
-    return ChainSimResult(per_class=per_class, aggregate=aggregate)
+    tail = (functools.partial(_lindley_tail, chain, cfg.packets_per_replication)
+            if engine is _run_lindley else None)
+
+    def results() -> ChainSimResult:
+        aggregate = _result(tallies, slice(None), agg_reservoir)
+        per_class = (tuple(_result(tallies, slice(i, i + 1), reservoir)
+                           for i, reservoir in enumerate(class_reservoirs))
+                     if n > 1 else (aggregate,))
+        return ChainSimResult(per_class=per_class, aggregate=aggregate)
+
+    return _run_forked(procs, functools.partial(engine, chain, cfg.packets_per_replication),
+                       tallies, children[:reps], measured, tail, results)
 
 
-def _check_time_range(chain: ChainModel, n_packets: int) -> None:
-    """Raise ValueError, naming the parameter with the largest term, unless
+def _check_time_range(chain: ChainModel, n_packets: int) -> float:
+    """Return
 
         T = 2 ((N + _BLOCK) sum_i 1/lam_i + N (sum_i 2/mu_i + 1/mu_c))
 
-    is finite, for N = ``n_packets``.  T bounds a replication's simulated
-    time with a margin of 2.  The last departure comes at most the total
-    service work after the last arrival, since a station with packets is
-    never idle.  Class i draws at most N + _BLOCK arrival gaps (whole blocks
-    of them), switch i serves at most 2N visits and the controller at most
-    N, and each of these sums of n >= 10**4 exponential draws exceeds twice
-    its mean with probability below e^(-n (1 - ln 2)) < e^(-3000).
+    for N = ``n_packets``; raise ValueError, naming the parameter with the
+    largest term, unless T is finite and its float spacing, ulp(T), is at
+    most ``_RESOLUTION`` of the shortest mean switch service time.
+
+    T bounds a replication's simulated time with a margin of 2.  The last
+    departure comes at most the total service work after the last arrival,
+    since a station with packets is never idle.  Class i draws at most N +
+    _BLOCK arrival gaps (whole blocks of them), switch i serves at most 2N
+    visits and the controller at most N, and each of these sums of n >=
+    10**4 exponential draws exceeds twice its mean with probability below
+    e^(-n (1 - ln 2)) < e^(-3000).  Every sojourn holds at least one switch
+    service, and is the difference of two times below T, so the spacing
+    check keeps its rounding below ~2**-20 of the mean sojourn; at lam =
+    1e-300 and mu_switch = 1e5 every sojourn would round to 0.0.
     """
     n = len(chain.nodes)
     terms = {}
@@ -396,11 +436,18 @@ def _check_time_range(chain: ChainModel, n_packets: int) -> None:
         terms[where + "mu_switch"] = 2 * n_packets / node.mu_switch, node.mu_switch
     mu_c = chain.controller.mu_controller
     terms["mu_controller"] = n_packets / mu_c, mu_c
-    if not math.isfinite(2.0 * sum(time for time, _ in terms.values())):
-        name = max(terms, key=terms.get)
-        raise ValueError(f"{name} = {terms[name][1]!r} is too small for "
-                         f"{n_packets} packets per replication: the run's "
-                         "simulated time may exceed the float range")
+    bound = 2.0 * sum(time for time, _ in terms.values())
+    fastest = max(node.mu_switch for node in chain.nodes)
+    if not math.isfinite(bound):
+        problem = "may exceed the float range"
+    elif math.ulp(bound) * fastest > _RESOLUTION:
+        problem = (f"may reach {bound:.3g} s, whose float spacing is over 2**-20 of "
+                   f"the shortest mean switch service time, {1.0 / fastest:.3g} s")
+    else:
+        return bound
+    name = max(terms, key=terms.get)
+    raise ValueError(f"{name} = {terms[name][1]!r} is too small for {n_packets} "
+                     f"packets per replication: the run's simulated time {problem}")
 
 
 def _cpus() -> int:
@@ -413,7 +460,7 @@ def _cpus() -> int:
 
 
 def _run_forked(procs: int, run, tallies: list[_Tally], seeds: list,
-                measured: int) -> None:
+                measured: int, tail, results):
     """A run's replications, replication k on process k mod ``procs``: the
     caller is process 0, the others are forked for this call.  With
     ``procs`` 1 this is the serial run, the caller running every replication
@@ -423,17 +470,26 @@ def _run_forked(procs: int, run, tallies: list[_Tally], seeds: list,
     ``measured`` samples.  A child runs each of its replications into a
     :class:`_Record` and sends the recorded blocks.  The caller takes the
     replications in order: it runs its own straight into the reservoirs and
-    feeds a child's recorded blocks through the same :meth:`_Tally.feed`,
+    feeds a child's recorded blocks through the same :meth:`_Tally.measure`,
     so it makes every reservoir draw in the serial run's order and the
     results are those of the serial run, bit for bit.
 
-    A child ends with ``os._exit`` and sends an exception it raises on to the
+    Where ``tail`` is given (a single node's Lindley loop, see
+    :func:`_run_lindley`) and the replications leave one over, R mod P = 1,
+    that last one, the caller's, is cut: process 1, after its own
+    replications, runs ``tail(out, seed_seq)``, and the caller runs
+    ``run(tally, seed_seq, tail=reader)``, which splices the tail on.
+
+    Then it returns ``results()``, made before the children are reaped, so
+    that a child's exit, which can come last, runs while it is made.  A
+    child ends with ``os._exit`` and sends an exception it raises on to the
     caller, which raises it; a child that dies shows up as the end of its
     pipe.  If the caller raises, it kills its children; it reaps them always.
     """
     reservoir = tallies[0].agg
     classes = tallies[0].classes
     counts = [0] * len(classes)  # each class's samples so far
+    cut = tail is not None and procs > 1 and len(tallies) % procs == 1
     readers: list = []
     pids: list[int] = []
     try:
@@ -443,13 +499,16 @@ def _run_forked(procs: int, run, tallies: list[_Tally], seeds: list,
             try:
                 pid = _fork()
                 if pid == 0:
-                    _serve(w, readers, range(p, len(tallies), procs), run, tallies, seeds)
+                    _serve(w, readers, range(p, len(tallies), procs), run, tallies, seeds,
+                           tail if cut and p == 1 else None)
             finally:  # the caller's; a child never returns from _serve
                 os.close(w)
             pids.append(pid)
         for k, (tally, seed_seq) in enumerate(zip(tallies, seeds)):
             if k % procs:
                 _receive(readers[k % procs - 1], tally)
+            elif cut and k == len(tallies) - 1:
+                run(tally, seed_seq, tail=readers[0])
             else:
                 run(tally, seed_seq)
             if reservoir.seen != (k + 1) * measured:
@@ -462,6 +521,7 @@ def _run_forked(procs: int, run, tallies: list[_Tally], seeds: list,
                     raise SimulationInvariantError(
                         f"replication {k} ends class {i} at sample "
                         f"{class_reservoir.seen}, not at {counts[i]}")
+        return results()
     except BaseException:
         for pid in pids:
             os.kill(pid, signal.SIGKILL)
@@ -485,22 +545,24 @@ def _fork() -> int:
 
 
 def _serve(w: int, readers: list, ks: range, run, tallies: list[_Tally],
-           seeds: list) -> None:
+           seeds: list, tail=None) -> None:
     """A forked child: run replications ``ks``, sending each one's recorded
-    blocks, or the exception it raises, to the pipe ``w``.  Never returns."""
+    blocks, then ``tail(out, seed)`` of the last replication if given; or
+    send the exception one raises to the pipe ``w``.  Never returns."""
     code = 1
     try:
         for reader in readers:  # the caller's ends of the pipes
             reader.close()
         with open(w, "wb") as out:
-            for k in ks:
-                record = _Record(len(tallies[k].sums), tallies[k].skip)
-                try:
+            try:
+                for k in ks:
+                    record = _Record(len(tallies[k].sums), tallies[k].skip)
                     run(record, seeds[k])
-                except Exception as exc:
-                    _send_error(out, exc)
-                    break
-                _send(out, record)
+                    _send(out, record)
+                if tail is not None:
+                    tail(out, seeds[-1])
+            except Exception as exc:
+                _send_error(out, exc)
         code = 0
     finally:
         os._exit(code)
@@ -526,19 +588,27 @@ def _send_error(out, exc: Exception) -> None:
     out.flush()
 
 
-def _receive(reader, tally: _Tally) -> None:
-    """Feed a child's replication, sent by :func:`_send`, to ``tally`` one
-    block at a time; or raise the exception it sent."""
-    while True:
-        try:
-            block = pickle.load(reader)
-        except (EOFError, pickle.UnpicklingError):
-            raise ChildProcessError("a replication process ended without its results") from None
-        if block is None:
-            return
-        if len(block) == 1:
-            raise pickle.loads(block[0])
-        tally.feed(*block)
+def _load(reader):
+    """The next object a child sent; or raise the exception it sent, or
+    ChildProcessError if it ended first."""
+    try:
+        message = pickle.load(reader)
+    except (EOFError, pickle.UnpicklingError):
+        raise ChildProcessError("a replication process ended without its results") from None
+    if isinstance(message, tuple) and len(message) == 1:
+        raise pickle.loads(message[0])
+    return message
+
+
+def _receive(reader, tally: _Tally, drop: float = 0) -> None:
+    """Measure a child's replication, sent by :func:`_send`, into ``tally``
+    one block at a time, less its first ``drop`` departures (all of them at
+    ``math.inf``); or raise the exception it sent."""
+    while (block := _load(reader)) is not None:
+        x, c = block
+        if drop < len(x):
+            tally.measure(x[drop:], None if c is None else c[drop:])
+        drop = max(drop - len(x), 0)
 
 
 def _result(tallies: list[_Tally], classes: slice, reservoir: _Reservoir) -> SimResult:
@@ -546,17 +616,20 @@ def _result(tallies: list[_Tally], classes: slice, reservoir: _Reservoir) -> Sim
     within each replication: one class, or all of them for the aggregate."""
     sums = [sum(t.sums[classes]) for t in tallies]
     counts = [sum(t.counts[classes]) for t in tallies]
-    means = [s / c if c else float("nan") for s, c in zip(sums, counts)]
+    shift = tallies[0].shift
+    means = [math.ldexp(s / c, shift) if c else float("nan") for s, c in zip(sums, counts)]
     count = sum(counts)
     visits = sum(sum(t.visits[classes]) for t in tallies)
     arr = np.asarray(means, dtype=np.float64)
-    # np.std squares deviations, so it runs on the means scaled below 1 by a
-    # power of two: exact, so the spread keeps every bit and cannot overflow
+    # np.mean sums the means and np.std squares deviations, so both run on
+    # the means scaled below 1 by a power of two: exact, so they keep every
+    # bit and cannot overflow
     e = math.frexp(float(np.max(np.abs(arr))))[1]
-    spread = math.ldexp(float(np.std(np.ldexp(arr, -e), ddof=1)), e)
+    scaled = np.ldexp(arr, -e)
     return SimResult(
-        mean_sojourn=float(np.mean(arr)),
-        ci_halfwidth=float(_Z95 * spread / np.sqrt(len(arr))),
+        mean_sojourn=math.ldexp(float(np.mean(scaled)), e),
+        ci_halfwidth=math.ldexp(
+            float(_Z95 * float(np.std(scaled, ddof=1)) / np.sqrt(len(arr))), e),
         per_replication_means=tuple(means),
         empirical_ccdf=reservoir.sorted_array(),
         controller_visit_fraction=visits / count if count else float("nan"),
@@ -665,30 +738,135 @@ def _run_events(chain: ChainModel, n_packets: int, tally: _Tally,
 
 
 def _run_lindley(chain: ChainModel, n_packets: int, tally: _Tally,
-                 seed_seq: np.random.SeedSequence) -> None:
+                 seed_seq: np.random.SeedSequence, tail=None) -> None:
     """One single-node replication by Lindley's recursion, with the event
-    loop's bits (see the module docstring).
+    loop's bits (see the module docstring and :class:`_Lindley`).
+
+    ``tally`` gets one block per chunk of :func:`_merged_arrivals` (or per
+    piece of one, around a cut), not per ``_BLOCK`` departures, as counting them would slow the loop: a block of
+    ``_BLOCK`` arrivals holds a few departures more or fewer, as controller
+    returns leave after later arrivals (at ``_BLOCK`` = 1000 and controller
+    load 0.9, blocks of 975 to 1019), and the sentinel's holds the drain.
+
+    With ``tail``, the pipe from a process that runs :func:`_lindley_tail`,
+    the replication is cut at a regeneration point, an arrival that finds
+    the system empty (Crane & Iglehart 1975): from there on the path does not
+    depend on what came before.  The caller runs the head, arrivals 0 to m
+    (see :func:`_cut_window`), then reads the arrivals in the tail's window
+    at which the tail, run from an empty system at m, is empty.  It runs on
+    to the first of them, j, at which its own path is empty too: both paths
+    have then drawn j arrivals' first passes and every new flow's second
+    pass and controller service, so they make the same float operations on
+    the same draws from j on.  It measures its departures before j and the
+    tail's from its (j - m)th on.  With no such j in the window it runs the
+    replication to its end alone and passes over the tail's departures.
+    """
+    arr_rngs, mark_rngs, (next_svc, next_ctl) = _streams(chain, seed_seq)
+    node = _Lindley(next_svc, next_ctl, tally.sojourns)
+    feed = _merged_arrivals(chain.nodes, arr_rngs, mark_rngs, n_packets)
+    if tail is None:
+        for times, _, marks in feed:
+            node.run(times, marks)
+            tally.flush()
+        return
+    m, end = _cut_window(n_packets)
+    pieces = _pieces(feed, (m, end))
+    departed = 0
+    for first, times, marks in pieces:
+        node.run(times, marks)
+        departed += len(tally.sojourns)
+        tally.flush()
+        if first + len(times) == m:
+            break
+    stop = dict(_load(tail))  # the tail's empty arrivals: its departures before each
+    for first, times, marks in (pieces if stop else ()):
+        j = node.run_checked(times, marks, first, [], stop)
+        departed += len(tally.sojourns)
+        tally.flush()
+        if j is not None:
+            if departed != j or stop[j] != j - m:
+                raise SimulationInvariantError(
+                    f"the cut replication splices at arrival {j} after {departed} "
+                    f"departures and its tail's {stop[j]}, not {j} and {j - m}")
+            _receive(tail, tally, j - m)
+            return
+        if first + len(times) == end:
+            break
+    for _, times, marks in pieces:  # no joint empty arrival: the rest alone
+        node.run(times, marks)
+        tally.flush()
+    if stop:
+        _receive(tail, tally, math.inf)
+
+
+def _lindley_tail(chain: ChainModel, n_packets: int, out,
+                  seed_seq: np.random.SeedSequence) -> None:
+    """The tail of a cut single-node replication (see :func:`_run_lindley`):
+    arrivals m on, from an empty system, with the switch stream from draw m
+    + nf and the controller stream from draw nf, where nf is the number of
+    new flows among the first m arrivals.  Sends the list of (index, its
+    departures before it) of every arrival in the window at which it is
+    empty; then, if there is one, its departures as :func:`_send` does."""
+    arr_rngs, mark_rngs, (next_svc, next_ctl) = _streams(chain, seed_seq)
+    record = _Record(1, 0)
+    node = _Lindley(next_svc, next_ctl, record.sojourns)
+    m, end = _cut_window(n_packets)
+    pieces = _pieces(_merged_arrivals(chain.nodes, arr_rngs, mark_rngs, n_packets), (m, end))
+    new_flows = 0
+    for first, _, marks in pieces:
+        new_flows += int(np.count_nonzero(marks))
+        if first + len(marks) == m:
+            break
+    _skip(next_svc, m + new_flows)
+    _skip(next_ctl, new_flows)
+    empties: list[tuple[int, int]] = []
+    for first, times, marks in pieces:  # not flushed: len(sojourns) counts the departures
+        node.run_checked(times, marks, first, empties, ())
+        if first + len(times) == end:
+            break
+    pickle.dump(empties, out)
+    out.flush()
+    if empties:
+        for _, times, marks in pieces:
+            node.run(times, marks)
+            record.flush()
+        _send(out, record)
+
+
+def _cut_window(n_packets: int) -> tuple[int, int]:
+    """Where a cut replication's tail starts, m, and where the window in
+    which it may be spliced on ends.  The warm-up is under N/2 departures,
+    so the splice comes after it and the tail's departures are measured."""
+    m = int(_CUT * n_packets)
+    return m, min(m + _WINDOW, n_packets)
+
+
+class _Lindley:
+    """A single node's state between two arrivals, for Lindley's recursion.
 
     A first pass that starts at or after arrival ``a`` returns after ``a``, so
     when ``a`` is reached every earlier return is already queued: ``head``,
     the next one's time (inf if none), ``backs``, the later ones' times, and
-    ``firsts``, their arrival times.  An exact tie is served arrival-first.
-    The closing sentinel of :func:`_merged_arrivals`, a new flow at inf, drains
+    ``firsts``, their arrival times.  ``free`` and ``cfree`` are the times
+    the switch and the controller finish their last service.  An exact tie
+    is served arrival-first.  Departures are appended to ``sojourns``.  The
+    closing sentinel of :func:`_merged_arrivals`, a new flow at inf, drains
     every queued return and is queued for the controller, never to depart.
-
-    ``tally`` gets one block per chunk, not per ``_BLOCK`` departures, as
-    counting them would slow the loop: a block of ``_BLOCK`` arrivals holds a
-    few departures more or fewer, as controller returns leave after later
-    arrivals (at ``_BLOCK`` = 1000 and controller load 0.9, blocks of 975 to
-    1019), and the sentinel's holds the drain.
     """
-    arr_rngs, mark_rngs, (next_svc, next_ctl) = _streams(chain, seed_seq)
-    backs, firsts = deque(), deque()
-    next_back, next_first = backs.popleft, firsts.popleft
-    depart = tally.sojourns.append
-    head = math.inf
-    free = cfree = 0.0
-    for times, _, marks in _merged_arrivals(chain.nodes, arr_rngs, mark_rngs, n_packets):
+
+    __slots__ = ("svc", "ctl", "sojourns", "head", "free", "cfree", "backs", "firsts")
+
+    def __init__(self, svc, ctl, sojourns: list[float]):
+        self.svc, self.ctl, self.sojourns = svc, ctl, sojourns
+        self.head, self.free, self.cfree = math.inf, 0.0, 0.0
+        self.backs, self.firsts = deque(), deque()
+
+    def run(self, times, marks) -> None:
+        """Run arrivals at ``times`` with new-flow ``marks``."""
+        backs, firsts = self.backs, self.firsts
+        next_back, next_first = backs.popleft, firsts.popleft
+        next_svc, next_ctl, depart = self.svc, self.ctl, self.sojourns.append
+        head, free, cfree = self.head, self.free, self.cfree
         for a, new in zip(times, marks):
             while head < a:
                 free = (head if head > free else free) + next_svc()
@@ -704,7 +882,42 @@ def _run_lindley(chain: ChainModel, n_packets: int, tally: _Tally,
                 firsts.append(a)
             else:
                 depart(free - a)
-        tally.flush()
+        self.head, self.free, self.cfree = head, free, cfree
+
+    def run_checked(self, times, marks, first: int, empties: list, stop) -> int | None:
+        """:meth:`run`, where the arrivals are numbered from ``first``, noting
+        in ``empties`` (index, departures so far) of each that finds the
+        system empty: no return queued and the switch free, so the controller
+        is too.  Stops at the first such arrival whose index is in ``stop``,
+        before running it, and returns its index; else returns None."""
+        backs, firsts = self.backs, self.firsts
+        next_back, next_first = backs.popleft, firsts.popleft
+        sojourns = self.sojourns
+        next_svc, next_ctl, depart = self.svc, self.ctl, sojourns.append
+        head, free, cfree = self.head, self.free, self.cfree
+        inf = math.inf
+        for j, (a, new) in enumerate(zip(times, marks), first):
+            while head < a:
+                free = (head if head > free else free) + next_svc()
+                depart(-(free - next_first()))
+                head = next_back() if backs else inf
+            if head == inf and free <= a:
+                if j in stop:
+                    self.head, self.free, self.cfree = head, free, cfree
+                    return j
+                empties.append((j, len(sojourns)))
+            free = (a if a > free else free) + next_svc()
+            if new:
+                cfree = (free if free > cfree else cfree) + next_ctl()
+                if firsts:
+                    backs.append(cfree)
+                else:
+                    head = cfree
+                firsts.append(a)
+            else:
+                depart(free - a)
+        self.head, self.free, self.cfree = head, free, cfree
+        return None
 
 
 def _run_joins(chain: ChainModel, n_packets: int, tally: _Tally,
@@ -807,6 +1020,22 @@ def _merged_arrivals(nodes, arr_rngs, mark_rngs, n_packets: int):
     yield [math.inf], [n], [True]
 
 
+def _pieces(feed, cuts):
+    """One class's arrival chunks from :func:`_merged_arrivals`, split at the
+    arrival indices ``cuts``: each piece as (index of its first arrival,
+    times, marks)."""
+    first = 0
+    for times, _, marks in feed:
+        last = first + len(times)
+        lo = first
+        for cut in cuts:
+            if lo < cut < last:
+                yield lo, times[lo - first:cut - first], marks[lo - first:cut - first]
+                lo = cut
+        yield lo, times[lo - first:], marks[lo - first:]
+        first = last
+
+
 def _streams(chain: ChainModel, seed_seq: np.random.SeedSequence):
     """A replication's random streams, one per stochastic source, spawned
     once: node i's arrival generators, its mark generators, and per station
@@ -827,6 +1056,12 @@ def _draws(block):
     its buffer as a Python scalar; a new block is drawn when the last one
     runs out."""
     return itertools.chain.from_iterable(iter(lambda: memoryview(block(_BLOCK)), None)).__next__
+
+
+def _skip(draw, count: int) -> None:
+    """Pass over the next ``count`` values of a :func:`_draws` stream, whose
+    ``draw`` is the ``__next__`` of its iterator."""
+    next(itertools.islice(draw.__self__, count, count), None)
 
 
 def _exponentials(rng: np.random.Generator, scale: float):

@@ -70,6 +70,33 @@ class TestConfig:
         with pytest.raises(ValueError, match="^" + re.escape(named)):
             run_chain(chain, cfg)
 
+    # arrivals so sparse that the float spacing of the run's times is far
+    # above a switch service: every sojourn would round to 0.0
+    @pytest.mark.parametrize("nodes, named", [
+        ([(1e-300, 1e5, 0.5)], "lam = 1e-300"),
+        ([(1e-280, MU_L, 0.2), (1000.0, MU_L, 1.0)], "nodes[0].lam = 1e-280")])
+    def test_unresolvable_service_time_rejected(self, nodes, named):
+        chain = ChainModel(tuple(NodeParams(*nd) for nd in nodes), ControllerParams(4000.0))
+        cfg = SimConfig(seed=1, packets_per_replication=10_000, replications=2)
+        with pytest.raises(ValueError, match="^" + re.escape(named) + ".*float spacing"):
+            run_chain(chain, cfg)
+
+    def test_sums_past_the_float_range_keep_their_bits(self):
+        # a saturated switch with mean sojourns near 1e304; scaled by 2**-12
+        # every time grows by 4096, the means to ~4e307, and 9000 of them,
+        # or the 5 replications' means, sum past the float range: the sums
+        # are kept scaled, so every statistic is the unscaled run's times
+        # 2**12, with no warning
+        cfg = SimConfig(seed=1, packets_per_replication=10_000, replications=5)
+        base = run_single_node(NodeParams(2000.0, 1e-300, 0.5), ControllerParams(4000.0), cfg)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            big = run_single_node(NodeParams(math.ldexp(2000.0, -12), math.ldexp(1e-300, -12),
+                                             0.5),
+                                  ControllerParams(math.ldexp(4000.0, -12)), cfg)
+        assert 1e307 < big.mean_sojourn < 1e308
+        assert _scaled_bits(big, 0) == _scaled_bits(base, 12)
+
 
 class TestSingleNode:
     def test_mm1_mean_within_ci(self):
@@ -393,6 +420,17 @@ def _chains(draw, sizes=st.integers(1, 3)):
     return ChainModel(nodes=nodes, controller=ControllerParams(draw(st.floats(1e3, 1e5))))
 
 
+def _scaled_bits(res, k: int) -> list[bytes]:
+    """Every field of every result of ``res`` (a ChainSimResult or a
+    SimResult), its times multiplied by 2**k, as bytes."""
+    results = (res.aggregate, *res.per_class) if hasattr(res, "aggregate") else (res,)
+    return [np.ldexp(np.array([r.mean_sojourn, r.ci_halfwidth, *r.per_replication_means]),
+                     k).tobytes()
+            + np.ldexp(r.empirical_ccdf, k).tobytes()
+            + np.float64(r.controller_visit_fraction).tobytes()
+            for r in results]
+
+
 def _bits(res: simulate.ChainSimResult) -> list[bytes]:
     # bytes, so a NaN compares equal to itself
     return [np.array([r.mean_sojourn, r.ci_halfwidth, r.controller_visit_fraction,
@@ -419,8 +457,10 @@ class TestEngineProperties:
 
 class TestProcessCount:
     """A run's replications run on min(replications, ``_cpus()``) processes,
-    replication k on process k mod that count; no bit of the aggregate or of
-    a class may depend on the count."""
+    replication k on process k mod that count, except that a single node's
+    last replication is cut between processes 0 and 1 where the count
+    leaves it over (see :class:`TestCutReplication`); no bit of the
+    aggregate or of a class may depend on the count."""
 
     # the run's samples below, at or over the reservoir cap; over it, the
     # caller draws every replacement slot, of the aggregate and of each
@@ -516,6 +556,128 @@ class TestProcessCount:
         for got, want in zip(merged_classes, whole_classes, strict=True):
             assert got.seen == want.seen
             assert got.sorted_array().tobytes() == want.sorted_array().tobytes()
+
+
+def _feeds_in_caller(monkeypatch) -> list[int]:
+    """Patch ``_merged_arrivals`` to count the arrivals each replication run
+    in this process draws; a forked child's counts stay in the child."""
+    counts: list[int] = []
+    merged = simulate._merged_arrivals
+
+    def counted(nodes, arr_rngs, mark_rngs, n_packets):
+        counts.append(0)
+        for chunk in merged(nodes, arr_rngs, mark_rngs, n_packets):
+            if chunk[0][0] < math.inf:  # not the closing sentinel
+                counts[-1] += len(chunk[0])
+            yield chunk
+
+    monkeypatch.setattr(simulate, "_merged_arrivals", counted)
+    return counts
+
+
+class TestCutReplication:
+    """Where R mod P = 1, a single node's last replication is cut at an
+    arrival that finds the system empty: process 1 runs the tail, from
+    arrival m on and from an empty system, and the caller splices it on at
+    the first arrival in the tail's window at which both paths are empty,
+    or runs the replication whole where there is none.  No bit may move."""
+
+    RUNS = dict(chain=_chains(st.just(1)), seed=st.integers(0, 2 ** 64 - 1),
+                warmup=st.floats(0.0, 0.49), block=st.integers(16, 5000),
+                reps=st.sampled_from([3, 5, 7]), procs=st.sampled_from([2, 3]),
+                data=st.data())
+
+    @pytest.mark.parametrize("fill", ["below", "at", "over"])
+    @settings(max_examples=5, phases=TestProcessCount.NO_SHRINK)
+    @given(**RUNS)
+    def test_cut_does_not_move_bits(self, fill, chain, seed, warmup, block, reps, procs,
+                                    data):
+        cfg = SimConfig(seed=seed, packets_per_replication=10_000, replications=reps,
+                        warmup_fraction=warmup)
+        total = reps * (10_000 - int(warmup * 10_000))
+        cap = {"below": total + 1000, "at": total,
+               "over": data.draw(st.integers(1, total - 1))}[fill]
+        bits = []
+        with mock.patch.object(simulate, "SAMPLE_CAP", cap), \
+                mock.patch.object(simulate, "_BLOCK", block):
+            for count in (1, procs):
+                with mock.patch.object(simulate, "_cpus", lambda: count):
+                    bits.append(_bits(run_chain(chain, cfg)))
+        assert bits[1] == bits[0]
+
+    PAPER_CFG = SimConfig(seed=5, packets_per_replication=20_000, replications=5)
+
+    def _run(self, monkeypatch, node, procs):
+        monkeypatch.setattr(simulate, "_cpus", lambda: procs)
+        return _bits(run_chain(ChainModel(nodes=(node,), controller=CTRL), self.PAPER_CFG))
+
+    def test_splice_taken_at_a_paper_point(self, monkeypatch):
+        # q_nf 0.2, rho_c 0.5: the system is empty at most arrivals, so the
+        # caller splices soon after m = 12,000 and draws the arrivals of
+        # the last replication only up to the block holding the splice
+        node = NodeParams(0.5 * MU_C / 0.2, MU_L, 0.2)
+        serial = self._run(monkeypatch, node, 1)
+        counts = _feeds_in_caller(monkeypatch)
+        assert self._run(monkeypatch, node, 2) == serial
+        assert counts[:2] == [20_000, 20_000]  # replications 0 and 2, whole
+        assert 12_000 <= counts[2] < 20_000
+
+    def test_saturated_controller_falls_back(self, monkeypatch):
+        # at rho_c = 1.2 the controller's queue grows all along, so the
+        # caller's path is never empty in the window and it runs the last
+        # replication to its end alone
+        node = NodeParams(1.2 * MU_C, MU_L, 1.0)
+        serial = self._run(monkeypatch, node, 1)
+        counts = _feeds_in_caller(monkeypatch)
+        assert self._run(monkeypatch, node, 2) == serial
+        assert counts == [20_000] * 3
+
+    def test_splice_checks_departures(self, monkeypatch):
+        # a tail that reports one departure too many before each empty
+        # arrival does not match the caller's count at the splice
+        checked = simulate._Lindley.run_checked
+
+        def miscounted(self, times, marks, first, empties, stop):
+            n = len(empties)
+            j = checked(self, times, marks, first, empties, stop)
+            empties[n:] = [(i, d + 1) for i, d in empties[n:]]
+            return j
+
+        monkeypatch.setattr(simulate._Lindley, "run_checked", miscounted)
+        with pytest.raises(SimulationInvariantError, match="splices at arrival"):
+            self._run(monkeypatch, NodeParams(0.5 * MU_C / 0.2, MU_L, 0.2), 2)
+
+
+class TestScaleEquivariance:
+    """Scaling every rate by 2**k scales every simulated time by exactly
+    2**-k while all values stay normal floats: the draws are mean times
+    standard draws, and sums, maxima and quotients commute with the scaling.
+    So every statistic but the visit fraction must be the unscaled one times
+    2**-k, bit for bit, in each engine and at P = 1 and 2 (R = 3, where a
+    single node's last replication is cut)."""
+
+    CASES = {
+        "lindley": ((NodeParams(0.5 * MU_C / 0.2, MU_L, 0.2),), False),
+        "joins": (TestEngineEquivalence.CHAIN_CASES["criterion 9 asymmetric"][0], False),
+        "events": (TestEngineEquivalence.CHAIN_CASES["criterion 9 asymmetric"][0], True),
+    }
+
+    @pytest.mark.parametrize("procs", [1, 2])
+    @pytest.mark.parametrize("engine", sorted(CASES))
+    def test_power_of_two_rates_scale_every_time(self, monkeypatch, engine, procs):
+        nodes, audit = self.CASES[engine]
+        monkeypatch.setattr(simulate, "_cpus", lambda: procs)
+        cfg = SimConfig(seed=8, packets_per_replication=10_000, replications=3)
+
+        def run(k):
+            scaled = tuple(NodeParams(math.ldexp(nd.lam, k), math.ldexp(nd.mu_switch, k),
+                                      nd.q_nf) for nd in nodes)
+            chain = ChainModel(nodes=scaled, controller=ControllerParams(math.ldexp(MU_C, k)))
+            return run_chain(chain, cfg, audit=audit)
+
+        base = run(0)
+        for k in (-7, 5, 300):
+            assert _scaled_bits(run(k), k) == _scaled_bits(base, 0), k
 
 
 class TestForkedLifecycle:
@@ -642,6 +804,22 @@ class TestFlatMemory:
         src = Path(__file__).resolve().parents[1] / "src"
         proc = subprocess.run([sys.executable, "-c", self.SCRIPT, str(n_nodes), str(small),
                                str(large)], capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=str(src)), timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        grow_small, grow_large = map(float, proc.stdout.split())
+        assert grow_large - grow_small <= self.BOUND_MB, (grow_small, grow_large)
+
+    def test_caller_peak_flat_through_a_cut_replication(self):
+        # the same runs with 3 replications on 2 processes: the caller runs
+        # replication 0 and the head of replication 2, and measures the
+        # tail's departures block by block as they are read; held whole, the
+        # tail of 3e6 packets would add ~9.6 MB
+        script = self.SCRIPT.replace("replications=2", "replications=3").replace(
+            "simulate.SAMPLE_CAP = 1000", "simulate.SAMPLE_CAP = 1000\nsimulate._cpus = lambda: 2")
+        assert "replications=3" in script and "_cpus" in script
+        src = Path(__file__).resolve().parents[1] / "src"
+        proc = subprocess.run([sys.executable, "-c", script, "1", "100000", "3000000"],
+                              capture_output=True, text=True,
                               env=dict(os.environ, PYTHONPATH=str(src)), timeout=300)
         assert proc.returncode == 0, proc.stderr
         grow_small, grow_large = map(float, proc.stdout.split())
