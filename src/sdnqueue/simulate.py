@@ -36,7 +36,8 @@ Engine design, fixed for reproducibility:
   block of ``_BLOCK`` arrivals, which holds a few departures more or fewer,
   and its drain as one block, bounded by the controller returns still
   queued when arrivals stop, which its deques already hold (see
-  :func:`_run_lindley`).  So the caller's memory is bounded by
+  :func:`_run_lindley`), and that a cut replication hands over a block at
+  each cut too (see :func:`_run_head`).  So the caller's memory is bounded by
   ``SAMPLE_CAP`` samples per reservoir plus about one block (and the
   packets in the system), whatever its packet budget; a forked process's
   grows with one replication's measured samples, which it holds until sent;
@@ -63,7 +64,7 @@ Three engines run a replication, and all give the same bits:
   routes the earliest before the next external arrival (to the controller,
   back to its entry node, downstream, or out) and computes the completion
   of the station it joins; a final pass at the last node departs at its
-  join, in departure order.
+  join, in departure order (see :class:`_Joins`).
 
 The two Lindley loops read their arrivals from one feed,
 :func:`_merged_arrivals`, drain at its closing sentinel, draw the event
@@ -93,12 +94,11 @@ CPUs are the process's affinity set where the platform has one, so
 replications' measured blocks and sends them; the caller feeds them, in
 replication order, through the code a serial run uses, and so makes every
 statistic and every reservoir draw itself: the bits never depend on P.
-Where the replications leave one over for the caller (R mod P = 1), a
-single node's last one is cut at a regeneration point, an arrival that
-finds the system empty, and its tail runs in process 1 (see
-:func:`_run_lindley`); where no such point comes soon enough after the
-cut, the caller runs it whole.  A chain's and an audited replication are
-never cut.
+Where the replications leave one over for the caller (R mod P = 1), the
+last one, a single node's or a chain's, is cut at a regeneration point, an
+arrival that finds the system empty, and its tail runs in process 1 (see
+:func:`_run_head`); where no such point comes soon enough after the cut,
+the caller runs it whole.  An audited replication is never cut.
 """
 
 from __future__ import annotations
@@ -126,8 +126,8 @@ _Z95 = 1.96
 # shortest mean switch service time (see _check_time_range)
 _RESOLUTION = 2.0 ** -20
 # A cut replication's tail starts at arrival int(_CUT * N) and may be spliced
-# on within its first _WINDOW arrivals (see _run_lindley)
-_CUT = 0.6
+# on within its first _WINDOW arrivals (see _run_head)
+_CUT = 0.55
 _WINDOW = 1 << 10
 
 
@@ -249,16 +249,17 @@ class _Tally:
     An engine appends each departure to the block being filled: its sojourn
     to ``sojourns``, negated (``-(f - a)``, so a zero is -0.0) if it visited
     the controller, and for a chain its class to ``cls``; then it calls
-    :meth:`flush`.  The first ``skip`` departures are warm-up and dropped.
-    The rest are measured: :meth:`measure` hands them to :meth:`feed` as
-    magnitudes, with the sign bits counted as visits.  It extends the run's
-    reservoirs and carries each class's sum from block to block: the running
-    total is added to the block's first sojourn before ``np.cumsum``, so the
-    sum makes the same sequential additions as ``total += sojourn`` would.
+    :meth:`flush`, which counts them in ``departed``.  The first ``skip``
+    departures are warm-up and dropped.  The rest are measured:
+    :meth:`measure` hands them to :meth:`feed` as magnitudes, with the sign
+    bits counted as visits.  It extends the run's reservoirs and carries each
+    class's sum from block to block: the running total is added to the
+    block's first sojourn before ``np.cumsum``, so the sum makes the same
+    sequential additions as ``total += sojourn`` would.
     """
 
     __slots__ = ("skip", "sums", "counts", "visits", "agg", "classes",
-                 "shift", "sojourns", "cls")
+                 "shift", "departed", "sojourns", "cls")
 
     def __init__(self, n: int, skip: int, agg: _Reservoir | None,
                  classes: list[_Reservoir], shift: int = 0):
@@ -269,6 +270,7 @@ class _Tally:
         self.agg = agg
         self.classes = classes  # empty for a single node, whose class is `agg`
         self.shift = shift  # the sums are of the sojourns times 2**-shift
+        self.departed = 0  # the departures flushed, the warm-up's too
         self.sojourns: list[float] = []
         self.cls: list[int] = []
 
@@ -278,6 +280,7 @@ class _Tally:
         smallest integer dtype that holds n).  Then empty the block for the
         next."""
         sojourns, cls = self.sojourns, self.cls
+        self.departed += len(sojourns)
         skip = self.skip
         if skip >= len(sojourns):
             self.skip = skip - len(sojourns)
@@ -394,8 +397,7 @@ def run_chain(chain: ChainModel, cfg: SimConfig, audit: bool = False) -> ChainSi
     engine = _run_events if audit else _run_lindley if n == 1 else _run_joins
     tallies = [_Tally(n, cutoff, agg_reservoir, class_reservoirs, shift) for _ in range(reps)]
     procs = min(reps, _cpus()) if hasattr(os, "fork") else 1
-    tail = (functools.partial(_lindley_tail, chain, cfg.packets_per_replication)
-            if engine is _run_lindley else None)
+    tail = None if audit else functools.partial(_run_tail, chain, cfg.packets_per_replication)
 
     def results() -> ChainSimResult:
         aggregate = _result(tallies, slice(None), agg_reservoir)
@@ -474,8 +476,8 @@ def _run_forked(procs: int, run, tallies: list[_Tally], seeds: list,
     so it makes every reservoir draw in the serial run's order and the
     results are those of the serial run, bit for bit.
 
-    Where ``tail`` is given (a single node's Lindley loop, see
-    :func:`_run_lindley`) and the replications leave one over, R mod P = 1,
+    Where ``tail`` is given (every run but an audited one, see
+    :func:`_run_head`) and the replications leave one over, R mod P = 1,
     that last one, the caller's, is cut: process 1, after its own
     replications, runs ``tail(out, seed_seq)``, and the caller runs
     ``run(tally, seed_seq, tail=reader)``, which splices the tail on.
@@ -484,7 +486,9 @@ def _run_forked(procs: int, run, tallies: list[_Tally], seeds: list,
     that a child's exit, which can come last, runs while it is made.  A
     child ends with ``os._exit`` and sends an exception it raises on to the
     caller, which raises it; a child that dies shows up as the end of its
-    pipe.  If the caller raises, it kills its children; it reaps them always.
+    pipe.  If the caller raises, it kills its children; it reaps them always,
+    and then, if nothing was raised, raises ChildProcessError if a child
+    ended with a non-zero status, as one that fails to write does.
     """
     reservoir = tallies[0].agg
     classes = tallies[0].classes
@@ -492,6 +496,7 @@ def _run_forked(procs: int, run, tallies: list[_Tally], seeds: list,
     cut = tail is not None and procs > 1 and len(tallies) % procs == 1
     readers: list = []
     pids: list[int] = []
+    done = False
     try:
         for p in range(1, procs):
             r, w = os.pipe()
@@ -521,7 +526,9 @@ def _run_forked(procs: int, run, tallies: list[_Tally], seeds: list,
                     raise SimulationInvariantError(
                         f"replication {k} ends class {i} at sample "
                         f"{class_reservoir.seen}, not at {counts[i]}")
-        return results()
+        out = results()
+        done = True
+        return out
     except BaseException:
         for pid in pids:
             os.kill(pid, signal.SIGKILL)
@@ -529,8 +536,9 @@ def _run_forked(procs: int, run, tallies: list[_Tally], seeds: list,
     finally:
         for reader in readers:
             reader.close()
-        for pid in pids:
-            os.waitpid(pid, 0)
+        codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in pids]
+        if done and any(codes):
+            raise ChildProcessError(f"a replication process ended with exit codes {codes}")
 
 
 def _fork() -> int:
@@ -743,92 +751,126 @@ def _run_lindley(chain: ChainModel, n_packets: int, tally: _Tally,
     loop's bits (see the module docstring and :class:`_Lindley`).
 
     ``tally`` gets one block per chunk of :func:`_merged_arrivals` (or per
-    piece of one, around a cut), not per ``_BLOCK`` departures, as counting them would slow the loop: a block of
-    ``_BLOCK`` arrivals holds a few departures more or fewer, as controller
-    returns leave after later arrivals (at ``_BLOCK`` = 1000 and controller
-    load 0.9, blocks of 975 to 1019), and the sentinel's holds the drain.
+    piece of one, around a cut), not per ``_BLOCK`` departures, as counting
+    them would slow the loop: a block of ``_BLOCK`` arrivals holds a few
+    departures more or fewer, as controller returns leave after later
+    arrivals (at ``_BLOCK`` = 1000 and controller load 0.9, blocks of 975 to
+    1019), and the sentinel's holds the drain.
 
-    With ``tail``, the pipe from a process that runs :func:`_lindley_tail`,
-    the replication is cut at a regeneration point, an arrival that finds
-    the system empty (Crane & Iglehart 1975): from there on the path does not
-    depend on what came before.  The caller runs the head, arrivals 0 to m
-    (see :func:`_cut_window`), then reads the arrivals in the tail's window
-    at which the tail, run from an empty system at m, is empty.  It runs on
-    to the first of them, j, at which its own path is empty too: both paths
-    have then drawn j arrivals' first passes and every new flow's second
-    pass and controller service, so they make the same float operations on
+    With ``tail``, the pipe from a process that runs :func:`_run_tail`, the
+    replication is cut (see :func:`_run_head`).
+    """
+    arr_rngs, mark_rngs, services = _streams(chain, seed_seq)
+    node = _Lindley(services, tally)
+    feed = _merged_arrivals(chain.nodes, arr_rngs, mark_rngs, n_packets)
+    if tail is not None:
+        _run_head(node, feed, n_packets, tally, tail)
+        return
+    for times, _, marks in feed:
+        node.run(times, marks)
+        tally.flush()
+
+
+def _run_joins(chain: ChainModel, n_packets: int, tally: _Tally,
+               seed_seq: np.random.SeedSequence, tail=None) -> None:
+    """One chain replication in join order, with the event loop's bits (see
+    the module docstring and :class:`_Joins`); with ``tail``, cut as
+    :func:`_run_lindley` is."""
+    arr_rngs, mark_rngs, services = _streams(chain, seed_seq)
+    joins = _Joins(services, tally)
+    feed = _merged_arrivals(chain.nodes, arr_rngs, mark_rngs, n_packets)
+    if tail is not None:
+        _run_head(joins, feed, n_packets, tally, tail)
+        return
+    for times, cls, marks in feed:
+        joins.run(times, cls, marks)
+    tally.flush()
+
+
+def _run_head(engine, feed, n_packets: int, tally: _Tally, tail) -> None:
+    """Run a replication cut at a regeneration point, an arrival that finds
+    the system empty (Crane & Iglehart 1975): from there on its path does
+    not depend on what came before.  ``engine`` (a :class:`_Lindley` or a
+    :class:`_Joins`) runs the arrivals of ``feed`` into ``tally``, and
+    ``tail`` is the pipe from a process that runs :func:`_run_tail`.
+
+    The caller runs the head, arrivals 0 to m (see :func:`_cut_window`),
+    then reads the arrivals in the tail's window at which the tail, run from
+    an empty system at m, is empty.  It runs on to the first of them, j, at
+    which its own path is empty too: both paths have then made every
+    station's joins of the arrivals before j, and so drawn every service
+    stream to the same draw, and they make the same float operations on
     the same draws from j on.  It measures its departures before j and the
     tail's from its (j - m)th on.  With no such j in the window it runs the
-    replication to its end alone and passes over the tail's departures.
+    replication to its end alone and reads past the tail's departures.
     """
-    arr_rngs, mark_rngs, (next_svc, next_ctl) = _streams(chain, seed_seq)
-    node = _Lindley(next_svc, next_ctl, tally.sojourns)
-    feed = _merged_arrivals(chain.nodes, arr_rngs, mark_rngs, n_packets)
-    if tail is None:
-        for times, _, marks in feed:
-            node.run(times, marks)
-            tally.flush()
-        return
     m, end = _cut_window(n_packets)
-    pieces = _pieces(feed, (m, end))
-    departed = 0
-    for first, times, marks in pieces:
-        node.run(times, marks)
-        departed += len(tally.sojourns)
+    pieces = _pieces(feed, (m, end), engine.columns)
+    for first, cols in pieces:
+        engine.run(*cols)
         tally.flush()
-        if first + len(times) == m:
+        if first + len(cols[0]) == m:
             break
     stop = dict(_load(tail))  # the tail's empty arrivals: its departures before each
-    for first, times, marks in (pieces if stop else ()):
-        j = node.run_checked(times, marks, first, [], stop)
-        departed += len(tally.sojourns)
+    for first, cols in (pieces if stop else ()):
+        j = engine.run_checked(*cols, first, [], stop)
         tally.flush()
         if j is not None:
-            if departed != j or stop[j] != j - m:
+            if tally.departed != j or stop[j] != j - m:
                 raise SimulationInvariantError(
-                    f"the cut replication splices at arrival {j} after {departed} "
+                    f"the cut replication splices at arrival {j} after {tally.departed} "
                     f"departures and its tail's {stop[j]}, not {j} and {j - m}")
             _receive(tail, tally, j - m)
             return
-        if first + len(times) == end:
+        if first + len(cols[0]) == end:
             break
-    for _, times, marks in pieces:  # no joint empty arrival: the rest alone
-        node.run(times, marks)
+    for _, cols in pieces:  # no joint empty arrival: the rest alone
+        engine.run(*cols)
         tally.flush()
     if stop:
         _receive(tail, tally, math.inf)
 
 
-def _lindley_tail(chain: ChainModel, n_packets: int, out,
-                  seed_seq: np.random.SeedSequence) -> None:
-    """The tail of a cut single-node replication (see :func:`_run_lindley`):
-    arrivals m on, from an empty system, with the switch stream from draw m
-    + nf and the controller stream from draw nf, where nf is the number of
-    new flows among the first m arrivals.  Sends the list of (index, its
-    departures before it) of every arrival in the window at which it is
-    empty; then, if there is one, its departures as :func:`_send` does."""
-    arr_rngs, mark_rngs, (next_svc, next_ctl) = _streams(chain, seed_seq)
-    record = _Record(1, 0)
-    node = _Lindley(next_svc, next_ctl, record.sojourns)
+def _run_tail(chain: ChainModel, n_packets: int, out,
+              seed_seq: np.random.SeedSequence) -> None:
+    """The tail of a cut replication (see :func:`_run_head`): arrivals m on,
+    from an empty system, with each station's service stream passed over
+    its joins of the first m arrivals, had the system been empty at m.
+    Switch i joins once per arrival of a class c <= i, each of which passes
+    it once, and once more per new flow of class i, back from the
+    controller; the controller joins once per new flow.
+
+    Sends the list of (index, its departures before it) of every arrival in
+    the window at which the tail is empty; then, if there is one, its
+    departures as :func:`_send` does."""
+    n = len(chain.nodes)
+    arr_rngs, mark_rngs, services = _streams(chain, seed_seq)
+    record = _Record(n, 0)
+    engine = (_Lindley if n == 1 else _Joins)(services, record)
     m, end = _cut_window(n_packets)
-    pieces = _pieces(_merged_arrivals(chain.nodes, arr_rngs, mark_rngs, n_packets), (m, end))
-    new_flows = 0
-    for first, _, marks in pieces:
-        new_flows += int(np.count_nonzero(marks))
-        if first + len(marks) == m:
+    pieces = _pieces(_merged_arrivals(chain.nodes, arr_rngs, mark_rngs, n_packets), (m, end),
+                     engine.columns)
+    joins = np.zeros(n + 1, dtype=np.int64)  # each station's, before arrival m
+    for first, cols in pieces:
+        cls = np.asarray(cols[1]) if n > 1 else np.zeros(len(cols[0]), dtype=np.intp)
+        new = np.bincount(cls[np.asarray(cols[-1])], minlength=n)
+        joins[:n] += np.cumsum(np.bincount(cls, minlength=n)) + new
+        joins[n] += new.sum()
+        if first + len(cols[0]) == m:
             break
-    _skip(next_svc, m + new_flows)
-    _skip(next_ctl, new_flows)
+    for draw, count in zip(services, joins.tolist()):
+        _skip(draw, count)
     empties: list[tuple[int, int]] = []
-    for first, times, marks in pieces:  # not flushed: len(sojourns) counts the departures
-        node.run_checked(times, marks, first, empties, ())
-        if first + len(times) == end:
+    for first, cols in pieces:  # not flushed: len(sojourns) counts the departures
+        engine.run_checked(*cols, first, empties, ())
+        if first + len(cols[0]) == end:
             break
     pickle.dump(empties, out)
     out.flush()
     if empties:
-        for _, times, marks in pieces:
-            node.run(times, marks)
+        record.flush()
+        for _, cols in pieces:
+            engine.run(*cols)
             record.flush()
         _send(out, record)
 
@@ -849,15 +891,19 @@ class _Lindley:
     the next one's time (inf if none), ``backs``, the later ones' times, and
     ``firsts``, their arrival times.  ``free`` and ``cfree`` are the times
     the switch and the controller finish their last service.  An exact tie
-    is served arrival-first.  Departures are appended to ``sojourns``.  The
-    closing sentinel of :func:`_merged_arrivals`, a new flow at inf, drains
-    every queued return and is queued for the controller, never to depart.
+    is served arrival-first.  Departures are appended to the tally's
+    ``sojourns``, which the caller flushes.  The closing sentinel of
+    :func:`_merged_arrivals`, a new flow at inf, drains every queued return
+    and is queued for the controller, never to depart.
     """
 
     __slots__ = ("svc", "ctl", "sojourns", "head", "free", "cfree", "backs", "firsts")
 
-    def __init__(self, svc, ctl, sojourns: list[float]):
-        self.svc, self.ctl, self.sojourns = svc, ctl, sojourns
+    # the columns of a :func:`_merged_arrivals` chunk that run takes
+    columns = slice(None, None, 2)
+
+    def __init__(self, services, tally: _Tally):
+        (self.svc, self.ctl), self.sojourns = services, tally.sojourns
         self.head, self.free, self.cfree = math.inf, 0.0, 0.0
         self.backs, self.firsts = deque(), deque()
 
@@ -886,10 +932,11 @@ class _Lindley:
 
     def run_checked(self, times, marks, first: int, empties: list, stop) -> int | None:
         """:meth:`run`, where the arrivals are numbered from ``first``, noting
-        in ``empties`` (index, departures so far) of each that finds the
-        system empty: no return queued and the switch free, so the controller
-        is too.  Stops at the first such arrival whose index is in ``stop``,
-        before running it, and returns its index; else returns None."""
+        in ``empties`` (index, departures since the last flush) of each that
+        finds the system empty: no return queued and the switch free, so the
+        controller is too.  Stops at the first such arrival whose index is
+        in ``stop``, before running it, and returns its index; else returns
+        None."""
         backs, firsts = self.backs, self.firsts
         next_back, next_first = backs.popleft, firsts.popleft
         sojourns = self.sojourns
@@ -920,27 +967,39 @@ class _Lindley:
         return None
 
 
-def _run_joins(chain: ChainModel, n_packets: int, tally: _Tally,
-               seed_seq: np.random.SeedSequence) -> None:
-    """One chain replication in join order, with the event loop's bits (see
-    the module docstring).
+class _Joins:
+    """A chain's state between two arrivals, for the join-ordered loop.
 
-    ``heap`` holds each unrouted completion as (time, station, push order,
-    arrival time, code) above a sentinel at inf.  The controller's (station
-    n) rejoin their code's node; a switch's join the controller if the code
-    is ~class, else go downstream.  A new flow's arrival time is negated
-    (-0.0 at 0.0).  A routed completion is replaced by the one its join makes.
+    ``heap`` holds each unrouted completion as (time, station, push order
+    ``i``, arrival time, code) above a sentinel at inf, and ``t`` is its
+    earliest time.  The controller's (station n) rejoin their code's node; a
+    switch's join the controller if the code is ~class, else go downstream.
+    A new flow's arrival time is negated (-0.0 at 0.0).  A routed completion
+    is replaced by the one its join makes.  ``free[s]`` is the time station
+    s finishes its last service.  Departures go to ``tally``, which
+    :meth:`run` flushes every ``_BLOCK``.  The closing sentinel of
+    :func:`_merged_arrivals`, of class n at inf, routes every completion.
     """
-    n = len(chain.nodes)
-    last = n - 1
-    arr_rngs, mark_rngs, draw = _streams(chain, seed_seq)
-    heap = [(math.inf, n + 1, 0, 0.0, 0)]
-    push, replace, pop = heapq.heappush, heapq.heapreplace, heapq.heappop
-    i = 0  # the push order
-    free = [0.0] * (n + 1)
-    sojourns, classes = tally.sojourns, tally.cls
-    t = math.inf  # heap[0][0]
-    for times, cls, marks in _merged_arrivals(chain.nodes, arr_rngs, mark_rngs, n_packets):
+
+    __slots__ = ("draw", "tally", "heap", "free", "i", "t")
+
+    # the columns of a :func:`_merged_arrivals` chunk that run takes
+    columns = slice(None)
+
+    def __init__(self, services, tally: _Tally):
+        self.draw, self.tally = services, tally
+        self.heap = [(math.inf, len(services), 0, 0.0, 0)]
+        self.free = [0.0] * len(services)
+        self.i, self.t = 0, math.inf
+
+    def run(self, times, cls, marks) -> None:
+        """Run arrivals at ``times`` of classes ``cls`` with new-flow ``marks``."""
+        heap, free, draw, tally = self.heap, self.free, self.draw, self.tally
+        n = len(free) - 1
+        last = n - 1
+        push, replace, pop = heapq.heappush, heapq.heapreplace, heapq.heappop
+        sojourns, classes = tally.sojourns, tally.cls
+        i, t = self.i, self.t
         for a, c, new in zip(times, cls, marks):
             while t < a:
                 _, k, _, a0, code = heap[0]
@@ -978,7 +1037,62 @@ def _run_joins(chain: ChainModel, n_packets: int, tally: _Tally,
                 continue
             if f < t:
                 t = f
-    tally.flush()
+        self.i, self.t = i, t
+
+    def run_checked(self, times, cls, marks, first: int, empties: list, stop) -> int | None:
+        """:meth:`run`, flushing nothing, where the arrivals are numbered
+        from ``first``, noting in ``empties`` (index, departures since the
+        last flush) of each that finds the chain empty: the heap holds only
+        its sentinel, so every completion so far came before the arrival,
+        and the last node is free too, as its final passes depart at their
+        join.  Stops at the first such arrival whose index is in ``stop``,
+        before running it, and returns its index; else returns None."""
+        heap, free, draw, tally = self.heap, self.free, self.draw, self.tally
+        n = len(free) - 1
+        last = n - 1
+        push, replace, pop = heapq.heappush, heapq.heapreplace, heapq.heappop
+        sojourns, classes = tally.sojourns, tally.cls
+        i, t = self.i, self.t
+        for j, (a, c, new) in enumerate(zip(times, cls, marks), first):
+            while t < a:
+                _, k, _, a0, code = heap[0]
+                if k == n:
+                    s = code
+                elif code < 0:
+                    s, code = n, ~code
+                else:
+                    s = k + 1
+                f = free[s]
+                free[s] = f = (t if t > f else f) + draw[s]()
+                if s == last:
+                    pop(heap)
+                    visited = a0 < 0.0 or a0 == 0.0 and math.copysign(1.0, a0) < 0.0
+                    sojourns.append(-(f + a0) if visited else f - a0)
+                    classes.append(code)
+                else:
+                    replace(heap, (f, s, (i := i + 1), a0, code))
+                t = heap[0][0]
+            if len(heap) == 1 and free[last] <= a:
+                if j in stop:
+                    self.i, self.t = i, t
+                    return j
+                empties.append((j, len(sojourns)))
+            if c == n:
+                break
+            f = free[c]
+            free[c] = f = (a if a > f else f) + draw[c]()
+            if new:
+                push(heap, (f, c, (i := i + 1), -a, ~c))
+            elif c < last:
+                push(heap, (f, c, (i := i + 1), a, c))
+            else:
+                sojourns.append(f - a)
+                classes.append(c)
+                continue
+            if f < t:
+                t = f
+        self.i, self.t = i, t
+        return None
 
 
 def _merged_arrivals(nodes, arr_rngs, mark_rngs, n_packets: int):
@@ -1020,19 +1134,20 @@ def _merged_arrivals(nodes, arr_rngs, mark_rngs, n_packets: int):
     yield [math.inf], [n], [True]
 
 
-def _pieces(feed, cuts):
-    """One class's arrival chunks from :func:`_merged_arrivals`, split at the
-    arrival indices ``cuts``: each piece as (index of its first arrival,
-    times, marks)."""
+def _pieces(feed, cuts, columns: slice):
+    """The arrival chunks from :func:`_merged_arrivals`, split at the arrival
+    indices ``cuts``: each piece as (index of its first arrival, the
+    ``columns`` of its times, classes and marks)."""
     first = 0
-    for times, _, marks in feed:
-        last = first + len(times)
+    for chunk in feed:
+        cols = chunk[columns]
+        last = first + len(cols[0])
         lo = first
         for cut in cuts:
             if lo < cut < last:
-                yield lo, times[lo - first:cut - first], marks[lo - first:cut - first]
+                yield lo, tuple(col[lo - first:cut - first] for col in cols)
                 lo = cut
-        yield lo, times[lo - first:], marks[lo - first:]
+        yield lo, tuple(col[lo - first:] for col in cols)
         first = last
 
 

@@ -21,6 +21,8 @@ from sdnqueue.analytic import (
     solve_chain,
     solve_rates,
 )
+from sdnqueue.dimensioning import max_throughput, stability_supremum, zero_load_sojourn
+from sdnqueue.distribution import build_distribution, ccdf, pdf, quantile
 
 MU_L = rate_from_us(9.8)
 MU_C = rate_from_us(240.0)
@@ -348,3 +350,118 @@ class TestOneNodeChainProperties:
         want = mean_sojourn_openflow(node, ctrl, rates)
         got = chain_sojourn(chain, sol)
         assert got.per_class == (want,) and got.aggregate == want
+
+
+def _hex(*values: float) -> list[str]:
+    # float.hex, so equality is of bits: -0.0 and 0.0 differ
+    return [float(v).hex() for v in values]
+
+
+def _rates_times(node: NodeParams, k: int) -> NodeParams:
+    return NodeParams(math.ldexp(node.lam, k), math.ldexp(node.mu_switch, k), node.q_nf)
+
+
+# new-flow shares: 0, or large enough that q_nf times a rate, or a rate
+# squared, stays a normal float at every k below (q_nf = 1e-311, itself
+# subnormal, makes subnormal station rates, which a power of two rounds)
+_SHARES = st.one_of(st.just(0.0), st.floats(1e-6, 1.0))
+
+
+@st.composite
+def _scaled_chains(draw):
+    """A 1-3 node chain at rates from idle to saturated, and a power of two
+    k, |k| <= 300, that keeps every intermediate value a normal float: the
+    law's coefficients form squares of rates, which |k| <= 500 would not."""
+    n = draw(st.integers(1, 3))
+    mu_l = draw(st.floats(3.0, 7.0).map(lambda e: 10.0 ** e))
+    nodes = tuple(NodeParams(draw(st.floats(0.01, 1.2)) * mu_l / (2 * n), mu_l,
+                             draw(_SHARES))
+                  for _ in range(n))
+    ctrl = ControllerParams(draw(st.floats(2.0, 6.0).map(lambda e: 10.0 ** e)))
+    return ChainModel(nodes=nodes, controller=ctrl), draw(st.integers(-300, 300))
+
+
+@st.composite
+def _scaled_laws(draw):
+    """A stable single node, its sojourn law, and a power of two k as above."""
+    q = draw(_SHARES)
+    mu_l = draw(st.floats(3.0, 7.0).map(lambda e: 10.0 ** e))
+    mu_c = draw(st.floats(2.0, 6.0).map(lambda e: 10.0 ** e))
+    lam = draw(st.floats(0.01, 0.99)) * stability_supremum(q, mu_l, mu_c)
+    return NodeParams(lam, mu_l, q), ControllerParams(mu_c), draw(st.integers(-300, 300))
+
+
+class TestPowerOfTwoScaling:
+    """Multiplying every rate by 2**k multiplies every time by exactly 2**-k
+    and leaves every load, probability and ccdf value as it is, bit for bit,
+    while all values stay normal floats: each closed form is built from
+    products, quotients, sums of like terms and exp of a rate times a time,
+    and each commutes with the scaling."""
+
+    @settings(max_examples=200)
+    @given(case=_scaled_chains())
+    def test_balance_and_mean_sojourns(self, case):
+        chain, k = case
+        scaled = ChainModel(tuple(_rates_times(nd, k) for nd in chain.nodes),
+                            ControllerParams(math.ldexp(chain.controller.mu_controller, k)))
+        sol, sol_k = solve_chain(chain), solve_chain(scaled)
+        assert _hex(sol_k.gamma_controller, sol_k.rho_controller) == _hex(
+            math.ldexp(sol.gamma_controller, k), sol.rho_controller)
+        for r, r_k in zip(sol.nodes, sol_k.nodes, strict=True):
+            assert _hex(r_k.gamma_switch, r_k.gamma_controller, r_k.q_jack, r_k.rho_switch,
+                        r_k.rho_controller) == _hex(
+                math.ldexp(r.gamma_switch, k), math.ldexp(r.gamma_controller, k), r.q_jack,
+                r.rho_switch, r.rho_controller)
+        node, node_k = chain.nodes[0], scaled.nodes[0]
+        rates = solve_rates(node, chain.controller)
+        rates_k = solve_rates(node_k, scaled.controller)
+        assert _hex(rates_k.gamma_switch, rates_k.gamma_controller, rates_k.q_jack,
+                    rates_k.rho_switch, rates_k.rho_controller) == _hex(
+            math.ldexp(rates.gamma_switch, k), math.ldexp(rates.gamma_controller, k),
+            rates.q_jack, rates.rho_switch, rates.rho_controller)
+        if not sol.stable:
+            assert not sol_k.stable
+            with pytest.raises(UnstableSystemError):
+                chain_sojourn(scaled, sol_k)
+        else:
+            want, got = chain_sojourn(chain, sol), chain_sojourn(scaled, sol_k)
+            assert _hex(*got.per_class, got.aggregate) == _hex(
+                *(math.ldexp(w, -k) for w in want.per_class), math.ldexp(want.aggregate, -k))
+        if rates.stable:
+            for mean in (lambda nd, c, r: mean_sojourn_openflow(nd, c, r),
+                         lambda nd, c, r: mean_sojourn_jackson(r, nd)):
+                assert _hex(mean(node_k, scaled.controller, rates_k)) == _hex(
+                    math.ldexp(mean(node, chain.controller, rates), -k))
+
+    @settings(max_examples=200)
+    @given(case=_scaled_laws(), xs=st.lists(st.floats(0.0, 40.0), min_size=1, max_size=8),
+           p=st.floats(0.0, 0.9999))
+    def test_law(self, case, xs, p):
+        node, ctrl, k = case
+        node_k, ctrl_k = _rates_times(node, k), ControllerParams(math.ldexp(ctrl.mu_controller, k))
+        d = build_distribution(node, ctrl, solve_rates(node, ctrl))
+        d_k = build_distribution(node_k, ctrl_k, solve_rates(node_k, ctrl_k))
+        assert _hex(d_k.a_switch, d_k.a_controller, d_k.b1, d_k.b2, d_k.d) == _hex(
+            math.ldexp(d.a_switch, k), math.ldexp(d.a_controller, k), d.b1, d.b2, d.d)
+        assert d_k.degenerate == d.degenerate
+        # times of up to 40 mean switch sojourns, where e^(-a_l t) stays normal
+        t = np.array(xs) / d.a_switch
+        t_k = np.ldexp(t, -k)
+        assert _hex(*(pdf(d_k, s) for s in t_k)) == _hex(*(math.ldexp(pdf(d, s), k) for s in t))
+        assert _hex(*(ccdf(d_k, s) for s in t_k)) == _hex(*(ccdf(d, s) for s in t))
+        assert pdf(d_k, t_k).tobytes() == np.ldexp(pdf(d, t), k).tobytes()
+        assert ccdf(d_k, t_k).tobytes() == ccdf(d, t).tobytes()
+        assert _hex(quantile(d_k, p)) == _hex(math.ldexp(quantile(d, p), -k))
+
+    @settings(max_examples=200)
+    @given(case=_scaled_laws(), factor=st.floats(0.5, 1e4))
+    def test_max_throughput(self, case, factor):
+        # bounds from below the zero-load sojourn (infeasible) to far above it
+        node, ctrl, k = case
+        q, mu_l, mu_c = node.q_nf, node.mu_switch, ctrl.mu_controller
+        bound = factor * zero_load_sojourn(q, mu_l, mu_c)
+        want = max_throughput(bound, q_nf=q, mu_switch=mu_l, mu_controller=mu_c)
+        got = max_throughput(math.ldexp(bound, -k), q_nf=q, mu_switch=math.ldexp(mu_l, k),
+                             mu_controller=math.ldexp(mu_c, k))
+        assert _hex(got.rate) == _hex(math.ldexp(want.rate, k))
+        assert (got.feasible, got.note) == (want.feasible, want.note)

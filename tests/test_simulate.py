@@ -457,10 +457,10 @@ class TestEngineProperties:
 
 class TestProcessCount:
     """A run's replications run on min(replications, ``_cpus()``) processes,
-    replication k on process k mod that count, except that a single node's
-    last replication is cut between processes 0 and 1 where the count
-    leaves it over (see :class:`TestCutReplication`); no bit of the
-    aggregate or of a class may depend on the count."""
+    replication k on process k mod that count, except that the last
+    replication, a single node's or a chain's, is cut between processes 0
+    and 1 where the count leaves it over (see :class:`TestCutReplication`);
+    no bit of the aggregate or of a class may depend on the count."""
 
     # the run's samples below, at or over the reservoir cap; over it, the
     # caller draws every replacement slot, of the aggregate and of each
@@ -576,11 +576,12 @@ def _feeds_in_caller(monkeypatch) -> list[int]:
 
 
 class TestCutReplication:
-    """Where R mod P = 1, a single node's last replication is cut at an
-    arrival that finds the system empty: process 1 runs the tail, from
-    arrival m on and from an empty system, and the caller splices it on at
-    the first arrival in the tail's window at which both paths are empty,
-    or runs the replication whole where there is none.  No bit may move."""
+    """Where R mod P = 1, the last replication, a single node's or a
+    chain's, is cut at an arrival that finds the system empty: process 1
+    runs the tail, from arrival m on and from an empty system, and the
+    caller splices it on at the first arrival in the tail's window at which
+    both paths are empty, or runs the replication whole where there is
+    none.  No bit may move."""
 
     RUNS = dict(chain=_chains(st.just(1)), seed=st.integers(0, 2 ** 64 - 1),
                 warmup=st.floats(0.0, 0.49), block=st.integers(16, 5000),
@@ -592,6 +593,16 @@ class TestCutReplication:
     @given(**RUNS)
     def test_cut_does_not_move_bits(self, fill, chain, seed, warmup, block, reps, procs,
                                     data):
+        self._assert_same_bits(fill, chain, seed, warmup, block, reps, procs, data)
+
+    @pytest.mark.parametrize("fill", ["below", "at", "over"])
+    @settings(max_examples=5, phases=TestProcessCount.NO_SHRINK)
+    @given(**dict(RUNS, chain=_chains(st.integers(2, 3))))
+    def test_chain_cut_does_not_move_bits(self, fill, **run):
+        self._assert_same_bits(fill, **run)
+
+    @staticmethod
+    def _assert_same_bits(fill, chain, seed, warmup, block, reps, procs, data):
         cfg = SimConfig(seed=seed, packets_per_replication=10_000, replications=reps,
                         warmup_fraction=warmup)
         total = reps * (10_000 - int(warmup * 10_000))
@@ -606,14 +617,19 @@ class TestCutReplication:
         assert bits[1] == bits[0]
 
     PAPER_CFG = SimConfig(seed=5, packets_per_replication=20_000, replications=5)
+    ASYMMETRIC = TestEngineEquivalence.CHAIN_CASES["criterion 9 asymmetric"][0]
+    # two nodes whose new flows load the controller to 1.4
+    SATURATED = TestEngineEquivalence.CHAIN_CASES["saturated controller"][0]
 
-    def _run(self, monkeypatch, node, procs):
+    def _run(self, monkeypatch, nodes, procs):
+        # nodes: a chain's tuple, or one node
         monkeypatch.setattr(simulate, "_cpus", lambda: procs)
-        return _bits(run_chain(ChainModel(nodes=(node,), controller=CTRL), self.PAPER_CFG))
+        nodes = nodes if isinstance(nodes, tuple) else (nodes,)
+        return _bits(run_chain(ChainModel(nodes=nodes, controller=CTRL), self.PAPER_CFG))
 
     def test_splice_taken_at_a_paper_point(self, monkeypatch):
         # q_nf 0.2, rho_c 0.5: the system is empty at most arrivals, so the
-        # caller splices soon after m = 12,000 and draws the arrivals of
+        # caller splices soon after m = 11,000 and draws the arrivals of
         # the last replication only up to the block holding the splice
         node = NodeParams(0.5 * MU_C / 0.2, MU_L, 0.2)
         serial = self._run(monkeypatch, node, 1)
@@ -646,6 +662,48 @@ class TestCutReplication:
         monkeypatch.setattr(simulate._Lindley, "run_checked", miscounted)
         with pytest.raises(SimulationInvariantError, match="splices at arrival"):
             self._run(monkeypatch, NodeParams(0.5 * MU_C / 0.2, MU_L, 0.2), 2)
+
+    def test_chain_splice_taken_at_criterion_9(self, monkeypatch):
+        # criterion 9's asymmetric chain is empty at most arrivals: the
+        # caller splices soon after m = 11,000, not at the end
+        serial = self._run(monkeypatch, self.ASYMMETRIC, 1)
+        counts = _feeds_in_caller(monkeypatch)
+        assert self._run(monkeypatch, self.ASYMMETRIC, 2) == serial
+        assert counts[:2] == [20_000, 20_000]
+        assert 11_000 <= counts[2] < 20_000
+
+    def test_chain_saturated_controller_falls_back(self, monkeypatch):
+        serial = self._run(monkeypatch, self.SATURATED, 1)
+        counts = _feeds_in_caller(monkeypatch)
+        assert self._run(monkeypatch, self.SATURATED, 2) == serial
+        assert counts == [20_000] * 3
+
+    # a light first node and a busy last one, loaded by local packets that
+    # depart at their join: the heap often holds only its sentinel while the
+    # last switch still serves, which is no regeneration point
+    BUSY_LAST = (NodeParams(1000.0, MU_L, 0.5), NodeParams(0.8 * MU_L, MU_L, 0.0))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_chain_splice_waits_for_the_last_switch(self, monkeypatch, seed):
+        cfg = SimConfig(seed=seed, packets_per_replication=10_000, replications=3)
+        bits = []
+        for procs in (1, 2):
+            monkeypatch.setattr(simulate, "_cpus", lambda: procs)
+            bits.append(_bits(run_chain(ChainModel(self.BUSY_LAST, CTRL), cfg)))
+        assert bits[1] == bits[0]
+
+    def test_chain_splice_checks_departures(self, monkeypatch):
+        checked = simulate._Joins.run_checked
+
+        def miscounted(self, times, cls, marks, first, empties, stop):
+            n = len(empties)
+            j = checked(self, times, cls, marks, first, empties, stop)
+            empties[n:] = [(i, d + 1) for i, d in empties[n:]]
+            return j
+
+        monkeypatch.setattr(simulate._Joins, "run_checked", miscounted)
+        with pytest.raises(SimulationInvariantError, match="splices at arrival"):
+            self._run(monkeypatch, self.ASYMMETRIC, 2)
 
 
 class TestScaleEquivariance:
@@ -705,6 +763,16 @@ class TestForkedLifecycle:
         if scenario == "fork warns":
             os.fork = warning_fork
 
+        if scenario == "child exits 3":
+            send = simulate._send
+
+            def send_and_exit(out, record):
+                # the child's one replication is sent whole, then it fails
+                send(out, record)
+                os._exit(3)
+
+            simulate._send = send_and_exit
+
         class Deque(deque):
             # serves newest first, which breaks FIFO order, in the caller only
             # or in the children only
@@ -745,7 +813,9 @@ class TestForkedLifecycle:
         ("caller raises", "SimulationInvariantError: FIFO order violated at the "),
         # the same two with a 2-node chain, whose child holds class samples
         ("chain child raises", "SimulationInvariantError: FIFO order violated at the "),
-        ("chain caller raises", "SimulationInvariantError: FIFO order violated at the ")])
+        ("chain caller raises", "SimulationInvariantError: FIFO order violated at the "),
+        # every result arrives, but the child's exit status says it failed
+        ("child exits 3", "ChildProcessError: a replication process ended with exit codes [3]")])
     def test_no_child_outlives_the_run(self, scenario, outcome):
         src = Path(__file__).resolve().parents[1] / "src"
         proc = subprocess.run([sys.executable, "-W", "error::DeprecationWarning", "-c",
@@ -813,12 +883,20 @@ class TestFlatMemory:
         # the same runs with 3 replications on 2 processes: the caller runs
         # replication 0 and the head of replication 2, and measures the
         # tail's departures block by block as they are read; held whole, the
-        # tail of 3e6 packets would add ~9.6 MB
+        # tail of 3e6 packets would add ~10.8 MB
+        self._assert_flat_through_a_cut("1", "100000", "3000000")
+
+    def test_caller_peak_flat_through_a_cut_chain_replication(self):
+        # the same for a 2-node chain, whose tail of 2e6 packets, held
+        # whole with its classes, would add ~8.1 MB
+        self._assert_flat_through_a_cut("2", "50000", "2000000")
+
+    def _assert_flat_through_a_cut(self, *args):
         script = self.SCRIPT.replace("replications=2", "replications=3").replace(
             "simulate.SAMPLE_CAP = 1000", "simulate.SAMPLE_CAP = 1000\nsimulate._cpus = lambda: 2")
         assert "replications=3" in script and "_cpus" in script
         src = Path(__file__).resolve().parents[1] / "src"
-        proc = subprocess.run([sys.executable, "-c", script, "1", "100000", "3000000"],
+        proc = subprocess.run([sys.executable, "-c", script, *args],
                               capture_output=True, text=True,
                               env=dict(os.environ, PYTHONPATH=str(src)), timeout=300)
         assert proc.returncode == 0, proc.stderr
