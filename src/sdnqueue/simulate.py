@@ -30,14 +30,15 @@ Engine design, fixed for reproducibility:
   sampling with its own streams;
 * each replication hands its departures to the statistics in blocks, which
   drop the warm-up, count the controller visits by sojourns' sign bits (see
-  :class:`_Tally`), carry the running sums and feed the reservoirs: every
-  ``_BLOCK`` = 2**12 departures, whose Python floats (~0.7 MB) then fit a
-  2 MB L2 cache, except that the single-node loop hands over one block per
-  block of ``_BLOCK`` arrivals, which holds a few departures more or fewer,
-  and its drain as one block, bounded by the controller returns still
-  queued when arrivals stop, which its deques already hold (see
-  :func:`_run_lindley`), and that a cut replication hands over a block at
-  each cut too (see :func:`_run_head`).  So the caller's memory is bounded by
+  :class:`_Tally`), carry the running sums and feed the reservoirs: one
+  block per chunk of at most ``_BLOCK`` = 2**12 arrivals, whose Python
+  floats (~0.7 MB) then fit a 2 MB L2 cache, and from the chain loop one
+  every ``_BLOCK`` departures too.  A chunk's block holds a few departures
+  more or fewer than its arrivals, and the single-node loop hands over its
+  drain as one block, bounded by the controller returns still queued when
+  arrivals stop, which its deques already hold (see
+  :func:`_run_replication`); a cut replication hands over a block at each
+  cut too (see :func:`_run_head`).  So the caller's memory is bounded by
   ``SAMPLE_CAP`` samples per reservoir plus about one block (and the
   packets in the system), whatever its packet budget; a forked process's
   grows with one replication's measured samples, which it holds until sent;
@@ -91,14 +92,16 @@ replication k runs on process k mod P, where process 0 is the caller and the
 others are forked for the call (P is 1 where ``os.fork`` is missing).  Usable
 CPUs are the process's affinity set where the platform has one, so
 ``taskset`` limits P, else every CPU.  A forked process records its
-replications' measured blocks and sends them; the caller feeds them, in
-replication order, through the code a serial run uses, and so makes every
-statistic and every reservoir draw itself: the bits never depend on P.
-Where the replications leave one over for the caller (R mod P = 1), the
-last one, a single node's or a chain's, is cut at a regeneration point, an
-arrival that finds the system empty, and its tail runs in process 1 (see
-:func:`_run_head`); where no such point comes soon enough after the cut,
-the caller runs it whole.  An audited replication is never cut.
+replications' measured blocks and sends them down a pipe that holds a whole
+replication where the platform lets it be set (see :func:`_pipe`); the
+caller feeds them, in replication order, through the code a serial run
+uses, and so makes every statistic and every reservoir draw itself: the
+bits never depend on P.  Where the replications leave one over for the
+caller (R mod P = 1), the last one, a single node's or a chain's, is cut at
+a regeneration point, an arrival that finds the system empty, and its tail
+runs in process 1 (see :func:`_run_head`); where no such point comes soon
+enough after the cut, the caller runs it whole.  An audited replication is
+never cut.
 """
 
 from __future__ import annotations
@@ -126,9 +129,13 @@ _Z95 = 1.96
 # shortest mean switch service time (see _check_time_range)
 _RESOLUTION = 2.0 ** -20
 # A cut replication's tail starts at arrival int(_CUT * N) and may be spliced
-# on within its first _WINDOW arrivals (see _run_head)
+# on at every _CHECK-th of its first _WINDOW arrivals (see _run_head)
 _CUT = 0.55
 _WINDOW = 1 << 10
+_CHECK = 1 << 4
+# the bytes a forked process's pipe holds where the platform lets it be set:
+# a replication of up to ~120k measured samples, pickled (see _pipe)
+_PIPE = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -394,7 +401,7 @@ def run_chain(chain: ChainModel, cfg: SimConfig, audit: bool = False) -> ChainSi
     class_reservoirs = [_Reservoir(cap, np.random.default_rng(children[reps + i]))
                         for i in range(n if n > 1 else 0)]
     agg_reservoir = _Reservoir(cap, np.random.default_rng(children[reps + n]))
-    engine = _run_events if audit else _run_lindley if n == 1 else _run_joins
+    engine = _run_events if audit else _run_replication
     tallies = [_Tally(n, cutoff, agg_reservoir, class_reservoirs, shift) for _ in range(reps)]
     procs = min(reps, _cpus()) if hasattr(os, "fork") else 1
     tail = None if audit else functools.partial(_run_tail, chain, cfg.packets_per_replication)
@@ -470,7 +477,9 @@ def _run_forked(procs: int, run, tallies: list[_Tally], seeds: list,
 
     ``run(tally, seed_seq)`` runs one replication, which measures
     ``measured`` samples.  A child runs each of its replications into a
-    :class:`_Record` and sends the recorded blocks.  The caller takes the
+    :class:`_Record` and sends the recorded blocks down a pipe of its own
+    (see :func:`_pipe`), and goes on to its next without waiting for the
+    caller to read them where they fit the pipe.  The caller takes the
     replications in order: it runs its own straight into the reservoirs and
     feeds a child's recorded blocks through the same :meth:`_Tally.measure`,
     so it makes every reservoir draw in the serial run's order and the
@@ -499,7 +508,7 @@ def _run_forked(procs: int, run, tallies: list[_Tally], seeds: list,
     done = False
     try:
         for p in range(1, procs):
-            r, w = os.pipe()
+            r, w = _pipe()
             readers.append(open(r, "rb"))
             try:
                 pid = _fork()
@@ -539,6 +548,25 @@ def _run_forked(procs: int, run, tallies: list[_Tally], seeds: list,
         codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in pids]
         if done and any(codes):
             raise ChildProcessError(f"a replication process ended with exit codes {codes}")
+
+
+def _pipe() -> tuple[int, int]:
+    """``os.pipe()``, with the write end set to hold ``_PIPE`` bytes where
+    the platform allows (Linux's ``F_SETPIPE_SZ``): a forked process then
+    writes a whole replication of up to ~120k measured samples, pickled,
+    without waiting on the caller's reads.  Where it cannot be set, the pipe
+    keeps its default size (64 KiB on Linux).  This sets the call's own
+    pipe only, no system setting."""
+    import fcntl  # POSIX only, as os.fork is
+
+    r, w = os.pipe()
+    setsize = getattr(fcntl, "F_SETPIPE_SZ", None)
+    if setsize is not None:
+        try:
+            fcntl.fcntl(w, setsize, _PIPE)
+        except OSError:
+            pass
+    return r, w
 
 
 def _fork() -> int:
@@ -745,46 +773,40 @@ def _run_events(chain: ChainModel, n_packets: int, tally: _Tally,
     tally.flush()
 
 
-def _run_lindley(chain: ChainModel, n_packets: int, tally: _Tally,
-                 seed_seq: np.random.SeedSequence, tail=None) -> None:
-    """One single-node replication by Lindley's recursion, with the event
-    loop's bits (see the module docstring and :class:`_Lindley`).
+def _run_replication(chain: ChainModel, n_packets: int, tally: _Tally,
+                     seed_seq: np.random.SeedSequence, tail=None) -> None:
+    """One replication by a Lindley loop, with the event loop's bits: a
+    single node's by :class:`_Lindley`, a chain's by :class:`_Joins` (see
+    the module docstring).
 
     ``tally`` gets one block per chunk of :func:`_merged_arrivals` (or per
-    piece of one, around a cut), not per ``_BLOCK`` departures, as counting
-    them would slow the loop: a block of ``_BLOCK`` arrivals holds a few
-    departures more or fewer, as controller returns leave after later
-    arrivals (at ``_BLOCK`` = 1000 and controller load 0.9, blocks of 975 to
-    1019), and the sentinel's holds the drain.
+    piece of one around a cut, whose window is one), and from
+    :class:`_Joins` one every ``_BLOCK`` departures too.  :class:`_Lindley`
+    does not count them, as that would slow its loop: a block of ``_BLOCK``
+    arrivals holds a few departures more or fewer, as controller returns
+    leave after later arrivals (at ``_BLOCK`` = 1000 and controller load
+    0.9, blocks of 975 to 1019), and the sentinel's holds the drain.
 
     With ``tail``, the pipe from a process that runs :func:`_run_tail`, the
     replication is cut (see :func:`_run_head`).
     """
-    arr_rngs, mark_rngs, services = _streams(chain, seed_seq)
-    node = _Lindley(services, tally)
-    feed = _merged_arrivals(chain.nodes, arr_rngs, mark_rngs, n_packets)
+    engine, feed, _ = _engine(chain, n_packets, tally, seed_seq)
     if tail is not None:
-        _run_head(node, feed, n_packets, tally, tail)
+        _run_head(engine, feed, n_packets, tally, tail)
         return
-    for times, _, marks in feed:
-        node.run(times, marks)
+    for chunk in feed:
+        engine.run(*chunk[engine.columns])
         tally.flush()
 
 
-def _run_joins(chain: ChainModel, n_packets: int, tally: _Tally,
-               seed_seq: np.random.SeedSequence, tail=None) -> None:
-    """One chain replication in join order, with the event loop's bits (see
-    the module docstring and :class:`_Joins`); with ``tail``, cut as
-    :func:`_run_lindley` is."""
+def _engine(chain: ChainModel, n_packets: int, tally: _Tally,
+            seed_seq: np.random.SeedSequence):
+    """A replication's Lindley loop (:class:`_Lindley` for one node, else
+    :class:`_Joins`) running into ``tally``, its arrival feed and its
+    service streams."""
     arr_rngs, mark_rngs, services = _streams(chain, seed_seq)
-    joins = _Joins(services, tally)
-    feed = _merged_arrivals(chain.nodes, arr_rngs, mark_rngs, n_packets)
-    if tail is not None:
-        _run_head(joins, feed, n_packets, tally, tail)
-        return
-    for times, cls, marks in feed:
-        joins.run(times, cls, marks)
-    tally.flush()
+    engine = (_Lindley if len(chain.nodes) == 1 else _Joins)(services, tally)
+    return engine, _merged_arrivals(chain.nodes, arr_rngs, mark_rngs, n_packets), services
 
 
 def _run_head(engine, feed, n_packets: int, tally: _Tally, tail) -> None:
@@ -794,37 +816,38 @@ def _run_head(engine, feed, n_packets: int, tally: _Tally, tail) -> None:
     :class:`_Joins`) runs the arrivals of ``feed`` into ``tally``, and
     ``tail`` is the pipe from a process that runs :func:`_run_tail`.
 
-    The caller runs the head, arrivals 0 to m (see :func:`_cut_window`),
-    then reads the arrivals in the tail's window at which the tail, run from
-    an empty system at m, is empty.  It runs on to the first of them, j, at
-    which its own path is empty too: both paths have then made every
-    station's joins of the arrivals before j, and so drawn every service
-    stream to the same draw, and they make the same float operations on
-    the same draws from j on.  It measures its departures before j and the
-    tail's from its (j - m)th on.  With no such j in the window it runs the
-    replication to its end alone and reads past the tail's departures.
+    The caller runs the head, arrivals 0 to m, then reads the check points
+    (see :func:`_cut_pieces`) at which the tail, run from an empty system at
+    m, is empty.  It runs on, piece by piece, to the first of them, j, at
+    which :meth:`empty` finds its own path empty too: both paths have then
+    made every station's joins of the arrivals before j, and so drawn every
+    service stream to the same draw, and they make the same float
+    operations on the same draws from j on.  It measures its departures
+    before j and the tail's from its (j - m)th on.  With no such j in the
+    window it runs the replication to its end alone and reads past the
+    tail's departures.
     """
-    m, end = _cut_window(n_packets)
-    pieces = _pieces(feed, (m, end), engine.columns)
+    m, end, pieces = _cut_pieces(feed, n_packets, engine.columns)
     for first, cols in pieces:
         engine.run(*cols)
         tally.flush()
         if first + len(cols[0]) == m:
             break
-    stop = dict(_load(tail))  # the tail's empty arrivals: its departures before each
+    stop = dict(_load(tail))  # the tail's empty check points: its departures before each
     for first, cols in (pieces if stop else ()):
-        j = engine.run_checked(*cols, first, [], stop)
-        tally.flush()
-        if j is not None:
-            if tally.departed != j or stop[j] != j - m:
+        if first in stop and engine.empty(cols[0][0]):
+            tally.flush()
+            if tally.departed != first or stop[first] != first - m:
                 raise SimulationInvariantError(
-                    f"the cut replication splices at arrival {j} after {tally.departed} "
-                    f"departures and its tail's {stop[j]}, not {j} and {j - m}")
-            _receive(tail, tally, j - m)
+                    f"the cut replication splices at arrival {first} after {tally.departed} "
+                    f"departures and its tail's {stop[first]}, not {first} and {first - m}")
+            _receive(tail, tally, first - m)
             return
+        engine.run(*cols)
         if first + len(cols[0]) == end:
             break
-    for _, cols in pieces:  # no joint empty arrival: the rest alone
+    tally.flush()
+    for _, cols in pieces:  # no joint empty check point: the rest alone
         engine.run(*cols)
         tally.flush()
     if stop:
@@ -840,16 +863,13 @@ def _run_tail(chain: ChainModel, n_packets: int, out,
     it once, and once more per new flow of class i, back from the
     controller; the controller joins once per new flow.
 
-    Sends the list of (index, its departures before it) of every arrival in
-    the window at which the tail is empty; then, if there is one, its
-    departures as :func:`_send` does."""
+    Sends the list of (index, its departures before it) of every check
+    point in the window at which :meth:`empty` finds the tail empty; then,
+    if there is one, its departures as :func:`_send` does."""
     n = len(chain.nodes)
-    arr_rngs, mark_rngs, services = _streams(chain, seed_seq)
     record = _Record(n, 0)
-    engine = (_Lindley if n == 1 else _Joins)(services, record)
-    m, end = _cut_window(n_packets)
-    pieces = _pieces(_merged_arrivals(chain.nodes, arr_rngs, mark_rngs, n_packets), (m, end),
-                     engine.columns)
+    engine, feed, services = _engine(chain, n_packets, record, seed_seq)
+    m, end, pieces = _cut_pieces(feed, n_packets, engine.columns)
     joins = np.zeros(n + 1, dtype=np.int64)  # each station's, before arrival m
     for first, cols in pieces:
         cls = np.asarray(cols[1]) if n > 1 else np.zeros(len(cols[0]), dtype=np.intp)
@@ -861,8 +881,10 @@ def _run_tail(chain: ChainModel, n_packets: int, out,
     for draw, count in zip(services, joins.tolist()):
         _skip(draw, count)
     empties: list[tuple[int, int]] = []
-    for first, cols in pieces:  # not flushed: len(sojourns) counts the departures
-        engine.run_checked(*cols, first, empties, ())
+    for first, cols in pieces:
+        if engine.empty(cols[0][0]):
+            empties.append((first, record.departed + len(record.sojourns)))
+        engine.run(*cols)
         if first + len(cols[0]) == end:
             break
     pickle.dump(empties, out)
@@ -875,12 +897,16 @@ def _run_tail(chain: ChainModel, n_packets: int, out,
         _send(out, record)
 
 
-def _cut_window(n_packets: int) -> tuple[int, int]:
-    """Where a cut replication's tail starts, m, and where the window in
-    which it may be spliced on ends.  The warm-up is under N/2 departures,
-    so the splice comes after it and the tail's departures are measured."""
+def _cut_pieces(feed, n_packets: int, columns: slice):
+    """Where a cut replication's tail starts, m, where the window in which it
+    may be spliced on ends, and the ``columns`` of ``feed``'s pieces (see
+    :func:`_pieces`) split at m, at every ``_CHECK``-th arrival after it and
+    at the window's end: the start of each piece in the window is a check
+    point.  The warm-up is under N/2 departures, so a splice comes after it
+    and the tail's departures are measured."""
     m = int(_CUT * n_packets)
-    return m, min(m + _WINDOW, n_packets)
+    end = min(m + _WINDOW, n_packets)
+    return m, end, _pieces(feed, (*range(m, end, _CHECK), end), columns)
 
 
 class _Lindley:
@@ -930,41 +956,18 @@ class _Lindley:
                 depart(free - a)
         self.head, self.free, self.cfree = head, free, cfree
 
-    def run_checked(self, times, marks, first: int, empties: list, stop) -> int | None:
-        """:meth:`run`, where the arrivals are numbered from ``first``, noting
-        in ``empties`` (index, departures since the last flush) of each that
-        finds the system empty: no return queued and the switch free, so the
-        controller is too.  Stops at the first such arrival whose index is
-        in ``stop``, before running it, and returns its index; else returns
-        None."""
-        backs, firsts = self.backs, self.firsts
-        next_back, next_first = backs.popleft, firsts.popleft
-        sojourns = self.sojourns
-        next_svc, next_ctl, depart = self.svc, self.ctl, sojourns.append
-        head, free, cfree = self.head, self.free, self.cfree
-        inf = math.inf
-        for j, (a, new) in enumerate(zip(times, marks), first):
-            while head < a:
-                free = (head if head > free else free) + next_svc()
-                depart(-(free - next_first()))
-                head = next_back() if backs else inf
-            if head == inf and free <= a:
-                if j in stop:
-                    self.head, self.free, self.cfree = head, free, cfree
-                    return j
-                empties.append((j, len(sojourns)))
-            free = (a if a > free else free) + next_svc()
-            if new:
-                cfree = (free if free > cfree else cfree) + next_ctl()
-                if firsts:
-                    backs.append(cfree)
-                else:
-                    head = cfree
-                firsts.append(a)
-            else:
-                depart(free - a)
-        self.head, self.free, self.cfree = head, free, cfree
-        return None
+    def empty(self, a: float) -> bool:
+        """Serve every return queued before ``a``, as :meth:`run` does on
+        reaching an arrival at ``a``; then whether that arrival finds the
+        system empty: no return queued and the switch free, so the
+        controller is too."""
+        head, free = self.head, self.free
+        while head < a:
+            free = (head if head > free else free) + self.svc()
+            self.sojourns.append(-(free - self.firsts.popleft()))
+            head = self.backs.popleft() if self.backs else math.inf
+        self.head, self.free = head, free
+        return head == math.inf and free <= a
 
 
 class _Joins:
@@ -1039,60 +1042,15 @@ class _Joins:
                 t = f
         self.i, self.t = i, t
 
-    def run_checked(self, times, cls, marks, first: int, empties: list, stop) -> int | None:
-        """:meth:`run`, flushing nothing, where the arrivals are numbered
-        from ``first``, noting in ``empties`` (index, departures since the
-        last flush) of each that finds the chain empty: the heap holds only
-        its sentinel, so every completion so far came before the arrival,
-        and the last node is free too, as its final passes depart at their
-        join.  Stops at the first such arrival whose index is in ``stop``,
-        before running it, and returns its index; else returns None."""
-        heap, free, draw, tally = self.heap, self.free, self.draw, self.tally
-        n = len(free) - 1
-        last = n - 1
-        push, replace, pop = heapq.heappush, heapq.heapreplace, heapq.heappop
-        sojourns, classes = tally.sojourns, tally.cls
-        i, t = self.i, self.t
-        for j, (a, c, new) in enumerate(zip(times, cls, marks), first):
-            while t < a:
-                _, k, _, a0, code = heap[0]
-                if k == n:
-                    s = code
-                elif code < 0:
-                    s, code = n, ~code
-                else:
-                    s = k + 1
-                f = free[s]
-                free[s] = f = (t if t > f else f) + draw[s]()
-                if s == last:
-                    pop(heap)
-                    visited = a0 < 0.0 or a0 == 0.0 and math.copysign(1.0, a0) < 0.0
-                    sojourns.append(-(f + a0) if visited else f - a0)
-                    classes.append(code)
-                else:
-                    replace(heap, (f, s, (i := i + 1), a0, code))
-                t = heap[0][0]
-            if len(heap) == 1 and free[last] <= a:
-                if j in stop:
-                    self.i, self.t = i, t
-                    return j
-                empties.append((j, len(sojourns)))
-            if c == n:
-                break
-            f = free[c]
-            free[c] = f = (a if a > f else f) + draw[c]()
-            if new:
-                push(heap, (f, c, (i := i + 1), -a, ~c))
-            elif c < last:
-                push(heap, (f, c, (i := i + 1), a, c))
-            else:
-                sojourns.append(f - a)
-                classes.append(c)
-                continue
-            if f < t:
-                t = f
-        self.i, self.t = i, t
-        return None
+    def empty(self, a: float) -> bool:
+        """Route every completion before ``a``, by running a class-n sentinel
+        at ``a``, at which :meth:`run` stops; then whether an arrival at
+        ``a`` finds the chain empty: the heap holds only its sentinel, and
+        the last switch is free too, as its final passes depart at their
+        join."""
+        n = len(self.free) - 1
+        self.run((a,), (n,), (False,))
+        return len(self.heap) == 1 and self.free[n - 1] <= a
 
 
 def _merged_arrivals(nodes, arr_rngs, mark_rngs, n_packets: int):

@@ -1,5 +1,6 @@
 """Discrete-event simulator: statistics, semantics, determinism, audits."""
 
+import errno
 import hashlib
 import io
 import math
@@ -638,6 +639,18 @@ class TestCutReplication:
         assert counts[:2] == [20_000, 20_000]  # replications 0 and 2, whole
         assert 12_000 <= counts[2] < 20_000
 
+    def test_splice_taken_at_the_heaviest_paper_point(self, monkeypatch):
+        # q_nf 1, rho_c 0.9: every packet visits the controller, whose
+        # returns are often still queued at a check point, so the check
+        # must serve them before it finds the system empty.  The splice
+        # lands in the window (11,000 to 12,024), in the block ending at
+        # 3 * _BLOCK = 12,288 arrivals
+        node = NodeParams(0.9 * MU_C, MU_L, 1.0)
+        serial = self._run(monkeypatch, node, 1)
+        counts = _feeds_in_caller(monkeypatch)
+        assert self._run(monkeypatch, node, 2) == serial
+        assert counts == [20_000, 20_000, 12_288]
+
     def test_saturated_controller_falls_back(self, monkeypatch):
         # at rho_c = 1.2 the controller's queue grows all along, so the
         # caller's path is never empty in the window and it runs the last
@@ -648,18 +661,22 @@ class TestCutReplication:
         assert self._run(monkeypatch, node, 2) == serial
         assert counts == [20_000] * 3
 
+    @staticmethod
+    def _miscount(monkeypatch):
+        # the tail's list of empty check points, as the caller reads it, with
+        # one departure too many before each
+        load = simulate._load
+
+        def miscounted(reader):
+            message = load(reader)
+            return [(i, d + 1) for i, d in message] if isinstance(message, list) else message
+
+        monkeypatch.setattr(simulate, "_load", miscounted)
+
     def test_splice_checks_departures(self, monkeypatch):
         # a tail that reports one departure too many before each empty
         # arrival does not match the caller's count at the splice
-        checked = simulate._Lindley.run_checked
-
-        def miscounted(self, times, marks, first, empties, stop):
-            n = len(empties)
-            j = checked(self, times, marks, first, empties, stop)
-            empties[n:] = [(i, d + 1) for i, d in empties[n:]]
-            return j
-
-        monkeypatch.setattr(simulate._Lindley, "run_checked", miscounted)
+        self._miscount(monkeypatch)
         with pytest.raises(SimulationInvariantError, match="splices at arrival"):
             self._run(monkeypatch, NodeParams(0.5 * MU_C / 0.2, MU_L, 0.2), 2)
 
@@ -693,17 +710,67 @@ class TestCutReplication:
         assert bits[1] == bits[0]
 
     def test_chain_splice_checks_departures(self, monkeypatch):
-        checked = simulate._Joins.run_checked
-
-        def miscounted(self, times, cls, marks, first, empties, stop):
-            n = len(empties)
-            j = checked(self, times, cls, marks, first, empties, stop)
-            empties[n:] = [(i, d + 1) for i, d in empties[n:]]
-            return j
-
-        monkeypatch.setattr(simulate._Joins, "run_checked", miscounted)
+        self._miscount(monkeypatch)
         with pytest.raises(SimulationInvariantError, match="splices at arrival"):
             self._run(monkeypatch, self.ASYMMETRIC, 2)
+
+
+class TestPipe:
+    """A forked process sends its replications down a pipe set to hold
+    ``_PIPE`` bytes, a whole replication at the paper's budgets, where the
+    platform allows; where it cannot be set, the run keeps the default pipe,
+    the bits and the children's lifecycle."""
+
+    def test_pipe_holds_a_replication(self):
+        fcntl = pytest.importorskip("fcntl")
+        if not hasattr(fcntl, "F_GETPIPE_SZ"):
+            pytest.skip("the pipe size cannot be read here")
+        limit = Path("/proc/sys/fs/pipe-max-size")
+        if os.geteuid() and limit.exists() and int(limit.read_text()) < simulate._PIPE:
+            pytest.skip("the system caps pipes below _PIPE")
+        r, w = simulate._pipe()
+        try:
+            assert fcntl.fcntl(w, fcntl.F_GETPIPE_SZ) == simulate._PIPE
+        finally:
+            os.close(r)
+            os.close(w)
+
+    @pytest.mark.parametrize("fault", ["F_SETPIPE_SZ missing", "fcntl raises OSError"])
+    def test_default_pipe_keeps_the_bits(self, monkeypatch, fault):
+        fcntl = pytest.importorskip("fcntl")
+        refused = []
+        if fault == "F_SETPIPE_SZ missing":
+            monkeypatch.delattr(fcntl, "F_SETPIPE_SZ", raising=False)
+        else:
+            def refuse(fd, cmd, arg=0):
+                refused.append(cmd)
+                raise OSError(errno.EPERM, "Operation not permitted")
+
+            monkeypatch.setattr(fcntl, "fcntl", refuse)
+        pids = []
+        fork = simulate._fork
+
+        def noted_fork():
+            pid = fork()
+            if pid:
+                pids.append(pid)
+            return pid
+
+        monkeypatch.setattr(simulate, "_fork", noted_fork)
+        # a saturated controller: the cut falls back, so the tail's ~9k
+        # departures, over 64 KiB pickled, wait in the pipe until the caller
+        # reads past them, as the child's own replications wait to be read
+        chain = ChainModel(nodes=(NodeParams(1.2 * MU_C, MU_L, 1.0),), controller=CTRL)
+        bits = []
+        for procs in (1, 2):
+            monkeypatch.setattr(simulate, "_cpus", lambda: procs)
+            bits.append(_bits(run_chain(chain, TestCutReplication.PAPER_CFG)))
+        assert bits[1] == bits[0]
+        assert len(pids) == 1
+        assert bool(refused) == hasattr(fcntl, "F_SETPIPE_SZ")
+        for pid in pids:  # reaped: no child is left behind
+            with pytest.raises(ChildProcessError):
+                os.waitpid(pid, os.WNOHANG)
 
 
 class TestScaleEquivariance:
@@ -1179,10 +1246,10 @@ class TestPythonScalars:
         assert len(times) == len(marks) == simulate._BLOCK
         assert ({type(v) for v in times}, {type(v) for v in marks}) == ({float}, {bool})
 
-    @pytest.mark.parametrize("engine, n", [("_run_lindley", 1), ("_run_joins", 2),
+    @pytest.mark.parametrize("engine, n", [("_run_replication", 1), ("_run_replication", 2),
                                            ("_run_events", 2)])
     def test_engines_append_python_scalars(self, engine, n):
         chain = ChainModel(nodes=(NodeParams(2000.0, MU_L, 0.5),) * n, controller=CTRL)
         record = _TypeLog(n)
         getattr(simulate, engine)(chain, 5_000, record, np.random.SeedSequence(3))
-        assert record.types == ({float} if engine == "_run_lindley" else {float, int})
+        assert record.types == ({float} if n == 1 else {float, int})
