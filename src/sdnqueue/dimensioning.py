@@ -17,6 +17,7 @@ from .analytic import (
     ControllerParams,
     NodeParams,
     UnstableSystemError,
+    _SAFE_RATE,
     _detour_sojourn,
     mean_sojourn_naive_jackson,
     mean_sojourn_openflow,
@@ -89,8 +90,11 @@ def max_throughput(delay_bound: float, *, q_nf: float, mu_switch: float,
     """
     if not delay_bound > 0.0:
         raise ValueError(f"delay_bound must be > 0, got {delay_bound}")
-    ControllerParams(mu_controller)
-    NodeParams(1.0, mu_switch, q_nf)  # checks q_nf and mu_switch; the rate is found below
+    # the constructors' own fast-path test: arguments that pass it need no
+    # parameter objects, and the rest get the constructors' exact errors
+    if not (mu_controller >= _SAFE_RATE and mu_switch >= _SAFE_RATE and 0.0 <= q_nf <= 1.0):
+        ControllerParams(mu_controller)
+        NodeParams(1.0, mu_switch, q_nf)  # checks q_nf and mu_switch; the rate is found below
     w0 = zero_load_sojourn(q_nf, mu_switch, mu_controller)
     if delay_bound <= w0:
         return ThroughputResult(rate=0.0, feasible=False, note="bound infeasible")

@@ -13,11 +13,17 @@ no rescaling because the interval itself widens.
 
 Criterion 3 integrates the sojourn law numerically with numpy alone: one
 composite 20-point Gauss-Legendre rule on geometrically growing panels
-(``_law_integrals``), with no tolerance or option to tune.
+(``_law_integrals``), with no tolerance or option to tune.  The rule's nodes
+and weights are computed once per process, when criterion 3 first needs them.
+
+Criteria 1, 2, 3 and 9 check closed forms at seeded random points; each draws
+all of its points in one numpy call (``_draw_points``), the same numbers a loop
+of scalar draws would give.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass
@@ -103,13 +109,23 @@ def _ks_distance(sorted_samples: np.ndarray, cdf_values: np.ndarray) -> float:
     return float(max(np.max(cdf_values - i / n), np.max((i + 1) / n - cdf_values)))
 
 
+def _draw_points(seed: int, n: int, *bounds: tuple[float, float]) -> list[list[float]]:
+    """``n`` points from a generator seeded ``seed``, coordinate j uniform on
+    ``bounds[j]``, as Python floats.
+
+    One call fills the rows from the stream in the order, and with the
+    arithmetic, of a per-point loop of scalar ``rng.uniform(low, high)``
+    draws, so the points are those of that loop bit for bit.
+    """
+    lows, highs = zip(*bounds)
+    return np.random.default_rng(seed).uniform(lows, highs, (n, len(bounds))).tolist()
+
+
 def _criterion_1(quick: bool, seed: int) -> tuple[bool, str]:
     ok = derive_q_jack(1.0) == 0.5 and derive_q_jack(0.0) == 0.0
-    rng = np.random.default_rng(0xC1)
     worst = 0.0
-    for _ in range(1000):
-        q = float(rng.uniform(0.0, 1.0))
-        lam = float(10.0 ** rng.uniform(0.0, 6.0))
+    for q, e in _draw_points(0xC1, 1000, (0.0, 1.0), (0.0, 6.0)):
+        lam = 10.0 ** e
         node = NodeParams(lam, 10.0 * lam, q)
         rates = solve_rates(node, ControllerParams(10.0 * lam))
         want = q * lam
@@ -121,13 +137,11 @@ def _criterion_1(quick: bool, seed: int) -> tuple[bool, str]:
 
 
 def _criterion_2(quick: bool, seed: int) -> tuple[bool, str]:
-    rng = np.random.default_rng(0xC2)
     worst = 0.0
-    for _ in range(1000):
-        q = float(rng.uniform(0.0, 1.0))
-        mu_l = float(10.0 ** rng.uniform(2.0, 6.0))
-        mu_c = float(10.0 ** rng.uniform(2.0, 6.0))
-        lam = float(rng.uniform(0.02, 0.98)) * stability_supremum(q, mu_l, mu_c)
+    for q, e_l, e_c, f in _draw_points(0xC2, 1000, (0.0, 1.0), (2.0, 6.0), (2.0, 6.0),
+                                       (0.02, 0.98)):
+        mu_l, mu_c = 10.0 ** e_l, 10.0 ** e_c
+        lam = f * stability_supremum(q, mu_l, mu_c)
         node = NodeParams(lam, mu_l, q)
         ctrl = ControllerParams(mu_c)
         rates = solve_rates(node, ctrl)
@@ -138,12 +152,26 @@ def _criterion_2(quick: bool, seed: int) -> tuple[bool, str]:
     return ok, f"worst |network form - path form| rel diff {worst:.2e} over 1000 stable tuples (tol 1e-12)"
 
 
-def _random_stable_point(rng) -> tuple[NodeParams, ControllerParams]:
-    q = float(rng.uniform(0.05, 1.0))
-    mu_l = float(10.0 ** rng.uniform(3.0, 5.5))
-    mu_c = float(10.0 ** rng.uniform(3.0, 5.5))
-    lam = float(rng.uniform(0.1, 0.9)) * stability_supremum(q, mu_l, mu_c)
-    return NodeParams(lam, mu_l, q), ControllerParams(mu_c)
+def _criterion_3_points() -> list[tuple[NodeParams, ControllerParams]]:
+    """Criterion 3's 306 random stable laws: 300 for the coefficient sums,
+    then 6 for the integrals."""
+    points = []
+    for q, e_l, e_c, f in _draw_points(0xC3, 306, (0.05, 1.0), (3.0, 5.5), (3.0, 5.5),
+                                       (0.1, 0.9)):
+        mu_l, mu_c = 10.0 ** e_l, 10.0 ** e_c
+        lam = f * stability_supremum(q, mu_l, mu_c)
+        points.append((NodeParams(lam, mu_l, q), ControllerParams(mu_c)))
+    return points
+
+
+@functools.cache
+def _gauss_legendre_20() -> tuple[np.ndarray, np.ndarray]:
+    """The 20-point Gauss-Legendre nodes and weights on [-1, 1], read-only."""
+    # numpy.polynomial is loaded here, not when the module is imported
+    rule = np.polynomial.legendre.leggauss(20)
+    for a in rule:
+        a.flags.writeable = False
+    return rule
 
 
 def _law_integrals(d, horizon: float,
@@ -155,8 +183,7 @@ def _law_integrals(d, horizon: float,
     no panel is wider than its distance from 0 (past the first), so the panels
     stay short where the fast exponential lives and grow with the slow one.
     """
-    # numpy.polynomial is loaded here, not when the module is imported
-    x, wx = np.polynomial.legendre.leggauss(20)
+    x, wx = _gauss_legendre_20()
     w = 0.25 / max(d.a_switch, d.a_controller)
     k = math.ceil(math.log2(horizon / w)) + 1
     edges = np.append(0.0, np.minimum(w * 2.0 ** np.arange(k), horizon))
@@ -169,18 +196,16 @@ def _law_integrals(d, horizon: float,
 
 
 def _criterion_3(quick: bool, seed: int) -> tuple[bool, str]:
-    rng = np.random.default_rng(0xC3)
+    points = _criterion_3_points()
     worst_sum = 0.0
-    for _ in range(300):
-        node, ctrl = _random_stable_point(rng)
+    for node, ctrl in points[:300]:
         d = build_distribution(node, ctrl, solve_rates(node, ctrl))
         if not d.degenerate:
             worst_sum = max(worst_sum, abs(d.b1 + d.b2 + d.d - 1.0))
     ok = worst_sum <= 1e-12
 
     worst_pdf = worst_mean = worst_lap = 0.0
-    for _ in range(6):
-        node, ctrl = _random_stable_point(rng)
+    for node, ctrl in points[300:]:
         rates = solve_rates(node, ctrl)
         d = build_distribution(node, ctrl, rates)
         horizon = 50.0 / min(d.a_switch, d.a_controller)
@@ -333,11 +358,9 @@ def _criterion_8(quick: bool, seed: int) -> tuple[bool, str]:
 
 
 def _criterion_9(quick: bool, seed: int) -> tuple[bool, str]:
-    rng = np.random.default_rng(0xC9)
     worst_alg = 0.0
-    for _ in range(200):
-        lam = float(10.0 ** rng.uniform(1.0, 5.0))
-        q = float(rng.uniform(0.0, 1.0))
+    for e, q in _draw_points(0xC9, 200, (1.0, 5.0), (0.0, 1.0)):
+        lam = 10.0 ** e
         chain = ChainModel(
             nodes=(NodeParams(lam, 10.0 * lam, q), NodeParams(lam, 10.0 * lam, q)),
             controller=ControllerParams(10.0 * lam))

@@ -8,6 +8,9 @@ which the stated grid allowances absorb.  Run with ``-s`` to see the
 per-criterion lines immediately; they are also attached to any failure.
 """
 
+import numpy as np
+import pytest
+
 from sdnqueue import validation
 
 
@@ -89,3 +92,51 @@ def test_criterion_10_simulator_invariants():
 
 def test_suite_covers_every_criterion():
     assert validation.criterion_numbers() == tuple(range(1, 11))
+
+
+def _per_point_draws(number: int) -> list[list[float]]:
+    """Criterion ``number``'s random inputs drawn one scalar call at a time,
+    in the order its per-point loop once drew them (log10 of each rate)."""
+    if number == 1:
+        rng = np.random.default_rng(0xC1)
+        return [[float(rng.uniform(0.0, 1.0)), float(rng.uniform(0.0, 6.0))]
+                for _ in range(1000)]
+    if number == 2:
+        rng = np.random.default_rng(0xC2)
+        return [[float(rng.uniform(0.0, 1.0)), float(rng.uniform(2.0, 6.0)),
+                 float(rng.uniform(2.0, 6.0)), float(rng.uniform(0.02, 0.98))]
+                for _ in range(1000)]
+    if number == 3:
+        # 300 points for the coefficient sums, then 6 for the integrals
+        rng = np.random.default_rng(0xC3)
+        return [[float(rng.uniform(0.05, 1.0)), float(rng.uniform(3.0, 5.5)),
+                 float(rng.uniform(3.0, 5.5)), float(rng.uniform(0.1, 0.9))]
+                for _ in range(300 + 6)]
+    rng = np.random.default_rng(0xC9)
+    return [[float(rng.uniform(1.0, 5.0)), float(rng.uniform(0.0, 1.0))]
+            for _ in range(200)]
+
+
+class _Drawn(Exception):
+    pass
+
+
+@pytest.mark.parametrize("number", [1, 2, 3, 9])
+def test_closed_form_criteria_draw_the_per_point_loops_points(number, monkeypatch):
+    # each criterion draws all of its points in one call; they must be the
+    # per-point loop's, bit for bit, or every verdict would move
+    draw = validation._draw_points
+    drawn = []
+
+    def capture(*args):
+        drawn.append(draw(*args))
+        raise _Drawn
+
+    monkeypatch.setattr(validation, "_draw_points", capture)
+    with pytest.raises(_Drawn):
+        validation.run_criterion(number, quick=True)
+    assert len(drawn) == 1
+    got, want = np.array(drawn[0]), np.array(_per_point_draws(number))
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+    assert all(type(x) is float for row in drawn[0] for x in row)

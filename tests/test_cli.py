@@ -498,9 +498,11 @@ class TestValidateCmd:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.count("[PASS]") == 4
         # with the real scipy importable, criterion 3 still leaves it unloaded
-        # (under the stub a failed import leaves no entry in sys.modules)
+        # (under the stub a failed import leaves no entry in sys.modules), and
+        # its quadrature rule's numpy.polynomial waits for criterion 3 to run
         check = ("import sys\n"
                  "from sdnqueue import validation\n"
+                 "assert 'numpy.polynomial' not in sys.modules, 'loaded at import'\n"
                  "assert validation.run_criteria((3,))[0].passed\n"
                  "assert 'scipy' not in sys.modules, 'criterion 3 loaded scipy'\n")
         env["PYTHONPATH"] = src

@@ -114,6 +114,27 @@ class TestMaxThroughput:
         with pytest.raises(ValueError, match=re.escape(str(want.value))):
             max_throughput(1e-3, q_nf=q, mu_switch=mu_l, mu_controller=MU_C)
 
+    @pytest.mark.parametrize("mu_c, q, mu_l", [(math.nan, 0.5, MU_L), (-1.0, 0.5, MU_L),
+                                               (0.0, 0.5, MU_L), (1e-310, 0.5, MU_L),
+                                               (math.nan, math.nan, -1.0)])
+    def test_bad_controller_rate_rejected_as_controller_params_does(self, mu_c, q, mu_l):
+        # the controller is checked first: its error wins over a bad switch
+        with pytest.raises(ValueError) as want:
+            ControllerParams(mu_c)
+        with pytest.raises(ValueError) as got:
+            max_throughput(1e-3, q_nf=q, mu_switch=mu_l, mu_controller=mu_c)
+        assert str(got.value) == str(want.value)
+
+    def test_tiny_rates_the_constructors_accept_are_answered(self):
+        # below 1e-300 the constructors check a rate exactly, and 1e-305 has a
+        # finite mean time: with no detour the controller rate cannot matter
+        assert ControllerParams(1e-305) and NodeParams(1.0, 1e-305, 0.0)
+        bound = 3.0 / MU_L
+        want = max_throughput(bound, q_nf=0.0, mu_switch=MU_L, mu_controller=MU_C)
+        assert max_throughput(bound, q_nf=0.0, mu_switch=MU_L, mu_controller=1e-305) == want
+        res = max_throughput(bound, q_nf=0.0, mu_switch=1e-305, mu_controller=MU_C)
+        assert (res.rate, res.feasible) == (0.0, False)
+
 
 def exact_root(bound, q, mu_l, mu_c):
     """Smaller root of W(lam) = bound at 50 digits, from the float inputs.

@@ -27,7 +27,7 @@ from sdnqueue.distribution import (
     prob_within_deadline,
     quantile,
 )
-from sdnqueue.validation import _law_integrals, _random_stable_point
+from sdnqueue.validation import _criterion_3_points, _law_integrals
 
 MU_L = rate_from_us(9.8)
 MU_C = rate_from_us(240.0)
@@ -237,10 +237,7 @@ class TestCcdf:
 def _rule_laws():
     """Criterion 3's six integration laws, the equal-rates law of its
     continuity check, and a controller ~200 times slower than the switch."""
-    rng = np.random.default_rng(0xC3)
-    for _ in range(300):
-        _random_stable_point(rng)
-    laws = [_random_stable_point(rng) for _ in range(6)]
+    laws = _criterion_3_points()[300:]
     laws.append((NodeParams(1000.0, 10000.0, 0.5), ControllerParams(9000.0)))
     laws.append((NodeParams(1000.0, 1e5, 0.5), ControllerParams(1000.0)))
     return laws
