@@ -48,7 +48,7 @@ from .analytic import (
     solve_chain,
     solve_rates,
 )
-from .distribution import build_distribution, ccdf, pdf, prob_within_deadline, quantile
+from .distribution import _pdf_ccdf, build_distribution, prob_within_deadline, quantile
 from .dimensioning import (
     SWEEP_OUTPUTS,
     SWEEP_VARIABLES,
@@ -502,8 +502,10 @@ def _cmd_distribution(args) -> int:
             raise CliError(f"--points must be >= 2, got {points}")
         t_max = args.t_max if args.t_max is not None else quantile(dist, 0.9999)
         ts = [t_max * k / (points - 1) for k in range(points)]
-        rows = [{"t": t, "pdf": float(pdf(dist, t)), "ccdf": float(ccdf(dist, t))}
-                for t in ts]
+        rows = []
+        for t in ts:
+            density, tail = _pdf_ccdf(dist, t)
+            rows.append({"t": t, "pdf": density, "ccdf": tail})
     _write_table(cfg, ["t", "pdf", "ccdf"], rows)
     return 0
 

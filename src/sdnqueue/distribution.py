@@ -24,6 +24,23 @@ scalar gives the same bits as the same time inside an array, at any block
 size.  (math.exp is not used: the platform's libm can differ from numpy's
 exp in the last bit.)
 
+Each time is evaluated once: one kernel call gives e^(-a_l t) and the detour
+term h, from which pdf and ccdf are both formed where both are wanted, as in
+quantile's search and the private _pdf_ccdf.
+
+Every exponential goes through one rule that keeps numpy's exp off its slow
+path.  numpy's SIMD exp costs 15-200 times more per element below about
+-707.8, near and past the end of the normal floats, and returns +0.0 for
+every argument at or below ln 2^-1075 = -745.1332...  So an argument at or
+below _EXP_ZERO is given +0.0 without calling exp; a block whose arguments
+all lie above _EXP_FAST calls exp once; and a block that straddles _EXP_FAST
+calls it on the arguments clamped at _EXP_FAST, then overwrites the clamped
+elements with +0.0 or, between _EXP_ZERO and _EXP_FAST, with exp of the
+arguments themselves.  Each element thus gets the value np.exp gives it, bit
+for bit.  A block's branch (series, closed or masked) and its exp cases
+follow from its smallest and largest time: for t >= 0, |x| and -a t are
+monotone in t, and rounding keeps them so.
+
 The coefficient fields b1/b2/d keep the classical partial-fraction values and
 are reported for inspection; b1 can be negative, so the mixture must never be
 sampled from, only summed.
@@ -51,6 +68,13 @@ _PHI_SERIES_CUTOFF = 0.5
 # Times per block of an array evaluation.  Elementwise arithmetic gives the
 # same bits at any block size; a block's temporaries stay small and in cache.
 _CHUNK = 1 << 14
+
+# numpy's exp, called through this one name.  It stays on its fast path above
+# about -707.8 (measured with numpy 2.4 on x86-64 with AVX-512); _EXP_FAST
+# keeps a margin.  At or below _EXP_ZERO it returns +0.0.
+_exp = np.exp
+_EXP_FAST = -700.0
+_EXP_ZERO = -745.2
 
 
 @dataclass(frozen=True)
@@ -102,6 +126,29 @@ def build_distribution(node: NodeParams, ctrl: ControllerParams,
                                d=d, q_nf=q, degenerate=degenerate)
 
 
+def _exp_at(arg: float) -> float:
+    """np.exp at one argument, as a float; +0.0 at or below _EXP_ZERO."""
+    return 0.0 if arg <= _EXP_ZERO else float(_exp(arg))
+
+
+def _exp_on(arg: np.ndarray, low: float, high: float) -> np.ndarray:
+    """np.exp over a 1-d block, overwriting it, given low <= arg <= high (NaN
+    bounds when the block holds a NaN).  No argument at or below _EXP_ZERO
+    reaches exp, and one below _EXP_FAST only when the block straddles it."""
+    if low > _EXP_FAST:
+        return _exp(arg, out=arg)
+    if high <= _EXP_ZERO:
+        arg[:] = 0.0
+        return arg
+    slow = arg < _EXP_FAST
+    band = slow & (arg > _EXP_ZERO)
+    subnormal = _exp(arg[band])
+    _exp(np.maximum(arg, _EXP_FAST, out=arg), out=arg)
+    arg[slow] = 0.0
+    arg[band] = subnormal
+    return arg
+
+
 def _series(e_l, alt, x):
     """Detour term h = e_l alt^2 phi(x) by phi's Maclaurin series, for |x| < 0.5."""
     phi = _PHI_COEFFS[-1]
@@ -113,9 +160,14 @@ def _series(e_l, alt, x):
 def _closed(e_l, e_c, x, r):
     """Detour term h = r^2 (e^(-a_c t) - e_l + x e_l), r = a_l/(a_c - a_l), for |x| >= 0.5.
 
-    It never forms e^(-x), so it cannot overflow when a_c << a_l.
+    It never forms e^(-x), so it cannot overflow when a_c << a_l.  Arrays
+    e_c and x are overwritten: h is formed in e_c.
     """
-    return r * r * (e_c - e_l + x * e_l)
+    e_c -= e_l
+    x *= e_l
+    e_c += x
+    e_c *= r * r
+    return e_c
 
 
 def _ratio(dist: SojournDistribution) -> float:
@@ -129,58 +181,74 @@ def _detour_at(dist: SojournDistribution, t: float) -> tuple[float, float]:
     """e^(-a_l t) and the detour term h at one time, in float arithmetic."""
     a_l, a_c = dist.a_switch, dist.a_controller
     x = (a_c - a_l) * t
-    e_l = float(np.exp(-a_l * t))
+    e_l = _exp_at(-a_l * t)
     if abs(x) < _PHI_SERIES_CUTOFF:
         return e_l, _series(e_l, a_l * t, x)
-    return e_l, _closed(e_l, float(np.exp(-a_c * t)), x, _ratio(dist))
+    return e_l, _closed(e_l, _exp_at(-a_c * t), x, _ratio(dist))
 
 
 def _detour_on(dist: SojournDistribution, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """e^(-a_l t) and the detour term h elementwise over a 1-d block of times."""
+    """e^(-a_l t) and the detour term h elementwise over a 1-d block of times.
+
+    The block's smallest and largest time bound x and both exp arguments, so
+    they choose the branch; a NaN makes them NaN and the block masked.
+    """
     a_l, a_c = dist.a_switch, dist.a_controller
-    x = (a_c - a_l) * t
-    e_l = np.exp(-a_l * t)
-    small = np.abs(x) < _PHI_SERIES_CUTOFF
-    if small.all():
+    gap = a_c - a_l
+    t_min, t_max = float(t.min()), float(t.max())
+    x = gap * t
+    e_l = _exp_on(-a_l * t, -a_l * t_max, -a_l * t_min)
+    if abs(gap * t_max) < _PHI_SERIES_CUTOFF:
         return e_l, _series(e_l, a_l * t, x)
+    if abs(gap * t_min) >= _PHI_SERIES_CUTOFF:
+        return e_l, _closed(e_l, _exp_on(-a_c * t, -a_c * t_max, -a_c * t_min), x, _ratio(dist))
+    small = np.abs(x) < _PHI_SERIES_CUTOFF
     far = ~small
-    if far.all():
-        return e_l, _closed(e_l, np.exp(-a_c * t), x, _ratio(dist))
     h = np.empty_like(t)
     h[small] = _series(e_l[small], a_l * t[small], x[small])
-    h[far] = _closed(e_l[far], np.exp(-a_c * t[far]), x[far], _ratio(dist))
+    h[far] = _closed(e_l[far], _exp_on(-a_c * t[far], -a_c * t_max, -a_c * t_min), x[far],
+                     _ratio(dist))
     return e_l, h
 
 
-def _evaluate(dist: SojournDistribution, t, value):
+def _evaluate(dist: SojournDistribution, t, value, other=None):
     """value(dist, t, e_l, h) at a scalar time, as a float, or elementwise over
-    an array of times, in blocks of _CHUNK, into an array of t's shape."""
+    an array of times, in blocks of _CHUNK, into an array of t's shape.  With
+    other, the pair (value, other) from the same kernel evaluation."""
     if not isinstance(t, (float, int)):
         t = np.asarray(t, dtype=float)
         if t.ndim:
-            return _evaluate_blocks(dist, t, value)
+            outs = _evaluate_blocks(dist, t, (value,) if other is None else (value, other))
+            return outs[0] if other is None else tuple(outs)
     t = float(t)
     if t < 0.0:
         raise ValueError("time must be >= 0")
     if t == math.inf:
-        return 0.0
-    return value(dist, t, *_detour_at(dist, t))
+        return 0.0 if other is None else (0.0, 0.0)
+    e_l, h = _detour_at(dist, t)
+    if other is None:
+        return value(dist, t, e_l, h)
+    return value(dist, t, e_l, h), other(dist, t, e_l, h)
 
 
-def _evaluate_blocks(dist: SojournDistribution, t: np.ndarray, value) -> np.ndarray:
+def _evaluate_blocks(dist: SojournDistribution, t: np.ndarray, values) -> list[np.ndarray]:
+    """Each of values over t, in order, from one kernel evaluation per block."""
     if np.any(t < 0.0):
         raise ValueError("time must be >= 0")
     at_inf = t == math.inf
     if at_inf.any():
-        out = np.zeros(t.shape)
-        out[~at_inf] = _evaluate_blocks(dist, t[~at_inf], value)
-        return out
-    out = np.empty(t.shape)
-    flat_t, flat_out = t.reshape(-1), out.reshape(-1)
+        outs = [np.zeros(t.shape) for _ in values]
+        for out, finite in zip(outs, _evaluate_blocks(dist, t[~at_inf], values)):
+            out[~at_inf] = finite
+        return outs
+    outs = [np.empty(t.shape) for _ in values]
+    flat_t, flat_outs = t.reshape(-1), [out.reshape(-1) for out in outs]
     for i in range(0, flat_t.size, _CHUNK):
         block = flat_t[i:i + _CHUNK]
-        flat_out[i:i + _CHUNK] = value(dist, block, *_detour_on(dist, block))
-    return out
+        e_l, h = _detour_on(dist, block)
+        for value, flat_out in zip(values, flat_outs):
+            flat_out[i:i + _CHUNK] = value(dist, block, e_l, h)
+    return outs
 
 
 def _pdf_value(dist, t, e_l, h):
@@ -189,8 +257,14 @@ def _pdf_value(dist, t, e_l, h):
 
 
 def _ccdf_value(dist, t, e_l, h):
+    """Formed in place over arrays; it overwrites h, so it comes last."""
     q = dist.q_nf
-    return e_l * (1.0 + q * dist.a_switch * t) + q * h
+    value = q * dist.a_switch * t
+    value += 1.0
+    value *= e_l
+    h *= q
+    value += h
+    return value
 
 
 def pdf(dist: SojournDistribution, t):
@@ -201,6 +275,11 @@ def pdf(dist: SojournDistribution, t):
 def ccdf(dist: SojournDistribution, t):
     """P(sojourn > t); 1 at t = 0, nonincreasing, -> 0 as t -> inf."""
     return _evaluate(dist, t, _ccdf_value)
+
+
+def _pdf_ccdf(dist: SojournDistribution, t) -> tuple:
+    """pdf(dist, t) and ccdf(dist, t), with the same bits, from one kernel evaluation."""
+    return _evaluate(dist, t, _pdf_value, _ccdf_value)
 
 
 def prob_within_deadline(dist: SojournDistribution, deadline: float) -> float:
@@ -225,14 +304,16 @@ def quantile(dist: SojournDistribution, p: float) -> float:
     if p == 0.0:
         return 0.0
     target = 1.0 - p  # ccdf value at the quantile
-    lo, tail = 0.0, 1.0  # the bracket's left end and its ccdf
+    # the bracket's left end, its ccdf, and its (e_l, h) once evaluated
+    lo, tail, kernel = 0.0, 1.0, None
     hi = dist.mean()
-    while (c := ccdf(dist, hi)) > target:
-        lo, tail = hi, c
+    while (c := _ccdf_value(dist, hi, *(at_hi := _detour_at(dist, hi)))) > target:
+        lo, tail, kernel = hi, c, at_hi
         hi *= 2.0
     t = lo
+    e_l, h = kernel or _detour_at(dist, t)
     while True:
-        density = pdf(dist, t)
+        density = _pdf_value(dist, t, e_l, h)
         t_new = t + math.log(tail / target) * tail / density if density > 0.0 else math.nan
         if t_new == t:
             return t
@@ -241,7 +322,8 @@ def quantile(dist: SojournDistribution, p: float) -> float:
             if not lo < t_new < hi:
                 return t
         t = t_new
-        tail = ccdf(dist, t)
+        e_l, h = _detour_at(dist, t)
+        tail = _ccdf_value(dist, t, e_l, h)
         if tail > target:
             lo = t
         else:

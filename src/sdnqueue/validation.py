@@ -44,7 +44,7 @@ from .analytic import (
     solve_chain,
     solve_rates,
 )
-from .distribution import build_distribution, ccdf, pdf, prob_within_deadline
+from .distribution import _pdf_ccdf, build_distribution, prob_within_deadline
 from .dimensioning import (
     SweepSpec,
     default_delay_bound_grid,
@@ -190,8 +190,8 @@ def _law_integrals(d, horizon: float,
     half = np.diff(edges)[:, None] / 2.0
     t = edges[:-1, None] + half * (x + 1.0)
     weights = half * wx
-    density = pdf(d, t)
-    return (float(np.sum(weights * density)), float(np.sum(weights * ccdf(d, t))),
+    density, tail = _pdf_ccdf(d, t)
+    return (float(np.sum(weights * density)), float(np.sum(weights * tail)),
             [float(np.sum(weights * np.exp(-s * t) * density)) for s in s_values])
 
 
@@ -232,8 +232,9 @@ def _criterion_3(quick: bool, seed: int) -> tuple[bool, str]:
     ctrl_near = ControllerParams(mu_c_near)
     d_near = build_distribution(node_near, ctrl_near, solve_rates(node_near, ctrl_near))
     ts = np.linspace(1e-9, 30.0 / a, 100)
-    cont_pdf = float(np.max(np.abs(pdf(d_near, ts) - pdf(d_eq, ts)) / pdf(d_eq, ts)))
-    cont_ccdf = float(np.max(np.abs(ccdf(d_near, ts) - ccdf(d_eq, ts)) / ccdf(d_eq, ts)))
+    (pdf_near, ccdf_near), (pdf_eq, ccdf_eq) = _pdf_ccdf(d_near, ts), _pdf_ccdf(d_eq, ts)
+    cont_pdf = float(np.max(np.abs(pdf_near - pdf_eq) / pdf_eq))
+    cont_ccdf = float(np.max(np.abs(ccdf_near - ccdf_eq) / ccdf_eq))
     ok = ok and d_eq.degenerate and cont_pdf <= 1e-5 and cont_ccdf <= 1e-5
     return ok, (f"coeff sum err {worst_sum:.1e} (1e-12), pdf integral err {worst_pdf:.1e} (1e-9), "
                 f"mean identity err {worst_mean:.1e} (1e-6), laplace err {worst_lap:.1e} (1e-6), "

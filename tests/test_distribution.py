@@ -500,6 +500,61 @@ class TestScalarAndArrayPaths:
                 assert f(d, np.array([math.inf]))[0] == 0.0
             assert prob_within_deadline(d, math.inf) == 1.0
 
+    # laws with a controller slower and faster than the switch, q_nf = 1 and
+    # equal effective rates (where only a NaN leaves the series branch)
+    BRANCH_LAWS = [(2000.0, MU_L, 0.5, MU_C), (1000.0, 1e4, 0.5, 1e7), (2000.0, MU_L, 1.0, MU_C),
+                   (1000.0, 10000.0, 0.5, 9000.0)]
+
+    @pytest.mark.parametrize("law", range(len(BRANCH_LAWS)))
+    def test_branch_and_exp_cases_keep_the_bits(self, law):
+        # A block picks its branch and each exp's case from its smallest and
+        # largest time.  Mixed blocks, in every order and at several block
+        # sizes, must give each element the bits of a scalar evaluation and of
+        # the formulas with numpy's exp called on every argument.
+        _, _, d = make_dist(*self.BRANCH_LAWS[law])
+        a_l, a_c = d.a_switch, d.a_controller
+        gap = abs(a_c - a_l)
+        ts = [0.0] + [u / gap for u in (0.1, 0.4999, 0.5, 0.5001, 3.0) if gap]
+        for a in (a_l, a_c):  # exp's fast range, its subnormal band, total underflow
+            ts += [u / a for u in (1.0, 600.0, 699.9, 700.0, 700.1, 707.0, 708.0, 720.0, 740.0,
+                                   745.0, 745.13, 745.1332, 745.2, 745.3, 800.0, 1e4)]
+        ts = np.array(ts + [math.nan])
+        for a in (a_l, a_c):
+            assert np.sum((-a * ts > -745.13) & (-a * ts < -707.8)) >= 4  # ~130 ns each in exp
+            assert np.sum(-a * ts <= -745.2) >= 3
+        want = {f: [f(d, float(t)) for t in ts] for f in (pdf, ccdf)}
+        assert [_bits(v) for v in want[pdf]] == [_bits(_plain_exp_law(d, t)[0]) for t in ts]
+        assert [_bits(v) for v in want[ccdf]] == [_bits(_plain_exp_law(d, t)[1]) for t in ts]
+        rng = np.random.default_rng(law)
+        for order in (np.sort(ts), ts[np.argsort(ts)[::-1]], rng.permutation(ts)):
+            for chunk in (1, 2, 5, 16, len(ts), 1 << 14):
+                with mock.patch.object(distribution, "_CHUNK", chunk):
+                    got = {pdf: pdf(d, order), ccdf: ccdf(d, order)}
+                    pair = dict(zip((pdf, ccdf), distribution._pdf_ccdf(d, order)))
+                for f in (pdf, ccdf):
+                    expected = [_bits(f(d, float(t))) for t in order]
+                    assert [_bits(v) for v in got[f]] == expected, (f.__name__, chunk)
+                    assert [_bits(v) for v in pair[f]] == expected, (f.__name__, chunk)
+
+
+def _plain_exp_law(d: SojournDistribution, t: float) -> tuple[float, float]:
+    """pdf and ccdf at one time by the module's formulas, written out, with
+    numpy's exp called on every argument."""
+    a_l, a_c, q = d.a_switch, d.a_controller, d.q_nf
+    x = (a_c - a_l) * t
+    e_l = float(np.exp(-a_l * t))
+    if abs(x) < 0.5:
+        coeffs = [(-1.0) ** k / math.factorial(k + 2) for k in range(14)]
+        phi = coeffs[-1]
+        for c in coeffs[-2::-1]:
+            phi = phi * x + c
+        h = e_l * (a_l * t) * (a_l * t) * phi
+    else:
+        r = a_l / (a_c - a_l) if a_c != a_l else math.nan
+        h = r * r * (float(np.exp(-a_c * t)) - e_l + x * e_l)
+    return ((1.0 - q) * a_l * e_l + q * a_c * h,
+            e_l * (1.0 + q * a_l * t) + q * h)
+
 
 class TestLawProperties:
     @settings(max_examples=100)
@@ -556,6 +611,45 @@ class TestPinnedBits:
 
     def test_law_digests_pinned(self):
         assert _law_digests() == self.DIGESTS
+
+
+class TestEvaluationCounts:
+    """The two speed properties, counted instead of timed."""
+
+    def test_quantile_evaluates_the_kernel_once_per_time(self):
+        # the search's density comes from the kernel call that gave its ccdf
+        times: list[float] = []
+        kernel = distribution._detour_at
+
+        def counted(d, t):
+            times.append(t)
+            return kernel(d, t)
+
+        with mock.patch.object(distribution, "_detour_at", counted):
+            for args in PIN_LAWS:
+                _, _, d = make_dist(*args)
+                for p in PIN_LEVELS:
+                    times.clear()
+                    quantile(d, p)
+                    assert times and len(set(times)) == len(times), (args, p, times)
+
+    def test_exp_never_sees_an_argument_that_underflows(self):
+        # numpy's exp is slow where its result is 0; every such argument is
+        # answered without it
+        _, _, d = make_dist(100.0, 1e6, 0.5, 1e3)
+        ts = np.linspace(0.0, 20.0 * d.mean(), 100_000)
+        assert np.mean(-d.a_switch * ts <= distribution._EXP_ZERO) > 0.9
+        lowest: list[float] = []
+
+        def spy(arg, *args, **kwargs):
+            lowest.append(float(np.min(arg, initial=np.inf)))
+            return np.exp(arg, *args, **kwargs)
+
+        with mock.patch.object(distribution, "_exp", spy):
+            tail = ccdf(d, ts)
+            scalar = ccdf(d, float(ts[-1]))
+        assert lowest and min(lowest) > distribution._EXP_ZERO
+        assert _bits(tail) == _bits(ccdf(d, ts)) and _bits(scalar) == _bits(tail[-1])
 
 
 class TestVectorMemory:

@@ -1,5 +1,6 @@
 """Golden outputs: the bytes of the README examples, the canned figures,
-``validate --quick`` and two demos are pinned across commits.
+``validate --quick``, the law's tables and three demos are pinned across
+commits.
 
 Each case runs in-process (``cli.main``, or a demo by ``runpy``) in an empty
 directory and is reduced to SHA-256 digests of its exit code, stdout, stderr
@@ -43,12 +44,22 @@ CASES = {
     "validate --quick": "validate --quick",
     "dimension curve csv": f"dimension {LAW} --output curve.csv",
     "dimension curve json": f"dimension {LAW} --output curve.json --format json",
+    "distribution table": f"distribution --lam 2000 {LAW} --points 50 --output law.csv",
+    "distribution quantiles": (
+        f"distribution --lam 2000 {LAW} --quantiles 0.5,0.9,0.99,0.999,0.999999 "
+        "--output q.csv"),
+    "demo 02": DEMOS / "02_sojourn_distribution.py",
     "demo 03": DEMOS / "03_model_vs_simulation.py",
     "demo 05": DEMOS / "05_two_node_chain.py",
 }
 
 # Recorded before replications ran in more than one process.
 GOLDEN = {
+    "demo 02": {
+        "exit": 0,
+        "stdout": "895eddbc9842c4bf09cd550f8d89ea263681b15631fbd69eef35398ffaed51be",
+        "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    },
     "demo 03": {
         "exit": 0,
         "stdout": "b735218cdc2dcfbe9a45607c8cf9116e6bd721051ba54edb8d1cebea372a064d",
@@ -70,6 +81,18 @@ GOLDEN = {
         "stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "curve.json": "c5a1422ffd435962354f41cb0180ae71d2b7a392790b8ad9e498d22c096488e5",
+    },
+    "distribution quantiles": {
+        "exit": 0,
+        "stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "q.csv": "9a11f4cc4b642d688b1f800d779cef1a8cb5be5d0b98de1bb8a221bdd55ce03b",
+    },
+    "distribution table": {
+        "exit": 0,
+        "stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "law.csv": "18f7a7f4f985f0c3571d80db8628ed9aefb73f25dc952bc4e4f526f8b6982ea4",
     },
     "figure fig3 --quick": {
         "exit": 0,
