@@ -1,4 +1,14 @@
-"""Exact sojourn-time distribution for the single node with controller detour.
+"""Sojourn-time distribution for the single node with controller detour.
+
+The law is the convolution of independent per-visit delays: two switch passes
+Exp(a_l) and one controller visit Exp(a_c) with probability q_nf.  Its mean is
+exact.  Its shape is not at q_nf > 0, because a new flow's two switch passes
+see correlated queues: packets that arrive during its controller visit
+overtake it.  At the paper's points, where the controller is 24 times slower
+than the switch, its sup-norm gap to the exact law (that of a tagged-packet
+Markov chain) was at most 1e-4 at the three points computed; at q_nf = 1,
+switch load 0.5 and mu_c = mu_l, its Kolmogorov-Smirnov distance to the
+simulator's samples was about 0.04.
 
 With stable stations the sojourn time is a signed mixture of an exponential
 (rate a_l = mu_l - gamma_l, the no-detour path), an Erlang-2 stage (two switch
@@ -187,15 +197,16 @@ def _detour_at(dist: SojournDistribution, t: float) -> tuple[float, float]:
     return e_l, _closed(e_l, _exp_at(-a_c * t), x, _ratio(dist))
 
 
-def _detour_on(dist: SojournDistribution, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """e^(-a_l t) and the detour term h elementwise over a 1-d block of times.
+def _detour_on(dist: SojournDistribution, t: np.ndarray, t_min: float,
+               t_max: float) -> tuple[np.ndarray, np.ndarray]:
+    """e^(-a_l t) and the detour term h elementwise over a 1-d block of times
+    whose smallest and largest are t_min and t_max.
 
-    The block's smallest and largest time bound x and both exp arguments, so
-    they choose the branch; a NaN makes them NaN and the block masked.
+    These bound x and both exp arguments, so they choose the branch; a NaN
+    makes them NaN and the block masked.
     """
     a_l, a_c = dist.a_switch, dist.a_controller
     gap = a_c - a_l
-    t_min, t_max = float(t.min()), float(t.max())
     x = gap * t
     e_l = _exp_on(-a_l * t, -a_l * t_max, -a_l * t_min)
     if abs(gap * t_max) < _PHI_SERIES_CUTOFF:
@@ -232,20 +243,30 @@ def _evaluate(dist: SojournDistribution, t, value, other=None):
 
 
 def _evaluate_blocks(dist: SojournDistribution, t: np.ndarray, values) -> list[np.ndarray]:
-    """Each of values over t, in order, from one kernel evaluation per block."""
-    if np.any(t < 0.0):
-        raise ValueError("time must be >= 0")
-    at_inf = t == math.inf
-    if at_inf.any():
-        outs = [np.zeros(t.shape) for _ in values]
-        for out, finite in zip(outs, _evaluate_blocks(dist, t[~at_inf], values)):
-            out[~at_inf] = finite
-        return outs
+    """Each of values over t, in order, from one kernel evaluation per block.
+
+    A block's smallest and largest time, which also choose its branch, tell
+    whether it holds a negative or an infinite time; a NaN makes both NaN, so
+    such a block is checked time by time.
+    """
     outs = [np.empty(t.shape) for _ in values]
     flat_t, flat_outs = t.reshape(-1), [out.reshape(-1) for out in outs]
     for i in range(0, flat_t.size, _CHUNK):
         block = flat_t[i:i + _CHUNK]
-        e_l, h = _detour_on(dist, block)
+        t_min, t_max = float(block.min()), float(block.max())
+        nan = t_min != t_min
+        if np.any(block < 0.0) if nan else t_min < 0.0:
+            raise ValueError("time must be >= 0")
+        if nan or t_max == math.inf:
+            at_inf = block == math.inf
+            if at_inf.any():
+                finite = ~at_inf
+                for flat_out, out in zip(flat_outs, _evaluate_blocks(dist, block[finite], values)):
+                    view = flat_out[i:i + _CHUNK]
+                    view[finite] = out
+                    view[at_inf] = 0.0
+                continue
+        e_l, h = _detour_on(dist, block, t_min, t_max)
         for value, flat_out in zip(values, flat_outs):
             flat_out[i:i + _CHUNK] = value(dist, block, e_l, h)
     return outs
@@ -273,7 +294,9 @@ def pdf(dist: SojournDistribution, t):
 
 
 def ccdf(dist: SojournDistribution, t):
-    """P(sojourn > t); 1 at t = 0, nonincreasing, -> 0 as t -> inf."""
+    """P(sojourn > t); 1 at t = 0, -> 0 as t -> inf, nonincreasing to
+    within rounding: at q_nf = 1 near t = 0, where it is formed within a
+    few ulps of 1, it can rise by up to 4 ulps between adjacent times."""
     return _evaluate(dist, t, _ccdf_value)
 
 

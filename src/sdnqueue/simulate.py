@@ -17,12 +17,17 @@ Engine design, fixed for reproducibility:
   draws of another.  One stream layer, :func:`_streams`, spawns a
   replication's 3n + 1 streams and every engine takes its generators from
   it; every stream is drawn ``_BLOCK`` values at a time, and one helper,
-  :func:`_draws`, hands out a block's values one per call and draws the next
-  block when it runs out.  The loops read every block of draws, arrival
-  times, marks and merged classes straight from its numpy buffer through a
-  ``memoryview``, which makes each value a Python float, int or bool as it
-  is read (the values ``tolist()`` gives, without a list per block), and a
-  block of departures goes back to numpy by ``np.fromiter``;
+  :func:`_draws`, makes it an iterator, read with ``next(stream)``, that
+  draws the next block when one runs out.  The loops call ``next(stream)``
+  and queue methods in the form ``sojourns.append(x)``, not through a bound
+  ``__next__`` or method kept in a local: CPython 3.11 specialises those
+  calls (PEP 659) but not these, nor a compare too far from its jump, which
+  costs a single node's loop about 10%.  The loops read every block of
+  draws, arrival times, marks and merged classes straight from its numpy
+  buffer through a ``memoryview``, which makes each value a Python float,
+  int or bool as it is read (the values ``tolist()`` gives, without a list
+  per block), and a block of departures goes back to numpy by
+  ``np.fromiter``;
 * per replication, arrivals stop once ``packets_per_replication`` packets have
   been admitted and the system drains; the first ``warmup_fraction`` of
   departures is discarded from statistics;
@@ -711,11 +716,11 @@ def _run_events(chain: ChainModel, n_packets: int, tally: _Tally,
             where = "controller" if s == n else f"switch {s}"
             raise SimulationInvariantError(f"FIFO order violated at the {where}")
         started[s] = stamp
-        push(heap, (t + services[s](), next(seq), n + s))
+        push(heap, (t + next(services[s]), next(seq), n + s))
 
     # kick off one pending arrival per class
     for i in range(n):
-        push(heap, (gaps[i](), next(seq), i))
+        push(heap, (next(gaps[i]), next(seq), i))
 
     # Event codes: i < n is an external arrival at node i; n + s is a service
     # completion at station s.  Each event moves one packet to station `dest`
@@ -728,7 +733,7 @@ def _run_events(chain: ChainModel, n_packets: int, tally: _Tally,
                 continue
             admitted += 1
             dest = code
-            pkt = (t, dest, marks[dest]() < qs[dest], False)
+            pkt = (t, dest, next(marks[dest]) < qs[dest], False)
         else:
             done = code - n
             pkt = busy[done]
@@ -759,7 +764,7 @@ def _run_events(chain: ChainModel, n_packets: int, tally: _Tally,
                 start(dest, t)
         if code < n:
             if admitted < n_packets:
-                push(heap, (t + gaps[dest](), next(seq), dest))
+                push(heap, (t + next(gaps[dest]), next(seq), dest))
         elif queues[done]:
             start(done, t)
         else:
@@ -878,8 +883,8 @@ def _run_tail(chain: ChainModel, n_packets: int, out,
         joins[n] += new.sum()
         if first + len(cols[0]) == m:
             break
-    for draw, count in zip(services, joins.tolist()):
-        _skip(draw, count)
+    for stream, count in zip(services, joins.tolist()):
+        _skip(stream, count)
     empties: list[tuple[int, int]] = []
     for first, cols in pieces:
         if engine.empty(cols[0][0]):
@@ -935,25 +940,24 @@ class _Lindley:
 
     def run(self, times, marks) -> None:
         """Run arrivals at ``times`` with new-flow ``marks``."""
-        backs, firsts = self.backs, self.firsts
-        next_back, next_first = backs.popleft, firsts.popleft
-        next_svc, next_ctl, depart = self.svc, self.ctl, self.sojourns.append
+        backs, firsts, sojourns = self.backs, self.firsts, self.sojourns
+        svc, ctl = self.svc, self.ctl
         head, free, cfree = self.head, self.free, self.cfree
         for a, new in zip(times, marks):
             while head < a:
-                free = (head if head > free else free) + next_svc()
-                depart(-(free - next_first()))
-                head = next_back() if backs else math.inf
-            free = (a if a > free else free) + next_svc()
+                free = (head if head > free else free) + next(svc)
+                sojourns.append(-(free - firsts.popleft()))
+                head = backs.popleft() if backs else math.inf
+            free = (a if a > free else free) + next(svc)
             if new:
-                cfree = (free if free > cfree else cfree) + next_ctl()
+                cfree = (free if free > cfree else cfree) + next(ctl)
                 if firsts:
                     backs.append(cfree)
                 else:
                     head = cfree
                 firsts.append(a)
             else:
-                depart(free - a)
+                sojourns.append(free - a)
         self.head, self.free, self.cfree = head, free, cfree
 
     def empty(self, a: float) -> bool:
@@ -963,7 +967,7 @@ class _Lindley:
         controller is too."""
         head, free = self.head, self.free
         while head < a:
-            free = (head if head > free else free) + self.svc()
+            free = (head if head > free else free) + next(self.svc)
             self.sojourns.append(-(free - self.firsts.popleft()))
             head = self.backs.popleft() if self.backs else math.inf
         self.head, self.free = head, free
@@ -1004,7 +1008,13 @@ class _Joins:
         sojourns, classes = tally.sojourns, tally.cls
         i, t = self.i, self.t
         for a, c, new in zip(times, cls, marks):
-            while t < a:
+            # the test is an `if` inside the loop, not `while t < a`, and the
+            # new-flow test below is a branch, not an assigned expression:
+            # CPython 3.11 specialises a compare only when a short
+            # conditional jump follows it, which a `while` this long lacks
+            while True:
+                if not t < a:
+                    break
                 _, k, _, a0, code = heap[0]
                 if k == n:
                     s = code
@@ -1013,11 +1023,13 @@ class _Joins:
                 else:
                     s = k + 1
                 f = free[s]
-                free[s] = f = (t if t > f else f) + draw[s]()
+                free[s] = f = (t if t > f else f) + next(draw[s])
                 if s == last:  # a second pass or a transit: the final pass
                     pop(heap)
-                    visited = a0 < 0.0 or a0 == 0.0 and math.copysign(1.0, a0) < 0.0
-                    sojourns.append(-(f + a0) if visited else f - a0)
+                    if a0 < 0.0 or a0 == 0.0 and math.copysign(1.0, a0) < 0.0:
+                        sojourns.append(-(f + a0))  # visited the controller
+                    else:
+                        sojourns.append(f - a0)
                     classes.append(code)
                     if len(sojourns) == _BLOCK:
                         tally.flush()
@@ -1027,7 +1039,7 @@ class _Joins:
             if c == n:  # the sentinel after the last admitted arrival: drained
                 break
             f = free[c]
-            free[c] = f = (a if a > f else f) + draw[c]()
+            free[c] = f = (a if a > f else f) + next(draw[c])
             if new:
                 push(heap, (f, c, (i := i + 1), -a, ~c))
             elif c < last:
@@ -1112,8 +1124,7 @@ def _pieces(feed, cuts, columns: slice):
 def _streams(chain: ChainModel, seed_seq: np.random.SeedSequence):
     """A replication's random streams, one per stochastic source, spawned
     once: node i's arrival generators, its mark generators, and per station
-    (the switches, then the controller) a function that returns its next
-    service time.
+    (the switches, then the controller) an iterator over its service times.
 
     Node i owns streams 3i (arrivals), 3i + 1 (services) and 3i + 2 (marks);
     the controller's services use stream 3n.
@@ -1125,20 +1136,20 @@ def _streams(chain: ChainModel, seed_seq: np.random.SeedSequence):
 
 
 def _draws(block):
-    """The next of the values ``block(_BLOCK)`` returns, per call, read from
+    """An iterator over the values ``block(_BLOCK)`` returns, each read from
     its buffer as a Python scalar; a new block is drawn when the last one
-    runs out."""
-    return itertools.chain.from_iterable(iter(lambda: memoryview(block(_BLOCK)), None)).__next__
+    runs out.  The engines read it with ``next(stream)``: CPython 3.11+
+    specialises that call, but not a call of its bound ``__next__``."""
+    return itertools.chain.from_iterable(iter(lambda: memoryview(block(_BLOCK)), None))
 
 
-def _skip(draw, count: int) -> None:
-    """Pass over the next ``count`` values of a :func:`_draws` stream, whose
-    ``draw`` is the ``__next__`` of its iterator."""
-    next(itertools.islice(draw.__self__, count, count), None)
+def _skip(stream, count: int) -> None:
+    """Pass over the next ``count`` values of a :func:`_draws` stream."""
+    next(itertools.islice(stream, count, count), None)
 
 
 def _exponentials(rng: np.random.Generator, scale: float):
-    """The next of ``rng``'s exponential draws of mean ``scale``, per call."""
+    """An iterator over ``rng``'s exponential draws of mean ``scale``."""
     return _draws(functools.partial(rng.exponential, scale))
 
 

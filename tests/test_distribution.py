@@ -1,6 +1,7 @@
 """Sojourn-time distribution: coefficients, pdf/ccdf, quantiles, deadlines."""
 
 import hashlib
+import itertools
 import math
 import os
 import subprocess
@@ -133,6 +134,14 @@ class TestPdf:
             pdf(d, -1e-9)
         with pytest.raises(ValueError):
             ccdf(d, np.array([0.0, -1.0]))
+        # each block checks its own times: a negative one in any block, also
+        # beside an infinity or a NaN (which hides it from the block's bounds)
+        ts = np.array([0.0, 1e-3, math.inf, math.nan, 2e-3])
+        for chunk in (1, 2, 1 << 14):
+            with mock.patch.object(distribution, "_CHUNK", chunk):
+                for where, bad in itertools.product(range(len(ts)), (-1e-9, -math.inf)):
+                    with pytest.raises(ValueError, match="time must be >= 0"):
+                        ccdf(d, np.where(np.arange(len(ts)) == where, bad, ts))
 
 
 class TestDegenerate:
@@ -484,10 +493,12 @@ class TestScalarAndArrayPaths:
                 for scalar in (math.inf, np.float64(math.inf), np.array(math.inf)):
                     got = f(d, scalar)
                     assert type(got) is float and got == 0.0
-                got = f(d, ts)
-                assert got[2] == 0.0 and np.isnan(got[4])
-                assert _bits(got[finite]) == _bits(f(d, ts[finite]))
-                assert _bits(f(d, ts.reshape(1, -1))) == _bits(got.reshape(1, -1))
+                for chunk in (1, 2, 3, 1 << 14):
+                    with mock.patch.object(distribution, "_CHUNK", chunk):
+                        got = f(d, ts)
+                        assert got[2] == 0.0 and np.isnan(got[4])
+                        assert _bits(got[finite]) == _bits(f(d, ts[finite]))
+                        assert _bits(f(d, ts.reshape(1, -1))) == _bits(got.reshape(1, -1))
             assert prob_within_deadline(d, math.inf) == 1.0
 
     def test_zero_at_infinity_at_equal_rates(self):

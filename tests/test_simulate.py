@@ -1,8 +1,11 @@
 """Discrete-event simulator: statistics, semantics, determinism, audits."""
 
+import dis
 import errno
 import hashlib
 import io
+import itertools
+import linecache
 import math
 import os
 import re
@@ -1233,8 +1236,8 @@ class TestPythonScalars:
 
     def test_streams_hand_out_python_scalars(self):
         rng = np.random.default_rng(1)
-        assert type(simulate._exponentials(rng, 2.0)()) is float
-        assert type(simulate._draws(rng.random)()) is float
+        assert type(next(simulate._exponentials(rng, 2.0))) is float
+        assert type(next(simulate._draws(rng.random))) is float
         nodes = (NodeParams(2000.0, MU_L, 0.5), NodeParams(1000.0, MU_L, 0.2))
         rngs = [np.random.default_rng(s) for s in range(4)]
         times, cls, marks = next(simulate._merged_arrivals(nodes, rngs[:2], rngs[2:], 10_000))
@@ -1253,3 +1256,92 @@ class TestPythonScalars:
         record = _TypeLog(n)
         getattr(simulate, engine)(chain, 5_000, record, np.random.SeedSequence(3))
         assert record.types == ({float} if n == 1 else {float, int})
+
+
+class TestStreams:
+    """Every random stream is an iterator, read with ``next(stream)``: CPython
+    3.11 specialises that call but not a call of the bound ``__next__``,
+    which gives the same bits about 10% slower, so no bit test would notice a
+    return to it."""
+
+    def test_streams_are_iterators(self):
+        chain = ChainModel(nodes=(NodeParams(2000.0, MU_L, 0.5),) * 2, controller=CTRL)
+        _, _, services = simulate._streams(chain, np.random.SeedSequence(1))
+        rng = np.random.default_rng(1)
+        streams = [*services, simulate._draws(rng.random), simulate._exponentials(rng, 2.0)]
+        assert len(services) == 3
+        for stream in streams:
+            assert iter(stream) is stream
+            assert not callable(stream)
+
+    @pytest.mark.parametrize("taken, count", [(0, 0), (0, 1), (5, simulate._BLOCK - 6),
+                                              (5, simulate._BLOCK - 5), (5, simulate._BLOCK),
+                                              (7, 2 * simulate._BLOCK + 3)])
+    def test_skip_passes_over_exactly_count(self, taken, count):
+        stream = simulate._exponentials(np.random.default_rng(4), 2.0)
+        direct = list(itertools.islice(simulate._exponentials(np.random.default_rng(4), 2.0),
+                                       taken + count + 1))
+        assert list(itertools.islice(stream, taken)) == direct[:taken]
+        simulate._skip(stream, count)
+        assert next(stream) == direct[taken + count]
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11) or sys.implementation.name != "cpython",
+                    reason="reads CPython 3.11's specialised instruction names")
+class TestSpecialisedLoops:
+    """After a replication, every call and compare in a Lindley loop's
+    per-packet loop runs specialised (PEP 659): each draw ``next(stream)``
+    and each queue method, ``sojourns.append(x)`` or ``backs.popleft()``, a
+    ``PRECALL_NO_KW_*``, and each compare, the ``while``'s too, a
+    ``COMPARE_OP_*_JUMP``.  A draw by a bound ``__next__``, a bound
+    ``popleft`` or a compare far from its jump reads ``PRECALL_ADAPTIVE`` or
+    ``COMPARE_OP``: tried and failed.  Only spans a replication rarely runs
+    are exempt, where the interpreter may not yet have specialised."""
+
+    RARE = ("tally.flush()", "math.copysign(1.0, a0) < 0.0")
+
+    @staticmethod
+    def _loop(code):
+        """The instructions of ``code``'s outer ``for`` loop, in the order
+        they run, with each ``PRECALL`` as (instruction, callee name)."""
+        instructions = list(dis.get_instructions(code, adaptive=True))
+        head = next(ins for ins in instructions if ins.opname.startswith("FOR_ITER"))
+        calls, callees = [], []
+        for ins in instructions:
+            if ins.opname.startswith("LOAD_METHOD") or ins.argrepr.startswith("NULL + "):
+                callees.append(ins.argval)
+            elif ins.opname == "PUSH_NULL":
+                callees.append(None)
+            elif ins.opname.startswith("PRECALL"):
+                calls.append((ins, callees.pop()))
+            elif callees and callees[-1] is None and ins.opname.startswith("LOAD_FAST"):
+                callees[-1] = ins.argval
+        body = range(head.offset + 1, head.argval)
+        return ([ins for ins in instructions if ins.offset in body],
+                [(ins, name) for ins, name in calls if ins.offset in body])
+
+    @classmethod
+    def _rare(cls, code, ins) -> bool:
+        line = linecache.getline(code.co_filename, ins.positions.lineno)
+        return any(0 <= (start := line.find(span)) <= ins.positions.col_offset
+                   and ins.positions.end_col_offset <= start + len(span)
+                   for span in cls.RARE)
+
+    @pytest.mark.parametrize("engine, n, draws", [("_Lindley", 1, 3), ("_Joins", 2, 2)])
+    def test_per_packet_loop_is_specialised(self, engine, n, draws):
+        if sys.gettrace() is not None:
+            pytest.skip("a tracer keeps the interpreter from specialising")
+        chain = ChainModel(nodes=(NodeParams(6000.0 / n, MU_L, 0.5),) * n, controller=CTRL)
+        simulate._run_replication(chain, 20_000, simulate._Record(n, 0),
+                                  np.random.SeedSequence(5))
+        code = getattr(simulate, engine).run.__code__
+        body, calls = self._loop(code)
+        generic = [f"line {ins.positions.lineno}: {ins.opname}" for ins in body
+                   if ins.opname.startswith(("PRECALL", "COMPARE_OP"))
+                   and (ins.opname in dis.opmap or ins.opname.endswith("_ADAPTIVE"))
+                   and not self._rare(code, ins)]
+        assert generic == []
+        hot = [(ins, name) for ins, name in calls if name in ("next", "append", "popleft")]
+        assert [ins.opname for ins, _ in hot if not ins.opname.startswith("PRECALL_NO_KW_")] == []
+        assert sum(name == "next" for _, name in hot) == draws
+        assert sum(ins.opname.startswith("COMPARE_OP") for ins in body) > 0
