@@ -501,11 +501,12 @@ def _cmd_distribution(args) -> int:
         if points < 2:
             raise CliError(f"--points must be >= 2, got {points}")
         t_max = args.t_max if args.t_max is not None else quantile(dist, 0.9999)
+        if not 0.0 < t_max < math.inf:
+            raise CliError(f"--t-max must be positive and finite, got {t_max}")
         ts = [t_max * k / (points - 1) for k in range(points)]
-        rows = []
-        for t in ts:
-            density, tail = _pdf_ccdf(dist, t)
-            rows.append({"t": t, "pdf": density, "ccdf": tail})
+        density, tail = _pdf_ccdf(dist, ts)
+        rows = [{"t": t, "pdf": pdf, "ccdf": ccdf}
+                for t, pdf, ccdf in zip(ts, density.tolist(), tail.tolist())]
     _write_table(cfg, ["t", "pdf", "ccdf"], rows)
     return 0
 

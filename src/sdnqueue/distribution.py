@@ -307,8 +307,8 @@ def _pdf_ccdf(dist: SojournDistribution, t) -> tuple:
 
 def prob_within_deadline(dist: SojournDistribution, deadline: float) -> float:
     """Probability that a packet's sojourn time is at most the deadline."""
-    if deadline < 0.0:
-        raise ValueError("deadline must be >= 0")
+    if not deadline >= 0.0:
+        raise ValueError(f"deadline must be >= 0, got {deadline}")
     return 1.0 - float(ccdf(dist, deadline))
 
 

@@ -72,10 +72,11 @@ Three engines run a replication, and all give the same bits:
   of the station it joins; a final pass at the last node departs at its
   join, in departure order (see :class:`_Joins`).
 
-The two Lindley loops read their arrivals from one feed,
-:func:`_merged_arrivals`, drain at its closing sentinel, draw the event
-loop's streams in the same blocks and order (marks per arrival, services per
-join, which is each station's service-start order) and emit departures in
+The two Lindley loops share one interface: each holds its service streams as
+``draw`` and runs every chunk of one feed, :func:`_merged_arrivals`, by
+``run(times, classes, marks)``.  They drain at its closing sentinel, draw the
+event loop's streams in the same blocks and order (marks per arrival, services
+per join, which is each station's service-start order) and emit departures in
 time order.  They differ from it only at exact float ties, which have
 probability zero and which they order by fixed rules where the event loop
 orders by sequence number: a controller return or other completion tied with
@@ -429,7 +430,9 @@ def _check_time_range(chain: ChainModel, n_packets: int) -> float:
 
     for N = ``n_packets``; raise ValueError, naming the parameter with the
     largest term, unless T is finite and its float spacing, ulp(T), is at
-    most ``_RESOLUTION`` of the shortest mean switch service time.
+    most ``_RESOLUTION`` of the shortest mean switch service time.  An
+    infinite switch rate, whose mean time 0 no spacing resolves, is refused
+    under its own name.
 
     T bounds a replication's simulated time with a margin of 2.  The last
     departure comes at most the total service work after the last arrival,
@@ -446,6 +449,8 @@ def _check_time_range(chain: ChainModel, n_packets: int) -> float:
     terms = {}
     for i, node in enumerate(chain.nodes):
         where = f"nodes[{i}]." if n > 1 else ""
+        if node.mu_switch == math.inf:
+            raise ValueError(f"{where}mu_switch = inf: zero switch service times cannot be resolved")
         terms[where + "lam"] = (n_packets + _BLOCK) / node.lam, node.lam
         terms[where + "mu_switch"] = 2 * n_packets / node.mu_switch, node.mu_switch
     mu_c = chain.controller.mu_controller
@@ -795,23 +800,23 @@ def _run_replication(chain: ChainModel, n_packets: int, tally: _Tally,
     With ``tail``, the pipe from a process that runs :func:`_run_tail`, the
     replication is cut (see :func:`_run_head`).
     """
-    engine, feed, _ = _engine(chain, n_packets, tally, seed_seq)
+    engine, feed = _engine(chain, n_packets, tally, seed_seq)
     if tail is not None:
         _run_head(engine, feed, n_packets, tally, tail)
         return
     for chunk in feed:
-        engine.run(*chunk[engine.columns])
+        engine.run(*chunk)
         tally.flush()
 
 
 def _engine(chain: ChainModel, n_packets: int, tally: _Tally,
             seed_seq: np.random.SeedSequence):
     """A replication's Lindley loop (:class:`_Lindley` for one node, else
-    :class:`_Joins`) running into ``tally``, its arrival feed and its
-    service streams."""
+    :class:`_Joins`) running into ``tally``, and its arrival feed; the loop
+    holds the service streams as ``draw``."""
     arr_rngs, mark_rngs, services = _streams(chain, seed_seq)
     engine = (_Lindley if len(chain.nodes) == 1 else _Joins)(services, tally)
-    return engine, _merged_arrivals(chain.nodes, arr_rngs, mark_rngs, n_packets), services
+    return engine, _merged_arrivals(chain.nodes, arr_rngs, mark_rngs, n_packets)
 
 
 def _run_head(engine, feed, n_packets: int, tally: _Tally, tail) -> None:
@@ -832,7 +837,7 @@ def _run_head(engine, feed, n_packets: int, tally: _Tally, tail) -> None:
     window it runs the replication to its end alone and reads past the
     tail's departures.
     """
-    m, end, pieces = _cut_pieces(feed, n_packets, engine.columns)
+    m, end, pieces = _cut_pieces(feed, n_packets)
     for first, cols in pieces:
         engine.run(*cols)
         tally.flush()
@@ -873,17 +878,16 @@ def _run_tail(chain: ChainModel, n_packets: int, out,
     if there is one, its departures as :func:`_send` does."""
     n = len(chain.nodes)
     record = _Record(n, 0)
-    engine, feed, services = _engine(chain, n_packets, record, seed_seq)
-    m, end, pieces = _cut_pieces(feed, n_packets, engine.columns)
+    engine, feed = _engine(chain, n_packets, record, seed_seq)
+    m, end, pieces = _cut_pieces(feed, n_packets)
     joins = np.zeros(n + 1, dtype=np.int64)  # each station's, before arrival m
-    for first, cols in pieces:
-        cls = np.asarray(cols[1]) if n > 1 else np.zeros(len(cols[0]), dtype=np.intp)
-        new = np.bincount(cls[np.asarray(cols[-1])], minlength=n)
+    for first, (times, cls, marks) in pieces:
+        new = np.bincount(np.asarray(cls)[np.asarray(marks)], minlength=n)
         joins[:n] += np.cumsum(np.bincount(cls, minlength=n)) + new
         joins[n] += new.sum()
-        if first + len(cols[0]) == m:
+        if first + len(times) == m:
             break
-    for stream, count in zip(services, joins.tolist()):
+    for stream, count in zip(engine.draw, joins.tolist()):
         _skip(stream, count)
     empties: list[tuple[int, int]] = []
     for first, cols in pieces:
@@ -902,16 +906,16 @@ def _run_tail(chain: ChainModel, n_packets: int, out,
         _send(out, record)
 
 
-def _cut_pieces(feed, n_packets: int, columns: slice):
+def _cut_pieces(feed, n_packets: int):
     """Where a cut replication's tail starts, m, where the window in which it
-    may be spliced on ends, and the ``columns`` of ``feed``'s pieces (see
-    :func:`_pieces`) split at m, at every ``_CHECK``-th arrival after it and
-    at the window's end: the start of each piece in the window is a check
-    point.  The warm-up is under N/2 departures, so a splice comes after it
-    and the tail's departures are measured."""
+    may be spliced on ends, and ``feed``'s pieces (see :func:`_pieces`) split
+    at m, at every ``_CHECK``-th arrival after it and at the window's end:
+    the start of each piece in the window is a check point.  The warm-up is
+    under N/2 departures, so a splice comes after it and the tail's
+    departures are measured."""
     m = int(_CUT * n_packets)
     end = min(m + _WINDOW, n_packets)
-    return m, end, _pieces(feed, (*range(m, end, _CHECK), end), columns)
+    return m, end, _pieces(feed, (*range(m, end, _CHECK), end))
 
 
 class _Lindley:
@@ -922,26 +926,24 @@ class _Lindley:
     the next one's time (inf if none), ``backs``, the later ones' times, and
     ``firsts``, their arrival times.  ``free`` and ``cfree`` are the times
     the switch and the controller finish their last service.  An exact tie
-    is served arrival-first.  Departures are appended to the tally's
-    ``sojourns``, which the caller flushes.  The closing sentinel of
-    :func:`_merged_arrivals`, a new flow at inf, drains every queued return
-    and is queued for the controller, never to depart.
+    is served arrival-first.  ``draw`` holds the two service streams.
+    Departures are appended to the tally's ``sojourns``, which the caller
+    flushes.  The closing sentinel of :func:`_merged_arrivals`, a new flow at
+    inf, drains every queued return and is queued for the controller, never
+    to depart.
     """
 
-    __slots__ = ("svc", "ctl", "sojourns", "head", "free", "cfree", "backs", "firsts")
-
-    # the columns of a :func:`_merged_arrivals` chunk that run takes
-    columns = slice(None, None, 2)
+    __slots__ = ("draw", "sojourns", "head", "free", "cfree", "backs", "firsts")
 
     def __init__(self, services, tally: _Tally):
-        (self.svc, self.ctl), self.sojourns = services, tally.sojourns
+        self.draw, self.sojourns = services, tally.sojourns
         self.head, self.free, self.cfree = math.inf, 0.0, 0.0
         self.backs, self.firsts = deque(), deque()
 
-    def run(self, times, marks) -> None:
-        """Run arrivals at ``times`` with new-flow ``marks``."""
+    def run(self, times, cls, marks) -> None:
+        """Run arrivals at ``times`` with new-flow ``marks``; ``cls`` is unread."""
         backs, firsts, sojourns = self.backs, self.firsts, self.sojourns
-        svc, ctl = self.svc, self.ctl
+        svc, ctl = self.draw
         head, free, cfree = self.head, self.free, self.cfree
         for a, new in zip(times, marks):
             while head < a:
@@ -967,7 +969,7 @@ class _Lindley:
         controller is too."""
         head, free = self.head, self.free
         while head < a:
-            free = (head if head > free else free) + next(self.svc)
+            free = (head if head > free else free) + next(self.draw[0])
             self.sojourns.append(-(free - self.firsts.popleft()))
             head = self.backs.popleft() if self.backs else math.inf
         self.head, self.free = head, free
@@ -989,9 +991,6 @@ class _Joins:
     """
 
     __slots__ = ("draw", "tally", "heap", "free", "i", "t")
-
-    # the columns of a :func:`_merged_arrivals` chunk that run takes
-    columns = slice(None)
 
     def __init__(self, services, tally: _Tally):
         self.draw, self.tally = services, tally
@@ -1067,9 +1066,9 @@ class _Joins:
 
 def _merged_arrivals(nodes, arr_rngs, mark_rngs, n_packets: int):
     """The first ``n_packets`` external arrivals of every class in time order,
-    chunk by chunk, as memoryviews of their times, classes (for one class, an
-    iterator of zeros) and new-flow marks; then one sentinel chunk, a new flow,
-    (inf, len(nodes), True).
+    chunk by chunk, as memoryviews of their times, classes (for one class, a
+    slice of one view of ``_BLOCK`` zeros) and new-flow marks; then one
+    sentinel chunk, a new flow, (inf, len(nodes), True).
 
     Each class draws its arrival times and marks one ``_BLOCK`` at a time, as
     the event loop does.  One class's block is a chunk; for more, a chunk is
@@ -1081,6 +1080,7 @@ def _merged_arrivals(nodes, arr_rngs, mark_rngs, n_packets: int):
     blocks = [_arrival_blocks(rng, 1.0 / nd.lam) for rng, nd in zip(arr_rngs, nodes)]
     times = [np.empty(0)] * n
     marks = [np.empty(0, dtype=bool)] * n
+    zeros = memoryview(np.zeros(_BLOCK, dtype=np.intp))
     left = n_packets
     while left:
         for i in range(n):
@@ -1089,7 +1089,7 @@ def _merged_arrivals(nodes, arr_rngs, mark_rngs, n_packets: int):
                 marks[i] = mark_rngs[i].random(_BLOCK) < nodes[i].q_nf
         if n == 1:  # one class is in time order: no merge
             cut = [len(times[0])]
-            chunk, cls, new = times[0][:left], itertools.repeat(0), marks[0][:left]
+            chunk, cls, new = times[0][:left], zeros[:left], marks[0][:left]
         else:
             end = min(t[-1] for t in times)
             cut = [int(np.searchsorted(t, end, side="right")) for t in times]
@@ -1104,13 +1104,12 @@ def _merged_arrivals(nodes, arr_rngs, mark_rngs, n_packets: int):
     yield [math.inf], [n], [True]
 
 
-def _pieces(feed, cuts, columns: slice):
+def _pieces(feed, cuts):
     """The arrival chunks from :func:`_merged_arrivals`, split at the arrival
-    indices ``cuts``: each piece as (index of its first arrival, the
-    ``columns`` of its times, classes and marks)."""
+    indices ``cuts``: each piece as (index of its first arrival, its times,
+    classes and marks)."""
     first = 0
-    for chunk in feed:
-        cols = chunk[columns]
+    for cols in feed:
         last = first + len(cols[0])
         lo = first
         for cut in cuts:

@@ -565,6 +565,10 @@ class TestTableInputErrors:
         ["dimension", "--q-nf", "0.5", "--mu-switch-us", "9.8",
          "--mu-controller-us", "240", "--curve-points", "1"],
         ["distribution"] + NODE_FLAGS + ["--t-max", "-0.001"],
+        ["distribution"] + NODE_FLAGS + ["--t-max", "inf"],
+        ["distribution"] + NODE_FLAGS + ["--t-max", "nan"],
+        ["distribution"] + NODE_FLAGS + ["--t-max", "0"],
+        ["distribution"] + NODE_FLAGS + ["--deadline-us", "nan"],
         ["distribution"] + NODE_FLAGS + ["--quantiles", "0.5,1.5"],
         ["distribution"] + NODE_FLAGS + ["--deadline-us", "-5"],
         ["dimension", "--q-nf", "0.5", "--mu-switch-us", "9.8",
@@ -583,6 +587,9 @@ class TestTableInputErrors:
         ["chain", "--lam", "1e-305,1000", "--q-nf", "0.2,1.0", "--mu-switch-us", "9.8",
          "--mu-controller-us", "240", "--simulate", "--packets", "10000",
          "--replications", "2"],
+        ["simulate", "--lam", "2000", "--q-nf", "0.5", "--mu-switch", "inf",
+         "--mu-controller-us", "240", "--packets", "10000",
+         "--replications", "2"],           # a zero switch service time
     ])
     def test_usage_error_exit_one(self, argv, capsys):
         assert cli.main(argv) == 1

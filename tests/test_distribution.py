@@ -290,6 +290,12 @@ class TestDeadlinesAndQuantiles:
         with pytest.raises(ValueError):
             prob_within_deadline(d, -1.0)
 
+    def test_nan_deadline_rejected(self):
+        # as SweepSpec does: NaN fails `deadline >= 0` and is no probability's bound
+        _, _, d = make_dist(2000.0, MU_L, 0.5, MU_C)
+        with pytest.raises(ValueError, match="^deadline must be >= 0, got nan$"):
+            prob_within_deadline(d, math.nan)
+
     def test_quantile_edges_and_domain(self):
         _, _, d = make_dist(2000.0, MU_L, 0.5, MU_C)
         assert quantile(d, 0.0) == 0.0

@@ -85,6 +85,17 @@ class TestConfig:
         with pytest.raises(ValueError, match="^" + re.escape(named) + ".*float spacing"):
             run_chain(chain, cfg)
 
+    # an infinite switch rate is legal, but its zero service times are not
+    # simulated: the refusal names it, not the largest term of the time bound
+    @pytest.mark.parametrize("nodes, named", [
+        ([(2000.0, math.inf, 0.5)], "mu_switch = inf"),
+        ([(1000.0, MU_L, 0.2), (1000.0, math.inf, 1.0)], "nodes[1].mu_switch = inf")])
+    def test_infinite_switch_rate_rejected_by_name(self, nodes, named):
+        chain = ChainModel(tuple(NodeParams(*nd) for nd in nodes), CTRL)
+        cfg = SimConfig(seed=1, packets_per_replication=10_000, replications=2)
+        with pytest.raises(ValueError, match="^" + re.escape(named) + ".*zero switch service"):
+            run_chain(chain, cfg)
+
     def test_sums_past_the_float_range_keep_their_bits(self):
         # a saturated switch with mean sojourns near 1e304; scaled by 2**-12
         # every time grows by 4096, the means to ~4e307, and 9000 of them,
@@ -1245,9 +1256,12 @@ class TestPythonScalars:
         assert ({type(v) for v in times}, {type(v) for v in cls},
                 {type(v) for v in marks}) == ({float}, {int}, {bool})
         # one class's chunk is its block as drawn, with no merge
-        times, _, marks = next(simulate._merged_arrivals(nodes[:1], rngs[:1], rngs[2:3], 10_000))
+        times, cls, marks = next(simulate._merged_arrivals(nodes[:1], rngs[:1], rngs[2:3],
+                                                           10_000))
         assert len(times) == len(marks) == simulate._BLOCK
         assert ({type(v) for v in times}, {type(v) for v in marks}) == ({float}, {bool})
+        # and its classes column is as long, of Python int zeros
+        assert len(cls) == len(times) and {(type(v), v) for v in cls} == {(int, 0)}
 
     @pytest.mark.parametrize("engine, n", [("_run_replication", 1), ("_run_replication", 2),
                                            ("_run_events", 2)])
