@@ -264,6 +264,14 @@ def _rate(layers: list[dict], rate_key: str, us_key: str, what: str) -> float:
                    f"{us_key!r} (microseconds)")
 
 
+def _deadline_s(deadline_us: float) -> float:
+    """``--deadline-us`` in seconds, or a usage error naming the flag and the
+    value given unless it is >= 0 (NaN is refused too)."""
+    if not deadline_us >= 0.0:
+        raise CliError(f"--deadline-us must be >= 0, got {deadline_us:g}")
+    return deadline_us * 1e-6
+
+
 def _rate_from_us(us: float, key: str) -> float:
     """The rate for a mean service time of ``us`` microseconds, or a usage
     error naming ``key`` and the time given."""
@@ -490,7 +498,7 @@ def _cmd_distribution(args) -> int:
     dist = build_distribution(cfg.node, cfg.controller, solve_rates(cfg.node, cfg.controller))
     with _usage_errors():  # a deadline, probability or time outside the law's domain
         if args.deadline_us is not None:
-            p = prob_within_deadline(dist, args.deadline_us * 1e-6)
+            p = prob_within_deadline(dist, _deadline_s(args.deadline_us))
             print(f"P(sojourn <= {args.deadline_us:g} us) = {p:.6f}")
         if args.quantiles:
             ps = _parse_float_list(args.quantiles, "--quantiles")
@@ -665,7 +673,7 @@ def _figure_table(args, cfg: RunConfig) -> tuple[list[str], list[dict]]:
         label = f"{args.deadline_us / 1000.0:g}ms"
         series = [(f"p_within_{label}_qnf_{q:g}", f"q_nf={q:g}",
                    rho_sweep(("deadline_prob",), replace(node, q_nf=q),
-                             deadline=args.deadline_us * 1e-6))
+                             deadline=_deadline_s(args.deadline_us)))
                   for q in q_set]
     return [key] + [column for column, _, _ in series] + status, _side_by_side(key, series)
 

@@ -35,7 +35,7 @@ SWEEP_OUTPUTS = ("analytic_mean", "naive_mean", "simulated_mean", "deadline_prob
 _SUP_MARGIN = 1e-8
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ThroughputResult:
     """Largest admissible arrival rate for a delay bound.
 
@@ -46,6 +46,15 @@ class ThroughputResult:
     rate: float
     feasible: bool
     note: str = ""
+
+    def __init__(self, rate: float, feasible: bool, note: str = "") -> None:
+        # the __init__ a frozen dataclass generates calls object.__setattr__
+        # once per field; storing into the instance dict makes the same record
+        # at about half the cost
+        state = self.__dict__
+        state["rate"] = rate
+        state["feasible"] = feasible
+        state["note"] = note
 
 
 def zero_load_sojourn(q_nf: float, mu_switch: float, mu_controller: float) -> float:
@@ -79,8 +88,12 @@ def max_throughput(delay_bound: float, *, q_nf: float, mu_switch: float,
     the root times s, is capped ``_SUP_MARGIN`` of the stability supremum
     below it, then stepped down by one ulp of the supremum while
     :func:`mean_sojourn_openflow` puts it above the bound, so it always meets
-    the bound and lies within a few such ulps of the exact root.  An
-    infeasible bound (at or below the zero-load sojourn) yields a flagged
+    the bound and lies within a few such ulps of the exact root.  Each
+    reciprocal rate is divided once: w0 and the supremum are the very floats
+    :func:`zero_load_sojourn` and :func:`stability_supremum` return, and the
+    scaled p_l and p_c are those same quotients times s.
+
+    An infeasible bound (at or below the zero-load sojourn) yields a flagged
     zero-rate result rather than an exception; a zero-load sojourn of 0 admits
     every rate, so the rate is inf.
 
@@ -95,26 +108,42 @@ def max_throughput(delay_bound: float, *, q_nf: float, mu_switch: float,
     if not (mu_controller >= _SAFE_RATE and mu_switch >= _SAFE_RATE and 0.0 <= q_nf <= 1.0):
         ControllerParams(mu_controller)
         NodeParams(1.0, mu_switch, q_nf)  # checks q_nf and mu_switch; the rate is found below
-    w0 = zero_load_sojourn(q_nf, mu_switch, mu_controller)
-    if delay_bound <= w0:
-        return ThroughputResult(rate=0.0, feasible=False, note="bound infeasible")
-    if w0 == 0.0:
-        return ThroughputResult(rate=math.inf, feasible=True)
-    lam_sup = stability_supremum(q_nf, mu_switch, mu_controller)
-
+    # zero_load_sojourn's and stability_supremum's floats, each quotient formed once
     q1 = 1.0 + q_nf
-    s = 2.0 ** -max(math.frexp(w0)[1], -1023)
-    w, p_l, p_c = w0 * s, q1 / mu_switch * s, q_nf / mu_controller * s
-    b = min(delay_bound * s, 2.0 ** 60 * w)
+    p_l0 = q1 / mu_switch
+    p_c0 = q_nf / mu_controller
+    w0 = p_l0 + p_c0
+    if delay_bound <= w0:
+        return ThroughputResult(0.0, False, "bound infeasible")
+    if w0 == 0.0:
+        return ThroughputResult(math.inf, True)
+    lam_sup = mu_switch / q1
+    if q_nf > 0.0:
+        lam_c = mu_controller / q_nf
+        if lam_c < lam_sup:
+            lam_sup = lam_c
+
+    # the compares below keep min's and max's tie rules: the first argument
+    # unless the second is strictly smaller (larger)
+    e = math.frexp(w0)[1]
+    s = 2.0 ** -(e if e >= -1023 else -1023)
+    w, p_l, p_c = w0 * s, p_l0 * s, p_c0 * s
+    b = delay_bound * s
+    if 2.0 ** 60 * w < b:
+        b = 2.0 ** 60 * w
     root = (b - w) / (0.5 * b * w - p_l * p_c + math.hypot(0.5 * b * (p_l - p_c), p_l * p_c))
-    rate = min(lam_sup * (1.0 - _SUP_MARGIN), root * s)
+    rate = lam_sup * (1.0 - _SUP_MARGIN)
+    if root * s < rate:
+        rate = root * s
     # mean_sojourn_openflow's floats at rate, as solve_rates forms the station
     # rates; below the cap both loads are under 1 - _SUP_MARGIN, so its
     # stability check has nothing to reject
     while rate > 0.0 and _detour_sojourn(q_nf, mu_switch, rate * q1, mu_controller,
                                          q_nf * rate) > delay_bound:
-        rate = max(rate - math.ulp(lam_sup), 0.0)
-    return ThroughputResult(rate=rate, feasible=True)
+        rate -= math.ulp(lam_sup)
+        if rate < 0.0:
+            rate = 0.0
+    return ThroughputResult(rate, True)
 
 
 def default_delay_bound_grid(q_nf: float, mu_switch: float, mu_controller: float,
@@ -145,7 +174,7 @@ class SweepSpec:
     variable   one of SWEEP_VARIABLES; the grid replaces that parameter
                point by point (sweeping rho_controller back-solves
                lambda = rho_c * mu_c / q_nf and requires q_nf > 0)
-    grid       strictly increasing, nonempty
+    grid       strictly increasing, nonempty, no NaN (> 0 for rho_controller)
     node       fixed node parameters (the swept field is ignored)
     controller fixed controller parameters
     outputs    subset of SWEEP_OUTPUTS; "throughput" only with the
@@ -171,8 +200,10 @@ class SweepSpec:
         object.__setattr__(self, "grid", grid)
         if not grid:
             raise ValueError("sweep grid must be nonempty")
-        if any(b <= a for a, b in zip(grid, grid[1:])):
-            raise ValueError("sweep grid must be strictly increasing")
+        # NaN compares false, so "not b > a" refuses it in any pair; a lone
+        # NaN has no pair
+        if grid[0] != grid[0] or any(not b > a for a, b in zip(grid, grid[1:])):
+            raise ValueError("sweep grid must be strictly increasing, with no NaN")
         outputs = tuple(self.outputs)
         object.__setattr__(self, "outputs", outputs)
         if not outputs:
@@ -186,9 +217,13 @@ class SweepSpec:
         if self.variable != "delay_bound" and "throughput" in outputs:
             raise ValueError('"throughput" is only defined when sweeping '
                              '"delay_bound"')
-        if self.variable == "rho_controller" and self.node.q_nf == 0.0:
-            raise ValueError("cannot sweep rho_controller with q_nf = 0: "
-                             "no arrival rate produces controller load")
+        if self.variable == "rho_controller":
+            if self.node.q_nf == 0.0:
+                raise ValueError("cannot sweep rho_controller with q_nf = 0: "
+                                 "no arrival rate produces controller load")
+            # lambda is back-solved from rho_c, so name the value given
+            if not grid[0] > 0.0:
+                raise ValueError(f"rho_controller must be > 0, got {grid[0]}")
         if not self.deadline >= 0.0:
             raise ValueError(f"deadline must be >= 0, got {self.deadline}")
 

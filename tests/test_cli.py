@@ -607,6 +607,30 @@ class TestTableInputErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: " + named) and err.rstrip().endswith("got inf")
 
+    @pytest.mark.parametrize("argv, message", [
+        (["distribution"] + NODE_FLAGS + ["--deadline-us", "-5"],
+         "--deadline-us must be >= 0, got -5"),
+        (["distribution"] + NODE_FLAGS + ["--deadline-us", "nan"],
+         "--deadline-us must be >= 0, got nan"),
+        (["figure", "fig6", "--deadline-us", "-1"], "--deadline-us must be >= 0, got -1"),
+        (["sweep"] + NODE_FLAGS + ["--variable", "rho_controller", "--grid", "0.1,nan"],
+         "sweep grid must be strictly increasing"),
+        (["sweep"] + NODE_FLAGS + ["--variable", "rho_controller", "--grid", "nan"],
+         "sweep grid must be strictly increasing"),
+        (["sweep"] + NODE_FLAGS + ["--variable", "rho_controller", "--grid=-0.1,0.2"],
+         "rho_controller must be > 0, got -0.1"),
+        (["sweep"] + NODE_FLAGS + ["--variable", "rho_controller", "--grid", "0,0.2"],
+         "rho_controller must be > 0, got 0.0"),
+        (["figure", "fig3", "--rho-grid", "0:0.9:4"], "rho_controller must be > 0, got 0.0"),
+    ])
+    def test_error_names_the_input_as_given(self, argv, message, tmp_path, capsys):
+        # a deadline in us used to be reported in seconds under the library's
+        # name, and a rho_c grid as the lambda back-solved from it
+        out = tmp_path / "out.csv"
+        assert cli.main(argv + ["--output", str(out)]) == 1
+        assert not out.exists()
+        assert capsys.readouterr().err.startswith("error: " + message)
+
 
 class TestOneResolver:
     def test_dimension_rejects_unknown_node_key(self, tmp_path, capsys):

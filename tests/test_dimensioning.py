@@ -1,20 +1,25 @@
 """Throughput inversion and one-variable sweeps."""
 
+import copy
+import hashlib
 import math
+import pickle
+import random
 import re
 import time
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, asdict, replace
 from decimal import Decimal, localcontext
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sdnqueue.analytic import ControllerParams, NodeParams, mean_sojourn_openflow, \
-    rate_from_us, solve_rates
+from sdnqueue.analytic import _SAFE_RATE, ControllerParams, NodeParams, \
+    mean_sojourn_openflow, rate_from_us, solve_rates
 from sdnqueue.dimensioning import (
     _SUP_MARGIN,
     SweepSpec,
+    ThroughputResult,
     default_delay_bound_grid,
     max_throughput,
     stability_supremum,
@@ -270,6 +275,91 @@ class TestMaxThroughputProperties:
         assert rates == sorted(rates)
 
 
+def _throughput_scan() -> list[tuple]:
+    """~2,000 seeded (bound, q_nf, mu_switch, mu_controller) points: q in
+    {0, 1} or uniform; rates log-uniform over 1e-3..1e9, next to _SAFE_RATE
+    or infinite; bounds from 0.7 w0 (infeasible) to 1e4 w0, and inf."""
+    rng = random.Random(2028)
+    edge = [math.nextafter(_SAFE_RATE, 0.0), _SAFE_RATE, math.nextafter(_SAFE_RATE, 1.0),
+            math.inf]
+
+    def rate():
+        return rng.choice(edge) if rng.random() < 0.1 else 10.0 ** rng.uniform(-3.0, 9.0)
+
+    points = []
+    for _ in range(400):
+        q = rng.choice((0.0, 1.0, rng.random(), rng.random()))
+        mu_l, mu_c = rate(), rate()
+        w0 = zero_load_sojourn(q, mu_l, mu_c)
+        bounds = [10.0 ** rng.uniform(math.log10(0.7), 4.0) * (w0 or 1.0) for _ in range(4)]
+        points += [(b, q, mu_l, mu_c) for b in bounds + [math.inf]]
+    return points
+
+
+class TestMaxThroughputPinned:
+    # Recorded before the feasible path formed each reciprocal rate once and
+    # built its record without the generated frozen __init__: a change to the
+    # formula, its order of operations or the ulp steps moves these bits.
+    DIGEST = "b11a9afb6cda0c28b8aee1029d6cb3c592727e24f24b392efa630e9dea04ee33"
+
+    def test_scan_digest_pinned(self):
+        digest = hashlib.sha256()
+        for bound, q, mu_l, mu_c in _throughput_scan():
+            res = max_throughput(bound, q_nf=q, mu_switch=mu_l, mu_controller=mu_c)
+            digest.update(repr((res.rate.hex(), res.feasible, res.note)).encode())
+        assert digest.hexdigest() == self.DIGEST
+
+    def test_scan_agrees_with_the_public_helpers(self):
+        # the fast path forms w0 and the supremum itself; these cannot drift
+        infeasible = 0
+        for bound, q, mu_l, mu_c in _throughput_scan():
+            res = max_throughput(bound, q_nf=q, mu_switch=mu_l, mu_controller=mu_c)
+            w0 = zero_load_sojourn(q, mu_l, mu_c)
+            assert (res.rate == 0.0) == (bound <= w0) == (not res.feasible), (bound, q, mu_l, mu_c)
+            assert res.rate <= stability_supremum(q, mu_l, mu_c), (bound, q, mu_l, mu_c)
+            infeasible += not res.feasible
+        assert 0 < infeasible < 400
+
+
+class TestThroughputResultRecord:
+    def test_construction(self):
+        assert ThroughputResult(1.5, True) == ThroughputResult(rate=1.5, feasible=True)
+        assert ThroughputResult(1.5, True).note == ""
+        res = ThroughputResult(0.0, False, "bound infeasible")
+        assert (res.rate, res.feasible, res.note) == (0.0, False, "bound infeasible")
+        assert res == ThroughputResult(feasible=False, note="bound infeasible", rate=0.0)
+        with pytest.raises(TypeError):
+            ThroughputResult(1.5)
+        with pytest.raises(TypeError):
+            ThroughputResult(1.5, True, "", "extra")
+
+    def test_frozen(self):
+        res = ThroughputResult(1.5, True)
+        for name in ("rate", "feasible", "note", "other"):
+            with pytest.raises(FrozenInstanceError):
+                setattr(res, name, 2.0)
+        with pytest.raises(FrozenInstanceError):
+            del res.rate
+        assert res == ThroughputResult(1.5, True)
+
+    def test_eq_hash_repr(self):
+        res = ThroughputResult(1.5, True)
+        assert res == ThroughputResult(1.5, True) and hash(res) == hash(ThroughputResult(1.5, True))
+        assert res != ThroughputResult(1.5, False) and res != ThroughputResult(1.5, True, "x")
+        assert res != (1.5, True, "")
+        assert repr(res) == "ThroughputResult(rate=1.5, feasible=True, note='')"
+
+    def test_copies_and_dataclass_helpers(self):
+        res = ThroughputResult(0.0, False, "bound infeasible")
+        for clone in (pickle.loads(pickle.dumps(res)), copy.copy(res), copy.deepcopy(res)):
+            assert clone == res and type(clone) is ThroughputResult
+            with pytest.raises(FrozenInstanceError):
+                clone.rate = 1.0
+        assert asdict(res) == {"rate": 0.0, "feasible": False, "note": "bound infeasible"}
+        assert replace(res, rate=2.0, feasible=True) == ThroughputResult(2.0, True,
+                                                                          "bound infeasible")
+
+
 class TestSweepSpec:
     def test_variable_and_grid_validation(self):
         node = NodeParams(1000.0, MU_L, 0.5)
@@ -282,6 +372,16 @@ class TestSweepSpec:
         with pytest.raises(ValueError):
             SweepSpec(variable="lambda", grid=(1.0,), node=node, controller=CTRL,
                       outputs=("nonsense",))
+        # NaN fails no pairwise order test, and a one-point grid has no pair
+        for grid in ((0.1, math.nan, 0.3), (math.nan,), (math.nan, 0.3), (0.1, math.nan)):
+            for variable in ("lambda", "rho_controller"):
+                with pytest.raises(ValueError, match="strictly increasing"):
+                    SweepSpec(variable=variable, grid=grid, node=node, controller=CTRL)
+        # lambda is back-solved from rho_c; the error names the rho_c given
+        for grid, given in (((-0.1, 0.2), "-0.1"), ((0.0, 0.2), "0.0"), ((-math.inf,), "-inf")):
+            with pytest.raises(ValueError, match=f"^rho_controller must be > 0, got {given}$"):
+                SweepSpec(variable="rho_controller", grid=grid, node=node, controller=CTRL)
+        SweepSpec(variable="rho_controller", grid=(5e-324, 0.2), node=node, controller=CTRL)
 
     def test_throughput_only_with_delay_bound(self):
         node = NodeParams(1000.0, MU_L, 0.5)
