@@ -32,6 +32,7 @@ import json
 import math
 import numbers
 import os
+import re
 import sys
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, replace
@@ -106,6 +107,12 @@ class CliError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # an argument that starts with "-" or "-." and then a digit, such as
+        # the list "-0.1,0.2", is a value: no flag looks like that
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
     def error(self, message):
         raise CliError(message)
 
@@ -272,6 +279,14 @@ def _deadline_s(deadline_us: float) -> float:
     return deadline_us * 1e-6
 
 
+def _delay_bound_s(bound_us: float) -> float:
+    """``--delay-bound-us`` in seconds, or a usage error naming the flag and
+    the value given unless it is > 0 (NaN is refused too)."""
+    if not bound_us > 0.0:
+        raise CliError(f"--delay-bound-us must be > 0, got {bound_us:g}")
+    return bound_us * 1e-6
+
+
 def _rate_from_us(us: float, key: str) -> float:
     """The rate for a mean service time of ``us`` microseconds, or a usage
     error naming ``key`` and the time given."""
@@ -345,31 +360,34 @@ def _sweep(layers: list[dict], node: NodeParams, ctrl: ControllerParams,
     if not (outputs is None or (isinstance(outputs, (list, tuple))
                                 and all(isinstance(o, str) for o in outputs))):
         raise CliError(f"sweep 'outputs' must be a list of names, got {outputs!r}")
-    return SweepSpec(variable=str(variable), grid=_parse_grid(raw_grid), node=node,
+    return SweepSpec(variable=str(variable), grid=_parse_grid(raw_grid, "grid"), node=node,
                      controller=ctrl, sim=sim,
                      **_given(outputs=outputs, deadline=_pick(layers, "deadline", kind=float)))
 
 
-def _parse_grid(raw) -> tuple[float, ...]:
+def _parse_grid(raw, name: str) -> tuple[float, ...]:
+    """The grid ``raw`` gives, with errors naming it ``name``: the config key
+    or the flag it was given under."""
     if isinstance(raw, str) and ":" in raw:
         parts = raw.split(":")
         if len(parts) not in (3, 4):
-            raise CliError("grid spec must be start:stop:count[:log]")
+            raise CliError(f"{name} spec must be start:stop:count[:log]")
         raw = dict(zip(("start", "stop", "count", "spacing"), parts))
     if isinstance(raw, dict):
         _check_keys("sweep.grid", raw, {"start", "stop", "count", "spacing"})
         try:
-            start, stop = _number(raw["start"], "start"), _number(raw["stop"], "stop")
+            start = _number(raw["start"], f"{name} start")
+            stop = _number(raw["stop"], f"{name} stop")
         except KeyError as exc:
             raise CliError(f"sweep.grid needs {exc.args[0]!r}") from exc
-        count = _number(raw.get("count", 10), "count", int)
+        count = _number(raw.get("count", 10), f"{name} count", int)
         return _make_grid(start, stop, count, raw.get("spacing", "linear"))
     if isinstance(raw, str):
         raw = raw.split(",")
     if not isinstance(raw, (list, tuple)):
-        raise CliError("sweep 'grid' must be a list of numbers, a start:stop:count[:log] "
+        raise CliError(f"sweep {name!r} must be a list of numbers, a start:stop:count[:log] "
                        f"string or an object, got {raw!r}")
-    return tuple(_number(x, "grid") for x in raw)
+    return tuple(_number(x, name) for x in raw)
 
 
 def _make_grid(start: float, stop: float, count: int, spacing: str) -> tuple[float, ...]:
@@ -384,13 +402,6 @@ def _make_grid(start: float, stop: float, count: int, spacing: str) -> tuple[flo
     if spacing != "linear":
         raise CliError(f"grid spacing must be 'linear' or 'log', got {spacing!r}")
     return tuple(start + (stop - start) * k / (count - 1) for k in range(count))
-
-
-def _parse_float_list(raw: str, what: str, kind=float) -> list:
-    try:
-        return [kind(x) for x in raw.split(",")]
-    except ValueError as exc:
-        raise CliError(f"{what} must be a comma-separated list of numbers") from exc
 
 
 def _load_config(path: str | None) -> dict:
@@ -501,7 +512,7 @@ def _cmd_distribution(args) -> int:
             p = prob_within_deadline(dist, _deadline_s(args.deadline_us))
             print(f"P(sojourn <= {args.deadline_us:g} us) = {p:.6f}")
         if args.quantiles:
-            ps = _parse_float_list(args.quantiles, "--quantiles")
+            ps = [_number(x, "--quantiles") for x in args.quantiles.split(",")]
             rows = [{"p": p, "quantile": quantile(dist, p)} for p in ps]
             _write_table(cfg, ["p", "quantile"], rows)
             return 0
@@ -581,7 +592,7 @@ def _cmd_dimension(args) -> int:
                         report=args.delay_bound_us is not None)
     node, ctrl = cfg.node, cfg.controller
     if args.delay_bound_us is not None:
-        bound = args.delay_bound_us * 1e-6
+        bound = _delay_bound_s(args.delay_bound_us)
         with _usage_errors():
             res = max_throughput(bound, q_nf=node.q_nf, mu_switch=node.mu_switch,
                                  mu_controller=ctrl.mu_controller)
@@ -636,8 +647,8 @@ def _side_by_side(key: str, series: list[tuple[str, str, SweepSpec]]) -> list[di
 def _figure_table(args, cfg: RunConfig) -> tuple[list[str], list[dict]]:
     """Columns and rows of one canned figure; every series is one ``sweep``."""
     node, ctrl = cfg.node, cfg.controller
-    rho_grid = _parse_grid(args.rho_grid)
-    q_set = _parse_float_list(args.q_set, "--q-set")
+    rho_grid = _parse_grid(args.rho_grid, "--rho-grid")
+    q_set = [_number(x, "--q-set") for x in args.q_set.split(",")]
 
     def rho_sweep(outputs, node=node, controller=ctrl, **kw) -> SweepSpec:
         return SweepSpec("rho_controller", rho_grid, node, controller, outputs, sim=cfg.sim, **kw)
@@ -656,26 +667,32 @@ def _figure_table(args, cfg: RunConfig) -> tuple[list[str], list[dict]]:
                  "status"], rows)
     key, status = "rho_c", ["status"]
     if args.name == "fig4":
+        nodes = [replace(node, q_nf=q) for q in q_set]  # each q checked before the grid
         # common log grid spanning every q's knee through deep saturation
         w0s = [zero_load_sojourn(q, node.mu_switch, ctrl.mu_controller) for q in q_set]
         grid = _make_grid(1.05 * min(w0s), 100.0 * max(w0s), args.points, "log")
         series = [(f"throughput_qnf_{q:g}", f"q_nf={q:g}",
-                   SweepSpec("delay_bound", grid, replace(node, q_nf=q), ctrl,
-                             ("throughput",)))
-                  for q in q_set]
+                   SweepSpec("delay_bound", grid, nd, ctrl, ("throughput",)))
+                  for q, nd in zip(q_set, nodes)]
         key, status = "delay_bound", []
     elif args.name == "fig5":
+        mu_c_us = [_number(x, "--mu-c-us-set") for x in args.mu_c_us_set.split(",")]
         series = [(f"sojourn_mu_c_us_{v:g}", f"mu_c_us={v:g}",
                    rho_sweep(("analytic_mean",),
                              controller=ControllerParams(_rate_from_us(v, "--mu-c-us-set"))))
-                  for v in _parse_float_list(args.mu_c_us_set, "--mu-c-us-set")]
+                  for v in mu_c_us]
     else:  # fig6
         label = f"{args.deadline_us / 1000.0:g}ms"
         series = [(f"p_within_{label}_qnf_{q:g}", f"q_nf={q:g}",
                    rho_sweep(("deadline_prob",), replace(node, q_nf=q),
                              deadline=_deadline_s(args.deadline_us)))
                   for q in q_set]
-    return [key] + [column for column, _, _ in series] + status, _side_by_side(key, series)
+    columns = [column for column, _, _ in series]
+    for i, column in enumerate(columns):
+        if column in columns[:i]:
+            flag = "--mu-c-us-set" if args.name == "fig5" else "--q-set"
+            raise CliError(f"{flag} gives two series the column {column}")
+    return [key] + columns + status, _side_by_side(key, series)
 
 
 def _cmd_figure(args) -> int:
@@ -694,7 +711,8 @@ def _cmd_figure(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    numbers = _parse_float_list(args.criteria, "--criteria", int) if args.criteria else None
+    numbers = ([_number(x, "--criteria", int) for x in args.criteria.split(",")]
+               if args.criteria else None)
     seed = _resolve_args(args, "sim").sim.seed
     with _usage_errors():
         results = validation.run_criteria(numbers, quick=args.quick, seed=seed)

@@ -43,10 +43,10 @@ Engine design, fixed for reproducibility:
   drain as one block, bounded by the controller returns still queued when
   arrivals stop, which its deques already hold (see
   :func:`_run_replication`); a cut replication hands over a block at each
-  cut too (see :func:`_run_head`).  So the caller's memory is bounded by
-  ``SAMPLE_CAP`` samples per reservoir plus about one block (and the
-  packets in the system), whatever its packet budget; a forked process's
-  grows with one replication's measured samples, which it holds until sent;
+  cut too.  So the caller's memory is bounded by ``SAMPLE_CAP`` samples per
+  reservoir plus about one block (and the packets in the system), whatever
+  its packet budget; a forked process's grows with one replication's
+  measured samples, which it holds until sent;
 * a packet's state (arrival time, entry node, new-flow mark, progress along
   its route) is held only while the packet is in the system.
 
@@ -105,9 +105,10 @@ uses, and so makes every statistic and every reservoir draw itself: the
 bits never depend on P.  Where the replications leave one over for the
 caller (R mod P = 1), the last one, a single node's or a chain's, is cut at
 a regeneration point, an arrival that finds the system empty, and its tail
-runs in process 1 (see :func:`_run_head`); where no such point comes soon
-enough after the cut, the caller runs it whole.  An audited replication is
-never cut.
+runs in process 1; where no such point comes soon enough after the cut, the
+caller runs it whole.  An audited replication is never cut.  :func:`run_chain`
+decides the cut, and :func:`_run_replication` runs a cut replication's head
+and splice in the loop that runs a whole one.
 """
 
 from __future__ import annotations
@@ -135,7 +136,8 @@ _Z95 = 1.96
 # shortest mean switch service time (see _check_time_range)
 _RESOLUTION = 2.0 ** -20
 # A cut replication's tail starts at arrival int(_CUT * N) and may be spliced
-# on at every _CHECK-th of its first _WINDOW arrivals (see _run_head)
+# on at every _CHECK-th of its first _WINDOW arrivals (see _run_replication;
+# run_chain decides which replication is cut)
 _CUT = 0.55
 _WINDOW = 1 << 10
 _CHECK = 1 << 4
@@ -410,7 +412,10 @@ def run_chain(chain: ChainModel, cfg: SimConfig, audit: bool = False) -> ChainSi
     engine = _run_events if audit else _run_replication
     tallies = [_Tally(n, cutoff, agg_reservoir, class_reservoirs, shift) for _ in range(reps)]
     procs = min(reps, _cpus()) if hasattr(os, "fork") else 1
-    tail = None if audit else functools.partial(_run_tail, chain, cfg.packets_per_replication)
+    # the one place the cut is decided: where the replications leave one
+    # over for the caller, that one is cut, unless it is audited
+    tail = (functools.partial(_run_tail, chain, cfg.packets_per_replication)
+            if not audit and procs > 1 and reps % procs == 1 else None)
 
     def results() -> ChainSimResult:
         aggregate = _result(tallies, slice(None), agg_reservoir)
@@ -495,11 +500,11 @@ def _run_forked(procs: int, run, tallies: list[_Tally], seeds: list,
     so it makes every reservoir draw in the serial run's order and the
     results are those of the serial run, bit for bit.
 
-    Where ``tail`` is given (every run but an audited one, see
-    :func:`_run_head`) and the replications leave one over, R mod P = 1,
-    that last one, the caller's, is cut: process 1, after its own
-    replications, runs ``tail(out, seed_seq)``, and the caller runs
-    ``run(tally, seed_seq, tail=reader)``, which splices the tail on.
+    Where ``tail`` is given, the last replication, the caller's, is cut
+    (:func:`run_chain` decides that; :func:`_run_replication` runs it):
+    process 1, after its own replications, runs ``tail(out, seed_seq)``,
+    and the caller runs ``run(tally, seed_seq, tail=reader)``, which
+    splices the tail on.
 
     Then it returns ``results()``, made before the children are reaped, so
     that a child's exit, which can come last, runs while it is made.  A
@@ -512,7 +517,6 @@ def _run_forked(procs: int, run, tallies: list[_Tally], seeds: list,
     reservoir = tallies[0].agg
     classes = tallies[0].classes
     counts = [0] * len(classes)  # each class's samples so far
-    cut = tail is not None and procs > 1 and len(tallies) % procs == 1
     readers: list = []
     pids: list[int] = []
     done = False
@@ -524,14 +528,14 @@ def _run_forked(procs: int, run, tallies: list[_Tally], seeds: list,
                 pid = _fork()
                 if pid == 0:
                     _serve(w, readers, range(p, len(tallies), procs), run, tallies, seeds,
-                           tail if cut and p == 1 else None)
+                           tail if p == 1 else None)
             finally:  # the caller's; a child never returns from _serve
                 os.close(w)
             pids.append(pid)
         for k, (tally, seed_seq) in enumerate(zip(tallies, seeds)):
             if k % procs:
                 _receive(readers[k % procs - 1], tally)
-            elif cut and k == len(tallies) - 1:
+            elif tail is not None and k == len(tallies) - 1:
                 run(tally, seed_seq, tail=readers[0])
             else:
                 run(tally, seed_seq)
@@ -798,15 +802,39 @@ def _run_replication(chain: ChainModel, n_packets: int, tally: _Tally,
     0.9, blocks of 975 to 1019), and the sentinel's holds the drain.
 
     With ``tail``, the pipe from a process that runs :func:`_run_tail`, the
-    replication is cut (see :func:`_run_head`).
+    replication is cut at a regeneration point, an arrival that finds the
+    system empty (Crane & Iglehart 1975): from there on its path does not
+    depend on what came before.  The caller runs the head, arrivals 0 to m,
+    then reads the check points (see :func:`_cut_pieces`) at which the tail,
+    run from an empty system at m, is empty.  It runs on, piece by piece, to
+    the first of them, j, at which :meth:`empty` finds its own path empty
+    too: both paths have then made every station's joins of the arrivals
+    before j, and so drawn every service stream to the same draw, and they
+    make the same float operations on the same draws from j on.  It
+    measures its departures before j and the tail's from its (j - m)th on.
+    With no such j in the window it runs the replication to its end alone
+    and reads past the tail's departures.
     """
     engine, feed = _engine(chain, n_packets, tally, seed_seq)
+    # a whole replication's m and window end are indices no arrival has
+    m, end, pieces = (-1, -1, _pieces(feed, ())) if tail is None else _cut_pieces(feed, n_packets)
+    stop = {}  # the tail's empty check points: its departures before each
+    for first, cols in pieces:
+        if first == m:
+            stop = dict(_load(tail))
+        if first in stop and engine.empty(cols[0][0]):
+            tally.flush()
+            if tally.departed != first or stop[first] != first - m:
+                raise SimulationInvariantError(
+                    f"the cut replication splices at arrival {first} after {tally.departed} "
+                    f"departures and its tail's {stop[first]}, not {first} and {first - m}")
+            _receive(tail, tally, first - m)
+            return
+        engine.run(*cols)
+        if first < m or first + len(cols[0]) >= end:  # the window's pieces make one block
+            tally.flush()
     if tail is not None:
-        _run_head(engine, feed, n_packets, tally, tail)
-        return
-    for chunk in feed:
-        engine.run(*chunk)
-        tally.flush()
+        _receive(tail, tally, math.inf)
 
 
 def _engine(chain: ChainModel, n_packets: int, tally: _Tally,
@@ -819,63 +847,19 @@ def _engine(chain: ChainModel, n_packets: int, tally: _Tally,
     return engine, _merged_arrivals(chain.nodes, arr_rngs, mark_rngs, n_packets)
 
 
-def _run_head(engine, feed, n_packets: int, tally: _Tally, tail) -> None:
-    """Run a replication cut at a regeneration point, an arrival that finds
-    the system empty (Crane & Iglehart 1975): from there on its path does
-    not depend on what came before.  ``engine`` (a :class:`_Lindley` or a
-    :class:`_Joins`) runs the arrivals of ``feed`` into ``tally``, and
-    ``tail`` is the pipe from a process that runs :func:`_run_tail`.
-
-    The caller runs the head, arrivals 0 to m, then reads the check points
-    (see :func:`_cut_pieces`) at which the tail, run from an empty system at
-    m, is empty.  It runs on, piece by piece, to the first of them, j, at
-    which :meth:`empty` finds its own path empty too: both paths have then
-    made every station's joins of the arrivals before j, and so drawn every
-    service stream to the same draw, and they make the same float
-    operations on the same draws from j on.  It measures its departures
-    before j and the tail's from its (j - m)th on.  With no such j in the
-    window it runs the replication to its end alone and reads past the
-    tail's departures.
-    """
-    m, end, pieces = _cut_pieces(feed, n_packets)
-    for first, cols in pieces:
-        engine.run(*cols)
-        tally.flush()
-        if first + len(cols[0]) == m:
-            break
-    stop = dict(_load(tail))  # the tail's empty check points: its departures before each
-    for first, cols in (pieces if stop else ()):
-        if first in stop and engine.empty(cols[0][0]):
-            tally.flush()
-            if tally.departed != first or stop[first] != first - m:
-                raise SimulationInvariantError(
-                    f"the cut replication splices at arrival {first} after {tally.departed} "
-                    f"departures and its tail's {stop[first]}, not {first} and {first - m}")
-            _receive(tail, tally, first - m)
-            return
-        engine.run(*cols)
-        if first + len(cols[0]) == end:
-            break
-    tally.flush()
-    for _, cols in pieces:  # no joint empty check point: the rest alone
-        engine.run(*cols)
-        tally.flush()
-    if stop:
-        _receive(tail, tally, math.inf)
-
-
 def _run_tail(chain: ChainModel, n_packets: int, out,
               seed_seq: np.random.SeedSequence) -> None:
-    """The tail of a cut replication (see :func:`_run_head`): arrivals m on,
-    from an empty system, with each station's service stream passed over
-    its joins of the first m arrivals, had the system been empty at m.
-    Switch i joins once per arrival of a class c <= i, each of which passes
-    it once, and once more per new flow of class i, back from the
+    """The tail of a cut replication (see :func:`_run_replication`):
+    arrivals m on, from an empty system, with each station's service stream
+    passed over its joins of the first m arrivals, had the system been empty
+    at m.  Switch i joins once per arrival of a class c <= i, each of which
+    passes it once, and once more per new flow of class i, back from the
     controller; the controller joins once per new flow.
 
     Sends the list of (index, its departures before it) of every check
-    point in the window at which :meth:`empty` finds the tail empty; then,
-    if there is one, its departures as :func:`_send` does."""
+    point in the window at which :meth:`empty` finds the tail empty, which
+    starts with (m, 0), as it starts empty; then its departures as
+    :func:`_send` does."""
     n = len(chain.nodes)
     record = _Record(n, 0)
     engine, feed = _engine(chain, n_packets, record, seed_seq)
@@ -898,12 +882,11 @@ def _run_tail(chain: ChainModel, n_packets: int, out,
             break
     pickle.dump(empties, out)
     out.flush()
-    if empties:
+    record.flush()
+    for _, cols in pieces:
+        engine.run(*cols)
         record.flush()
-        for _, cols in pieces:
-            engine.run(*cols)
-            record.flush()
-        _send(out, record)
+    _send(out, record)
 
 
 def _cut_pieces(feed, n_packets: int):

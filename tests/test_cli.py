@@ -514,6 +514,13 @@ class TestValidateCmd:
         assert cli.main(["validate", "--criteria", "11"]) == 1
         capsys.readouterr()
 
+    @pytest.mark.parametrize("criteria", ["1,x", "1,2.5"])
+    def test_criteria_read_item_by_item(self, criteria, capsys):
+        assert cli.main(["validate", "--criteria", criteria]) == 1
+        item = criteria.split(",")[1]
+        assert capsys.readouterr().err.startswith(
+            f"error: '--criteria' must be an integer, got '{item}'")
+
     def test_mutation_detected(self, monkeypatch, capsys):
         # a 1% error in the feedback correction must trip the exactness gate
         from sdnqueue import analytic
@@ -622,10 +629,42 @@ class TestTableInputErrors:
         (["sweep"] + NODE_FLAGS + ["--variable", "rho_controller", "--grid", "0,0.2"],
          "rho_controller must be > 0, got 0.0"),
         (["figure", "fig3", "--rho-grid", "0:0.9:4"], "rho_controller must be > 0, got 0.0"),
+        (["dimension", "--q-nf", "0.5", "--mu-switch-us", "9.8", "--mu-controller-us", "240",
+          "--delay-bound-us", "-5"], "--delay-bound-us must be > 0, got -5"),
+        (["dimension", "--q-nf", "0.5", "--mu-switch-us", "9.8", "--mu-controller-us", "240",
+          "--delay-bound-us", "nan"], "--delay-bound-us must be > 0, got nan"),
+        # a list whose first value is negative reaches the command's own check
+        (["sweep"] + NODE_FLAGS + ["--variable", "rho_controller", "--grid", "-0.1,0.2"],
+         "rho_controller must be > 0, got -0.1"),
+        (["figure", "fig2", "--rho-grid", "-.1,0.2"], "rho_controller must be > 0, got -0.1"),
+        (["figure", "fig4", "--q-set", "-0.5,0.5"], "q_nf must be in [0, 1], got -0.5"),
+        (["figure", "fig5", "--mu-c-us-set", "-120,240"],
+         "--mu-c-us-set: service time must be finite and > 0, got -120"),
+        (["distribution"] + NODE_FLAGS + ["--quantiles", "-0.5,0.5"],
+         "p must be in [0, 1), got -0.5"),
+        (["chain", "--lam", "-5,1000", "--q-nf", "0.2,1.0", "--mu-switch-us", "9.8",
+          "--mu-controller-us", "240"], "lam must be > 0, got -5"),
+        # each comma list is read item by item under its own flag
+        (["figure", "fig2", "--rho-grid", "0.1,x"], "'--rho-grid' must be a number, got 'x'"),
+        (["figure", "fig2", "--rho-grid", "0.1:x:9"],
+         "'--rho-grid stop' must be a number, got 'x'"),
+        (["figure", "fig6", "--q-set", "0.2,x"], "'--q-set' must be a number, got 'x'"),
+        (["figure", "fig5", "--mu-c-us-set", "120,x"],
+         "'--mu-c-us-set' must be a number, got 'x'"),
+        (["distribution"] + NODE_FLAGS + ["--quantiles", "0.5,x"],
+         "'--quantiles' must be a number, got 'x'"),
+        # two series with one column name
+        (["figure", "fig6", "--q-set", "0.5,0.5"],
+         "--q-set gives two series the column p_within_0.5ms_qnf_0.5"),
+        (["figure", "fig4", "--q-set", "0.2,0.20"],
+         "--q-set gives two series the column throughput_qnf_0.2"),
+        (["figure", "fig5", "--mu-c-us-set", "240,240"],
+         "--mu-c-us-set gives two series the column sojourn_mu_c_us_240"),
     ])
     def test_error_names_the_input_as_given(self, argv, message, tmp_path, capsys):
-        # a deadline in us used to be reported in seconds under the library's
-        # name, and a rho_c grid as the lambda back-solved from it
+        # a time in us used to be reported in seconds under the library's
+        # name, a rho_c grid as the lambda back-solved from it, and a list
+        # whose first value is negative as a missing flag value
         out = tmp_path / "out.csv"
         assert cli.main(argv + ["--output", str(out)]) == 1
         assert not out.exists()

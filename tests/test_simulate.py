@@ -687,6 +687,31 @@ class TestCutReplication:
 
         monkeypatch.setattr(simulate, "_load", miscounted)
 
+    @pytest.mark.parametrize("nodes", [
+        NodeParams(0.5 * MU_C / 0.2, MU_L, 0.2),   # a paper point: spliced
+        NodeParams(1.2 * MU_C, MU_L, 1.0),         # saturated: falls back
+        SATURATED,
+    ], ids=["paper point", "saturated node", "saturated chain"])
+    def test_tail_starts_at_an_empty_check_point(self, monkeypatch, nodes):
+        # the tail starts from an empty system, so the first of its empty
+        # check points, as the caller reads them, is m with no departure
+        # before it: the caller always has a list to splice against and a
+        # tail to read past
+        serial = self._run(monkeypatch, nodes, 1)
+        load = simulate._load
+        lists = []
+
+        def recorded(reader):
+            message = load(reader)
+            if isinstance(message, list):
+                lists.append(message)
+            return message
+
+        monkeypatch.setattr(simulate, "_load", recorded)
+        assert self._run(monkeypatch, nodes, 2) == serial
+        m = int(simulate._CUT * self.PAPER_CFG.packets_per_replication)
+        assert len(lists) == 1 and lists[0][0] == (m, 0)
+
     def test_splice_checks_departures(self, monkeypatch):
         # a tail that reports one departure too many before each empty
         # arrival does not match the caller's count at the splice
