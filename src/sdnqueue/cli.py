@@ -109,9 +109,10 @@ class CliError(Exception):
 class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        # an argument that starts with "-" or "-." and then a digit, such as
-        # the list "-0.1,0.2", is a value: no flag looks like that
-        self._negative_number_matcher = re.compile(r"-\.?\d")
+        # an argument that starts with "-" or "-." and then a digit, or with
+        # -inf, -infinity or -nan in any case, such as the lists "-0.1,0.2"
+        # and "-inf,0.2", is a value: no flag looks like that
+        self._negative_number_matcher = re.compile(r"-\.?\d|-(inf(inity)?|nan)\b", re.I)
 
     def error(self, message):
         raise CliError(message)
@@ -381,7 +382,7 @@ def _parse_grid(raw, name: str) -> tuple[float, ...]:
         except KeyError as exc:
             raise CliError(f"sweep.grid needs {exc.args[0]!r}") from exc
         count = _number(raw.get("count", 10), f"{name} count", int)
-        return _make_grid(start, stop, count, raw.get("spacing", "linear"))
+        return _make_grid(start, stop, count, raw.get("spacing", "linear"), name, f"{name} count")
     if isinstance(raw, str):
         raw = raw.split(",")
     if not isinstance(raw, (list, tuple)):
@@ -390,17 +391,20 @@ def _parse_grid(raw, name: str) -> tuple[float, ...]:
     return tuple(_number(x, name) for x in raw)
 
 
-def _make_grid(start: float, stop: float, count: int, spacing: str) -> tuple[float, ...]:
+def _make_grid(start: float, stop: float, count: int, spacing: str, name: str,
+               count_name: str) -> tuple[float, ...]:
+    """``count`` values from ``start`` to ``stop``, with errors naming the
+    grid ``name`` and its count ``count_name``: the flags or keys given."""
     if count < 1:
-        raise CliError("grid count must be >= 1")
+        raise CliError(f"{count_name} must be >= 1, got {count}")
     if count == 1:
         return (start,)
     if spacing == "log":
         if start <= 0:
-            raise CliError("log grid needs start > 0")
+            raise CliError(f"{name} start must be > 0 for a log grid, got {start}")
         return _log_grid(start, stop, count)
     if spacing != "linear":
-        raise CliError(f"grid spacing must be 'linear' or 'log', got {spacing!r}")
+        raise CliError(f"{name} spacing must be 'linear' or 'log', got {spacing!r}")
     return tuple(start + (stop - start) * k / (count - 1) for k in range(count))
 
 
@@ -506,8 +510,9 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_distribution(args) -> int:
     cfg = _resolve_args(args, "node", "controller")
-    dist = build_distribution(cfg.node, cfg.controller, solve_rates(cfg.node, cfg.controller))
-    with _usage_errors():  # a deadline, probability or time outside the law's domain
+    # an infinite rate, or a deadline, probability or time outside the law's domain
+    with _usage_errors():
+        dist = build_distribution(cfg.node, cfg.controller, solve_rates(cfg.node, cfg.controller))
         if args.deadline_us is not None:
             p = prob_within_deadline(dist, _deadline_s(args.deadline_us))
             print(f"P(sojourn <= {args.deadline_us:g} us) = {p:.6f}")
@@ -670,7 +675,8 @@ def _figure_table(args, cfg: RunConfig) -> tuple[list[str], list[dict]]:
         nodes = [replace(node, q_nf=q) for q in q_set]  # each q checked before the grid
         # common log grid spanning every q's knee through deep saturation
         w0s = [zero_load_sojourn(q, node.mu_switch, ctrl.mu_controller) for q in q_set]
-        grid = _make_grid(1.05 * min(w0s), 100.0 * max(w0s), args.points, "log")
+        grid = _make_grid(1.05 * min(w0s), 100.0 * max(w0s), args.points, "log",
+                          "fig4 delay_bound grid", "--points")
         series = [(f"throughput_qnf_{q:g}", f"q_nf={q:g}",
                    SweepSpec("delay_bound", grid, nd, ctrl, ("throughput",)))
                   for q, nd in zip(q_set, nodes)]

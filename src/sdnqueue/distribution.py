@@ -23,8 +23,10 @@ ccdf are therefore evaluated through an algebraically identical regrouping
 with x = (a_c - a_l) t and phi(x) = (e^(-x) - 1 + x) / x^2, which is uniformly
 stable and passes continuously through the equal-rates (Erlang-3) limit.
 
-Both pdf and ccdf vanish at t = inf, where the formulas would form 0 * inf, so
-an infinite time gives 0 without evaluating them.
+Both pdf and ccdf are 0 where both exponentials are: a time at which -a_l t
+and -a_c t are both at or below _EXP_ZERO (see below), t = inf among them,
+gives 0.0 without evaluating the formulas there.  They would give 0.0 too,
+but only until a product such as a_l t overflows; past it they form 0 * inf.
 
 A scalar time (a float, an int, a numpy scalar or a 0-d array) is evaluated
 in Python float arithmetic, with numpy's exp for both exponentials; an array
@@ -81,10 +83,14 @@ _CHUNK = 1 << 14
 
 # numpy's exp, called through this one name.  It stays on its fast path above
 # about -707.8 (measured with numpy 2.4 on x86-64 with AVX-512); _EXP_FAST
-# keeps a margin.  At or below _EXP_ZERO it returns +0.0.
+# keeps a margin.  At or below _EXP_ZERO it returns +0.0, so e^(-a t) is +0.0
+# where a t >= _VANISH_AT: the same test as -a t <= _EXP_ZERO, since negation
+# is exact, without a negation that costs a scalar call ~10 ns (CPython 3.11,
+# x86-64).
 _exp = np.exp
 _EXP_FAST = -700.0
 _EXP_ZERO = -745.2
+_VANISH_AT = -_EXP_ZERO
 
 
 @dataclass(frozen=True)
@@ -119,8 +125,13 @@ class SojournDistribution:
 
 def build_distribution(node: NodeParams, ctrl: ControllerParams,
                        rates: SolvedRates) -> SojournDistribution:
-    """Construct the sojourn law from a solved, stable operating point."""
+    """Construct the sojourn law from a solved, stable operating point.  An
+    infinite service rate, whose effective rate is infinite too, is refused
+    under its own name: the formulas would give NaN at every time."""
     _require_stable(rates)
+    for name, rate in (("mu_switch", node.mu_switch), ("mu_controller", ctrl.mu_controller)):
+        if rate == math.inf:
+            raise ValueError(f"{name} must be finite for the sojourn law, got inf")
     a_l = node.mu_switch - rates.gamma_switch
     a_c = ctrl.mu_controller - rates.gamma_controller
     q = node.q_nf
@@ -181,8 +192,8 @@ def _closed(e_l, e_c, x, r):
 
 
 def _ratio(dist: SojournDistribution) -> float:
-    """a_l/(a_c - a_l).  Equal rates give |x| >= 0.5 only at a non-finite t,
-    whose value is then NaN like any other law's."""
+    """a_l/(a_c - a_l).  Equal rates give |x| >= 0.5 only at t = NaN, whose
+    value is then NaN like any other law's."""
     gap = dist.a_controller - dist.a_switch
     return dist.a_switch / gap if gap else math.nan
 
@@ -234,7 +245,7 @@ def _evaluate(dist: SojournDistribution, t, value, other=None):
     t = float(t)
     if t < 0.0:
         raise ValueError("time must be >= 0")
-    if t == math.inf:
+    if dist.a_switch * t >= _VANISH_AT and dist.a_controller * t >= _VANISH_AT:
         return 0.0 if other is None else (0.0, 0.0)
     e_l, h = _detour_at(dist, t)
     if other is None:
@@ -246,9 +257,13 @@ def _evaluate_blocks(dist: SojournDistribution, t: np.ndarray, values) -> list[n
     """Each of values over t, in order, from one kernel evaluation per block.
 
     A block's smallest and largest time, which also choose its branch, tell
-    whether it holds a negative or an infinite time; a NaN makes both NaN, so
-    such a block is checked time by time.
+    whether it holds a negative time and whether any of its times vanish
+    (both exp arguments at or below _EXP_ZERO); a NaN makes both NaN, so
+    such a block is checked time by time.  A vanished time is evaluated at
+    t = 0, which keeps every product finite and gives h = 0, and its
+    e^(-a_l t) is then set to 0.0, from which pdf and ccdf are both 0.0.
     """
+    a_l, a_c = dist.a_switch, dist.a_controller
     outs = [np.empty(t.shape) for _ in values]
     flat_t, flat_outs = t.reshape(-1), [out.reshape(-1) for out in outs]
     for i in range(0, flat_t.size, _CHUNK):
@@ -257,16 +272,14 @@ def _evaluate_blocks(dist: SojournDistribution, t: np.ndarray, values) -> list[n
         nan = t_min != t_min
         if np.any(block < 0.0) if nan else t_min < 0.0:
             raise ValueError("time must be >= 0")
-        if nan or t_max == math.inf:
-            at_inf = block == math.inf
-            if at_inf.any():
-                finite = ~at_inf
-                for flat_out, out in zip(flat_outs, _evaluate_blocks(dist, block[finite], values)):
-                    view = flat_out[i:i + _CHUNK]
-                    view[finite] = out
-                    view[at_inf] = 0.0
-                continue
+        if vanish := nan or (a_l * t_max >= _VANISH_AT and a_c * t_max >= _VANISH_AT):
+            with np.errstate(over="ignore"):  # a t is inf past the float range
+                gone = (a_l * block >= _VANISH_AT) & (a_c * block >= _VANISH_AT)
+            block = np.where(gone, 0.0, block)
+            t_min, t_max = float(block.min()), float(block.max())
         e_l, h = _detour_on(dist, block, t_min, t_max)
+        if vanish:
+            e_l[gone] = 0.0
         for value, flat_out in zip(values, flat_outs):
             flat_out[i:i + _CHUNK] = value(dist, block, e_l, h)
     return outs

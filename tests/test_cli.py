@@ -411,6 +411,29 @@ class TestSweepCmd:
         assert header == ["lambda", "deadline_prob", "status"]  # the swept lambda once
         assert [(r[1], r[2]) for r in rows] == [("1.0", "ok")] * 2
 
+    def test_deadline_prob_past_the_float_range(self, tmp_path, capsys):
+        # a_l t overflows at this deadline, where the law is 0 as at inf
+        out = tmp_path / "sweep.csv"
+        rc = cli.main(["sweep"] + NODE_FLAGS +
+                      ["--variable", "rho_controller", "--grid", "0.5",
+                       "--outputs", "deadline_prob", "--deadline", "1e308", "--output", str(out)])
+        capsys.readouterr()
+        assert rc == 0
+        _, rows = read_csv(out)
+        assert [(r[2], r[3]) for r in rows] == [("1.0", "ok")]
+
+    def test_infinite_controller_rate_has_a_mean_but_no_law(self, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        rc = cli.main(["sweep", "--lam", "2000", "--q-nf", "0.5", "--mu-switch-us", "9.8",
+                       "--mu-controller", "inf", "--variable", "lambda", "--grid", "1000",
+                       "--outputs", "analytic_mean,deadline_prob", "--deadline", "0.001",
+                       "--output", str(out)])
+        capsys.readouterr()
+        assert rc == 0
+        _, rows = read_csv(out)
+        assert float(rows[0][1]) > 0.0
+        assert rows[0][2:] == ["", "deadline_prob undefined"]
+
     def test_grid_expression(self, tmp_path, capsys):
         out = tmp_path / "sweep.csv"
         rc = cli.main(["sweep", "--lam", "1", "--q-nf", "0.5",
@@ -660,6 +683,25 @@ class TestTableInputErrors:
          "--q-set gives two series the column throughput_qnf_0.2"),
         (["figure", "fig5", "--mu-c-us-set", "240,240"],
          "--mu-c-us-set gives two series the column sojourn_mu_c_us_240"),
+        # a list whose first value is -inf, -infinity or -nan, in any case
+        (["sweep"] + NODE_FLAGS + ["--variable", "rho_controller", "--grid", "-inf,0.2"],
+         "rho_controller must be > 0, got -inf"),
+        (["figure", "fig2", "--rho-grid", "-Infinity,0.2"], "rho_controller must be > 0, got -inf"),
+        (["chain", "--lam", "-nan,1000", "--q-nf", "0.2,1.0", "--mu-switch-us", "9.8",
+          "--mu-controller-us", "240"], "lam must be > 0, got nan"),
+        # a grid's count, spacing and log start under the flag or key given
+        (["figure", "fig2", "--rho-grid", "0.1:0.9:0"], "--rho-grid count must be >= 1, got 0"),
+        (["figure", "fig4", "--points", "0"], "--points must be >= 1, got 0"),
+        (["figure", "fig2", "--rho-grid", "0.1:0.9:3:cubic"],
+         "--rho-grid spacing must be 'linear' or 'log', got 'cubic'"),
+        (["sweep"] + NODE_FLAGS + ["--variable", "rho_controller", "--grid", "0:0.9:3:log"],
+         "grid start must be > 0 for a log grid, got 0.0"),
+        # an infinite rate has no sojourn law
+        (["distribution", "--lam", "2000", "--q-nf", "0.5", "--mu-switch-us", "9.8",
+          "--mu-controller", "inf", "--quantiles", "0.5,0.99"],
+         "mu_controller must be finite for the sojourn law, got inf"),
+        (["distribution", "--lam", "2000", "--q-nf", "0.5", "--mu-switch", "inf",
+          "--mu-controller-us", "240"], "mu_switch must be finite for the sojourn law, got inf"),
     ])
     def test_error_names_the_input_as_given(self, argv, message, tmp_path, capsys):
         # a time in us used to be reported in seconds under the library's
@@ -839,6 +881,13 @@ class TestCommandLineSurface:
         got = {name: {o for a in p._actions for o in a.option_strings} - {"-h", "--help"}
                for name, p in subparsers.items()}
         assert got == _OPTION_STRINGS
+
+    def test_dash_h_stays_help(self, capsys):
+        # -inf and -nan read as values; -h, which no number looks like, does not
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["sweep", "-h"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: sdnqueue sweep")
 
     def test_readme_command_lines_parse(self):
         # every sdnqueue line of README's shell blocks, parsed but not run

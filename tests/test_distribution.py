@@ -144,6 +144,18 @@ class TestPdf:
                         ccdf(d, np.where(np.arange(len(ts)) == where, bad, ts))
 
 
+@pytest.mark.parametrize("name", ["mu_switch", "mu_controller"])
+def test_infinite_rate_is_refused_by_name(name):
+    # the effective rate would be infinite too, and the law NaN at every time
+    node, ctrl = NodeParams(2000.0, MU_L, 0.5), ControllerParams(MU_C)
+    if name == "mu_switch":
+        node = NodeParams(2000.0, math.inf, 0.5)
+    else:
+        ctrl = ControllerParams(math.inf)
+    with pytest.raises(ValueError, match=f"^{name} must be finite for the sojourn law, got inf"):
+        build_distribution(node, ctrl, solve_rates(node, ctrl))
+
+
 class TestDegenerate:
     def test_equal_rates_flagged_and_finite(self):
         # mu_c = mu_l - lam makes the two effective rates exactly equal
@@ -436,6 +448,42 @@ def _bits(value) -> bytes:
     return np.asarray(value, dtype=float).tobytes()
 
 
+def _vanishing_point(d: SojournDistribution) -> float:
+    """The smallest time at which -a t is at or below _EXP_ZERO at both rates."""
+    def gone(t):
+        return max(-d.a_switch * t, -d.a_controller * t) <= distribution._EXP_ZERO
+
+    t = -distribution._EXP_ZERO / min(d.a_switch, d.a_controller)
+    while not gone(t):
+        t = math.nextafter(t, math.inf)
+    while gone(math.nextafter(t, 0.0)):
+        t = math.nextafter(t, 0.0)
+    return t
+
+
+def _check_vanished(d: SojournDistribution, ts: np.ndarray, gone: list, kept: list) -> None:
+    """pdf, ccdf and _pdf_ccdf are +0.0 at ts[gone], scalar and array, at
+    several block sizes and with no warning; ts[kept] keep their own bits,
+    and a NaN time gives NaN."""
+    zeros = _bits(np.zeros(len(gone)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for t in ts[gone]:
+            for scalar in (float(t), np.float64(t), np.array(t)):
+                got = [pdf(d, scalar), ccdf(d, scalar), *distribution._pdf_ccdf(d, scalar)]
+                assert all(type(v) is float for v in got) and _bits(got) == _bits([0.0] * 4), t
+            assert prob_within_deadline(d, float(t)) == 1.0
+        for chunk in (1, 2, 3, 1 << 14):
+            with mock.patch.object(distribution, "_CHUNK", chunk):
+                for k, f in enumerate((pdf, ccdf)):
+                    got = f(d, ts)
+                    assert _bits(got[gone]) == zeros, (f.__name__, chunk)
+                    assert np.array_equal(np.isnan(got), np.isnan(ts))
+                    assert _bits(got[kept]) == _bits(f(d, ts[kept]))
+                    assert _bits(f(d, ts.reshape(1, -1))) == _bits(got.reshape(1, -1))
+                    assert _bits(distribution._pdf_ccdf(d, ts)[k]) == _bits(got)
+
+
 class TestScalarAndArrayPaths:
     """A scalar is evaluated in floats and an array in blocks of _CHUNK; both
     must give the bits of the same time inside an array."""
@@ -488,34 +536,22 @@ class TestScalarAndArrayPaths:
     @settings(max_examples=30)
     @given(law=_laws())
     def test_zero_at_infinity(self, law):
-        # both laws vanish at t = inf, where the formulas would form 0 * inf;
-        # the finite times of the same array keep their bits
+        # both laws vanish wherever both exponentials underflow, t = inf among
+        # those times; past the float range of a_l t the formulas would form
+        # 0 * inf.  The other times of the same array keep their bits.
         _, _, d = law
-        ts = np.array([0.0, _scale(d), math.inf, 30.0 * _scale(d), math.nan])
-        finite = [0, 1, 3]
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            for f in (pdf, ccdf):
-                for scalar in (math.inf, np.float64(math.inf), np.array(math.inf)):
-                    got = f(d, scalar)
-                    assert type(got) is float and got == 0.0
-                for chunk in (1, 2, 3, 1 << 14):
-                    with mock.patch.object(distribution, "_CHUNK", chunk):
-                        got = f(d, ts)
-                        assert got[2] == 0.0 and np.isnan(got[4])
-                        assert _bits(got[finite]) == _bits(f(d, ts[finite]))
-                        assert _bits(f(d, ts.reshape(1, -1))) == _bits(got.reshape(1, -1))
-            assert prob_within_deadline(d, math.inf) == 1.0
+        t_v = _vanishing_point(d)
+        ts = np.array([0.0, _scale(d), math.inf, 30.0 * _scale(d), math.nan,
+                       t_v, 2.0 * t_v, 1e300, 1e308])
+        _check_vanished(d, ts, gone=[2, 5, 6, 7, 8], kept=[0, 1, 3])
 
     def test_zero_at_infinity_at_equal_rates(self):
+        # a_l t and a_c t overflow together here, in the series branch
         _, _, d = make_dist(1000.0, 10000.0, 0.5, 9000.0)
         assert d.a_controller == d.a_switch
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            for f in (pdf, ccdf):
-                assert f(d, math.inf) == 0.0
-                assert f(d, np.array([math.inf]))[0] == 0.0
-            assert prob_within_deadline(d, math.inf) == 1.0
+        t_v = _vanishing_point(d)
+        _check_vanished(d, np.array([math.inf, t_v, 2.0 * t_v, 1e300, 1e308]),
+                        gone=[0, 1, 2, 3, 4], kept=[])
 
     # laws with a controller slower and faster than the switch, q_nf = 1 and
     # equal effective rates (where only a NaN leaves the series branch)
