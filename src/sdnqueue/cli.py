@@ -405,7 +405,21 @@ def _make_grid(start: float, stop: float, count: int, spacing: str, name: str,
         return _log_grid(start, stop, count)
     if spacing != "linear":
         raise CliError(f"{name} spacing must be 'linear' or 'log', got {spacing!r}")
-    return tuple(start + (stop - start) * k / (count - 1) for k in range(count))
+    return tuple(start + _grid_offset(stop - start, k, count - 1) for k in range(count))
+
+
+def _grid_offset(width: float, k: int, n: int) -> float:
+    """width * k / n for 0 <= k <= n, as written where width * k is finite.
+    Where only that product overflows, it is formed at width 2^-e and scaled
+    back by 2^e, exactly: it rounds as with an unbounded exponent range, but
+    is held at width, which those roundings can pass by an ulp."""
+    point = width * k
+    if math.isinf(point) and math.isfinite(width):
+        e = k.bit_length()
+        scaled = math.ldexp(width, -e)
+        point = scaled * k / n
+        return math.ldexp(max(point, scaled) if width < 0.0 else min(point, scaled), e)
+    return point / n
 
 
 def _load_config(path: str | None) -> dict:
@@ -527,7 +541,7 @@ def _cmd_distribution(args) -> int:
         t_max = args.t_max if args.t_max is not None else quantile(dist, 0.9999)
         if not 0.0 < t_max < math.inf:
             raise CliError(f"--t-max must be positive and finite, got {t_max}")
-        ts = [t_max * k / (points - 1) for k in range(points)]
+        ts = [_grid_offset(t_max, k, points - 1) for k in range(points)]
         density, tail = _pdf_ccdf(dist, ts)
         rows = [{"t": t, "pdf": pdf, "ccdf": ccdf}
                 for t, pdf, ccdf in zip(ts, density.tolist(), tail.tolist())]

@@ -31,14 +31,19 @@ but only until a product such as a_l t overflows; past it they form 0 * inf.
 A scalar time (a float, an int, a numpy scalar or a 0-d array) is evaluated
 in Python float arithmetic, with numpy's exp for both exponentials; an array
 is evaluated elementwise in fixed blocks of _CHUNK times, into one output of
-the input's shape.  Both paths run the same formulas in the same order, so a
+the input's shape.  The scalar kernel _detour_at is a written-out copy of the
+array path's formulas (_exp_on, _series, _closed, _ratio), operation for
+operation and in the same order, so that it costs only its arithmetic; a
 scalar gives the same bits as the same time inside an array, at any block
-size.  (math.exp is not used: the platform's libm can differ from numpy's
-exp in the last bit.)
+size.  TestScalarAndArrayPaths holds the two paths to each other and
+TestPinnedBits holds both to recorded digests.  (math.exp is not used: the
+platform's libm can differ from numpy's exp in the last bit.)
 
 Each time is evaluated once: one kernel call gives e^(-a_l t) and the detour
 term h, from which pdf and ccdf are both formed where both are wanted, as in
-quantile's search and the private _pdf_ccdf.
+quantile's search and the private _pdf_ccdf.  quantile forms the law's
+constants (1 - q) a_l, q a_c and q a_l once per call and its density and tail
+from them, in _pdf_value's and _ccdf_value's order of operations.
 
 Every exponential goes through one rule that keeps numpy's exp off its slow
 path.  numpy's SIMD exp costs 15-200 times more per element below about
@@ -147,11 +152,6 @@ def build_distribution(node: NodeParams, ctrl: ControllerParams,
                                d=d, q_nf=q, degenerate=degenerate)
 
 
-def _exp_at(arg: float) -> float:
-    """np.exp at one argument, as a float; +0.0 at or below _EXP_ZERO."""
-    return 0.0 if arg <= _EXP_ZERO else float(_exp(arg))
-
-
 def _exp_on(arg: np.ndarray, low: float, high: float) -> np.ndarray:
     """np.exp over a 1-d block, overwriting it, given low <= arg <= high (NaN
     bounds when the block holds a NaN).  No argument at or below _EXP_ZERO
@@ -199,13 +199,25 @@ def _ratio(dist: SojournDistribution) -> float:
 
 
 def _detour_at(dist: SojournDistribution, t: float) -> tuple[float, float]:
-    """e^(-a_l t) and the detour term h at one time, in float arithmetic."""
+    """e^(-a_l t) and the detour term h at one time, in float arithmetic:
+    _exp_on, _series, _closed and _ratio written out, operation for operation.
+    Each exp argument is -a * t, not -(a * t), as there: a NaN time's NaN
+    then keeps its sign bit."""
     a_l, a_c = dist.a_switch, dist.a_controller
-    x = (a_c - a_l) * t
-    e_l = _exp_at(-a_l * t)
+    gap = a_c - a_l
+    x = gap * t
+    arg = -a_l * t
+    e_l = 0.0 if arg <= _EXP_ZERO else float(_exp(arg))
     if abs(x) < _PHI_SERIES_CUTOFF:
-        return e_l, _series(e_l, a_l * t, x)
-    return e_l, _closed(e_l, _exp_at(-a_c * t), x, _ratio(dist))
+        phi = _PHI_COEFFS[-1]
+        for c in _PHI_HORNER:
+            phi = phi * x + c
+        alt = a_l * t
+        return e_l, e_l * alt * alt * phi
+    arg = -a_c * t
+    e_c = 0.0 if arg <= _EXP_ZERO else float(_exp(arg))
+    r = a_l / gap if gap else math.nan
+    return e_l, (e_c - e_l + x * e_l) * (r * r)
 
 
 def _detour_on(dist: SojournDistribution, t: np.ndarray, t_min: float,
@@ -334,22 +346,31 @@ def quantile(dist: SojournDistribution, p: float) -> float:
     zero density, as at t = 0 with q_nf = 1) is replaced by bisection.  The
     search stops when a step no longer moves t or no float is left strictly
     inside the bracket.
+
+    The law's constants (1 - q) a_l, q a_c and q a_l are formed once; density
+    and tail are formed from them and the kernel's (e_l, h) in _pdf_value's
+    and _ccdf_value's order of operations, so with their bits.
     """
     if not 0.0 <= p < 1.0:
         raise ValueError(f"p must be in [0, 1), got {p}")
     if p == 0.0:
         return 0.0
+    q = dist.q_nf
+    pdf_l, pdf_c = (1.0 - q) * dist.a_switch, q * dist.a_controller
+    ccdf_l = q * dist.a_switch
     target = 1.0 - p  # ccdf value at the quantile
     # the bracket's left end, its ccdf, and its (e_l, h) once evaluated
     lo, tail, kernel = 0.0, 1.0, None
     hi = dist.mean()
-    while (c := _ccdf_value(dist, hi, *(at_hi := _detour_at(dist, hi)))) > target:
+    e_l, h = at_hi = _detour_at(dist, hi)
+    while (c := (ccdf_l * hi + 1.0) * e_l + h * q) > target:
         lo, tail, kernel = hi, c, at_hi
         hi *= 2.0
+        e_l, h = at_hi = _detour_at(dist, hi)
     t = lo
     e_l, h = kernel or _detour_at(dist, t)
     while True:
-        density = _pdf_value(dist, t, e_l, h)
+        density = pdf_l * e_l + pdf_c * h
         t_new = t + math.log(tail / target) * tail / density if density > 0.0 else math.nan
         if t_new == t:
             return t
@@ -359,7 +380,7 @@ def quantile(dist: SojournDistribution, p: float) -> float:
                 return t
         t = t_new
         e_l, h = _detour_at(dist, t)
-        tail = _ccdf_value(dist, t, e_l, h)
+        tail = (ccdf_l * t + 1.0) * e_l + h * q
         if tail > target:
             lo = t
         else:

@@ -228,6 +228,21 @@ class TestDistributionCmd:
         assert rc == 0
         assert "P(sojourn <= inf us) = 1.000000" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("t_max, points", [(1e308, 3), (1.7e308, 1000)])
+    def test_time_grid_near_the_float_range(self, tmp_path, capsys, t_max, points):
+        # t_max * k overflows before it is divided; the grid still ends at t_max
+        out = tmp_path / "dist.csv"
+        rc = cli.main(["distribution"] + NODE_FLAGS + ["--t-max", repr(t_max),
+                                                       "--points", str(points),
+                                                       "--output", str(out)])
+        capsys.readouterr()
+        assert rc == 0
+        ts = [float(r[0]) for r in read_csv(out)[1]]
+        assert len(ts) == points and ts[0] == 0.0 and ts[-1] == t_max
+        assert all(a < b for a, b in zip(ts, ts[1:]))
+        if points == 3:
+            assert ts[1] == t_max / 2.0
+
     def test_unstable_exit_two(self, capsys):
         rc = cli.main(["distribution", "--lam", "30000", "--q-nf", "0.5",
                        "--mu-switch-us", "9.8", "--mu-controller-us", "240"])
@@ -433,6 +448,37 @@ class TestSweepCmd:
         _, rows = read_csv(out)
         assert float(rows[0][1]) > 0.0
         assert rows[0][2:] == ["", "deadline_prob undefined"]
+
+    def test_linear_grid_near_the_float_range(self, tmp_path, capsys):
+        # (stop - start) * k overflows before it is divided
+        out = tmp_path / "sweep.csv"
+        rc = cli.main(["sweep"] + NODE_FLAGS +
+                      ["--variable", "mu_controller", "--grid", "1e5:1.5e308:3",
+                       "--outputs", "analytic_mean,deadline_prob", "--deadline", "0.001",
+                       "--output", str(out)])
+        capsys.readouterr()
+        assert rc == 0
+        _, rows = read_csv(out)
+        assert [float(r[0]) for r in rows] == [1e5, 1e5 + (1.5e308 - 1e5) / 2.0, 1.5e308]
+        assert [r[-1] for r in rows] == ["ok"] * 3
+
+    @settings(max_examples=300)
+    @given(width=st.floats(-sys.float_info.max, sys.float_info.max)
+           | st.sampled_from([sys.float_info.max, -sys.float_info.max, 1.7e308]),
+           n=st.integers(1, 10**6), u=st.floats(0.0, 1.0) | st.just(1.0))
+    def test_grid_points_round_as_in_an_unbounded_range(self, width, n, u):
+        # A grid point is width * k / n as written wherever width * k is
+        # finite.  Where it overflows, it is what the same two roundings give
+        # with the exponent range unbounded (here: on width scaled by 2^-64),
+        # held at width.
+        k = round(u * n)
+        got = cli._grid_offset(width, k, n)
+        if math.isfinite(width * k):
+            assert got == width * k / n
+        else:
+            scaled = math.ldexp(width, -64)
+            unbounded = scaled * k / n
+            assert got == (width if abs(unbounded) > abs(scaled) else math.ldexp(unbounded, 64))
 
     def test_grid_expression(self, tmp_path, capsys):
         out = tmp_path / "sweep.csv"

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import textwrap
 import warnings
+from decimal import Decimal, localcontext
 from pathlib import Path
 from unittest import mock
 
@@ -666,6 +667,46 @@ class TestPinnedBits:
         assert _law_digests() == self.DIGESTS
 
 
+def _plain_quantile(d: SojournDistribution, p: float) -> float:
+    """quantile's bracket, Newton step, bisection fallback and stop rules,
+    written out with _plain_exp_law as the kernel: one call per time, whose
+    pdf is the density and whose ccdf is the tail."""
+    if p == 0.0:
+        return 0.0
+    target = 1.0 - p
+    lo, tail, hi = 0.0, 1.0, d.mean()
+    while (c := _plain_exp_law(d, hi)[1]) > target:
+        lo, tail, hi = hi, c, 2.0 * hi
+    t = lo
+    density = _plain_exp_law(d, t)[0]
+    while True:
+        t_new = t + math.log(tail / target) * tail / density if density > 0.0 else math.nan
+        if t_new == t:
+            return t
+        if not lo < t_new < hi:
+            t_new = 0.5 * (lo + hi)
+            if not lo < t_new < hi:
+                return t
+        t = t_new
+        density, tail = _plain_exp_law(d, t)
+        if tail > target:
+            lo = t
+        else:
+            hi = t
+
+
+class TestQuantileBits:
+    """quantile forms its density and tail from constants of the law; they
+    must keep the bits of the search written out over the plain formulas, at
+    every law and level, not only at PIN_LAWS and PIN_LEVELS."""
+
+    @settings(max_examples=300)
+    @given(law=_laws(), p=st.floats(0.0, 1.0, exclude_max=True) | st.sampled_from(PIN_LEVELS))
+    def test_quantile_has_the_bits_of_the_plain_search(self, law, p):
+        _, _, d = law
+        assert _bits(quantile(d, p)) == _bits(_plain_quantile(d, p)), p
+
+
 class TestEvaluationCounts:
     """The two speed properties, counted instead of timed."""
 
@@ -686,6 +727,47 @@ class TestEvaluationCounts:
                     quantile(d, p)
                     assert times and len(set(times)) == len(times), (args, p, times)
 
+    def test_exp_calls_per_time(self):
+        # A scalar pdf or ccdf, and each of quantile's kernel calls, calls exp
+        # once per exponential that does not vanish: at most twice, at most
+        # once on the series branch, and never at or below _EXP_ZERO.
+        args: list[float] = []
+        per_time: list[tuple[float, int]] = []
+        kernel = distribution._detour_at
+
+        def spy(arg, *rest, **kwargs):
+            args.append(arg)
+            return np.exp(arg, *rest, **kwargs)
+
+        def counted(d, t):
+            before = len(args)
+            at = kernel(d, t)
+            per_time.append((t, len(args) - before))
+            return at
+
+        def expected(d, t):
+            series = abs((d.a_controller - d.a_switch) * t) < distribution._PHI_SERIES_CUTOFF
+            return ((-d.a_switch * t > distribution._EXP_ZERO)
+                    + (not series and -d.a_controller * t > distribution._EXP_ZERO))
+
+        with mock.patch.object(distribution, "_exp", spy), \
+                mock.patch.object(distribution, "_detour_at", counted):
+            for law in PIN_LAWS:
+                _, _, d = make_dist(*law)
+                ts = np.concatenate([[0.0], np.geomspace(1e-9, 1e4, 80)]) * _scale(d)
+                for t, f in itertools.product(ts.tolist(), (pdf, ccdf)):
+                    args.clear()
+                    f(d, t)
+                    assert len(args) == expected(d, t) <= 2, (law, t, f.__name__)
+                    assert all(arg > distribution._EXP_ZERO for arg in args)
+                for p in PIN_LEVELS:
+                    per_time.clear()
+                    args.clear()
+                    quantile(d, p)
+                    assert per_time and all(n == expected(d, t) for t, n in per_time), (law, p)
+                    assert len(args) == sum(n for _, n in per_time)
+                    assert all(arg > distribution._EXP_ZERO for arg in args)
+
     def test_exp_never_sees_an_argument_that_underflows(self):
         # numpy's exp is slow where its result is 0; every such argument is
         # answered without it
@@ -703,6 +785,97 @@ class TestEvaluationCounts:
             scalar = ccdf(d, float(ts[-1]))
         assert lowest and min(lowest) > distribution._EXP_ZERO
         assert _bits(tail) == _bits(ccdf(d, ts)) and _bits(scalar) == _bits(tail[-1])
+
+
+def _exact_law(d: SojournDistribution, t: float) -> tuple[Decimal, Decimal]:
+    """pdf and ccdf at t by the hypoexponential closed form, in decimal:
+
+        pdf  = (1-q) a e^(-a t) + q c D
+        ccdf = (1-q) e^(-a t) + q [e^(-a t) (1 + a t) + D]
+
+    with a = a_l, c = a_c and D = a^2 (e^(-c t) - e^(-a t) (1 - (c-a) t)) / (c-a)^2.
+    D's parts cancel to about x^2/2 of e^(-a t), x = (c-a) t, so 45 digits
+    are kept beyond those.  Equal rates take the Erlang-3 limit
+    D = e^(-a t) (a t)^2 / 2.
+    """
+    x = abs((d.a_controller - d.a_switch) * t)
+    with localcontext() as ctx:
+        ctx.prec = 45 + (int(-2.0 * math.log10(x)) if 0.0 < x < 1.0 else 0)
+        a, c, q, t = (Decimal(v) for v in (d.a_switch, d.a_controller, d.q_nf, t))
+        e_a = (-a * t).exp()
+        if c == a:
+            detour = e_a * (a * t) ** 2 / 2
+        else:
+            detour = a * a * ((-c * t).exp() - e_a * (1 - (c - a) * t)) / (c - a) ** 2
+        return ((1 - q) * a * e_a + q * c * detour,
+                (1 - q) * e_a + q * (e_a * (1 + a * t) + detour))
+
+
+def _oracle_laws() -> list[SojournDistribution]:
+    """PIN_LAWS, effective rates 1.5% apart at q_nf = 1, and 40 seeded laws:
+    q_nf at 0, 1 or uniform, a controller from 10^3 times slower to 10^3
+    times faster than the switch, or the two effective rates 1e-9 to 1e-6
+    apart."""
+    laws = [make_dist(*args)[2] for args in PIN_LAWS + [(1000.0, 1e5, 1.0, 97530.0)]]
+    rng = np.random.default_rng(31)
+    for i in range(40):
+        q = float(rng.choice([0.0, 1.0, float(rng.uniform())]))
+        mu_l = float(10.0 ** rng.uniform(3.0, 6.0))
+        load = float(rng.uniform(0.05, 0.95))
+        if i % 5 == 4:
+            lam = load * mu_l / (1.0 + q)
+            gap = float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-9.0, -6.0))
+            mu_c = (mu_l - (1.0 + q) * lam) * (1.0 + gap) + q * lam
+        else:
+            mu_c = mu_l * float(10.0 ** rng.uniform(-3.0, 3.0))
+            lam = load * min(mu_l / (1.0 + q), mu_c / q if q else math.inf)
+        laws.append(make_dist(lam, mu_l, q, mu_c)[2])
+    return laws
+
+
+class TestAccuracyOracle:
+    """pdf, ccdf and quantile against the closed form in decimal.
+
+    Where ccdf >= 0.5 it is within 8 ulps (4.7 the worst seen, over 1,248
+    laws).  Elsewhere, pdf and ccdf alike, the error is that of e^(-a t) at a
+    rounded a t: a relative (1 + a t) 2^-53 or so, with a the larger rate,
+    and up to ~11 times that just past the series cutoff, where the closed
+    form's e^-x - 1 + x cancels (e^0.5 / (e^0.5 - 1.5)).  The worst seen was
+    13.6 (1 + a t) 2^-53, at effective rates 1.5% apart.  It holds above
+    ccdf = 1e-12 too: there, at a t = 34, ccdf was 294 ulps off.
+    """
+
+    TIMES = np.concatenate([np.linspace(0.0, 60.0, 25), np.geomspace(1e-9, 600.0, 25)])
+    HEAD_ULPS = 8  # ccdf >= 0.5
+    K = 32.0  # elsewhere: relative error <= K (1 + a t) 2^-53
+    QUANTILE_K = 8.0  # see test_quantile; 4.2 the worst seen
+
+    def test_pdf_and_ccdf(self):
+        for d in _oracle_laws():
+            a_max = max(d.a_switch, d.a_controller)
+            for t in (self.TIMES * _scale(d)).tolist():
+                bound = self.K * (1.0 + a_max * t) * 2.0 ** -53
+                want_pdf, want_ccdf = _exact_law(d, t)
+                got_pdf, got_ccdf = float(pdf(d, t)), float(ccdf(d, t))
+                if want_ccdf >= Decimal(0.5):
+                    ulp = Decimal(math.ulp(float(want_ccdf)))
+                    assert abs(Decimal(got_ccdf) - want_ccdf) <= self.HEAD_ULPS * ulp, (d, t)
+                elif want_ccdf >= Decimal(1e-290):  # normal floats
+                    assert abs(Decimal(got_ccdf) - want_ccdf) <= Decimal(bound) * want_ccdf, (d, t)
+                if want_pdf >= Decimal(1e-290):
+                    assert abs(Decimal(got_pdf) - want_pdf) <= Decimal(bound) * want_pdf, (d, t)
+
+    def test_quantile(self):
+        # The exact tail at the returned time is within QUANTILE_K ulps of
+        # 1 - p, plus the tail's change over one ulp of that time: no float t
+        # can do better than the latter.
+        for d in _oracle_laws():
+            for p in PIN_LEVELS:
+                t = quantile(d, p)
+                density, tail = _exact_law(d, t)
+                target = 1 - Decimal(p)
+                slack = Decimal(math.ulp(float(target))) + density * Decimal(math.ulp(t))
+                assert abs(tail - target) <= Decimal(self.QUANTILE_K) * slack, (d, p, t)
 
 
 class TestVectorMemory:
