@@ -16,16 +16,62 @@ All rates are events per second, all times seconds (64-bit floats).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass, fields
 
 # Loads this close to 1 count as saturated: the delay formulas have a pole at
 # rho = 1 and values inside the margin are numerically meaningless.
 STABILITY_MARGIN = 1e-9
+_STABLE_BELOW = 1.0 - STABILITY_MARGIN
 
 
 def _saturated(rho: float) -> bool:
     """A load not below 1 - STABILITY_MARGIN, NaN included."""
-    return not rho < 1.0 - STABILITY_MARGIN
+    return not rho < _STABLE_BELOW
+
+
+def _record(cls):
+    """A frozen dataclass whose instances keep their fields in slots and are
+    built by the class's own ``__init__``, which stores each field through
+    its slot's member descriptor.
+
+    The closed forms build these records on every call, and the ``__init__``
+    a frozen dataclass generates calls ``object.__setattr__`` once per field.
+    A slot read costs what an instance-dict read does; a record has no
+    ``__dict__``.  ``repr``, ``==``, ``hash``, pickle, ``copy``,
+    ``dataclasses.replace`` and ``asdict`` behave as for any frozen dataclass,
+    and ``weakref_slot`` keeps instances weakly referenceable.
+
+    Setting or deleting any attribute raises FrozenInstanceError.  The
+    ``__setattr__`` and ``__delattr__`` that ``slots=True`` leaves in place
+    cannot be kept: on Python 3.11 they test the class from before the slots
+    were added, so a name that is not a field raises TypeError instead.
+
+    A record pickles as the list of its field values.  One pickled while the
+    records kept their fields in the instance dict carries that dict, which
+    the ``__setstate__`` of ``slots=True`` would zip with the fields, so that
+    each field got its own name as its value; ``_set_state`` reads it by name.
+    """
+    cls = dataclass(frozen=True, slots=True, weakref_slot=True, init=False)(cls)
+    cls.__setattr__ = _refuse_set
+    cls.__delattr__ = _refuse_delete
+    cls.__setstate__ = _set_state
+    return cls
+
+
+def _refuse_set(self, name, value):
+    raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+
+def _refuse_delete(self, name):
+    raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+def _set_state(self, state):
+    names = [f.name for f in fields(self)]
+    if isinstance(state, dict):
+        state = [state[name] for name in names]
+    for name, value in zip(names, state):
+        object.__setattr__(self, name, value)
 
 
 class UnstableSystemError(Exception):
@@ -47,7 +93,7 @@ def rate_from_us(service_time_us: float) -> float:
     return 1e6 / service_time_us
 
 
-@dataclass(frozen=True)
+@_record
 class NodeParams:
     """One data-plane node: external arrivals, switch speed, new-flow share.
 
@@ -61,15 +107,23 @@ class NodeParams:
     mu_switch: float
     q_nf: float
 
-    def __post_init__(self):
-        if not (self.lam >= _SAFE_RATE and self.mu_switch >= _SAFE_RATE):
-            _check_rate("lam", self.lam)
-            _check_rate("mu_switch", self.mu_switch)
-        if not 0.0 <= self.q_nf <= 1.0:
-            raise ValueError(f"q_nf must be in [0, 1], got {self.q_nf}")
+    def __init__(self, lam: float, mu_switch: float, q_nf: float) -> None:
+        if not (lam >= _SAFE_RATE and mu_switch >= _SAFE_RATE):
+            _check_rate("lam", lam)
+            _check_rate("mu_switch", mu_switch)
+        if not 0.0 <= q_nf <= 1.0:
+            raise ValueError(f"q_nf must be in [0, 1], got {q_nf}")
+        _set_lam(self, lam)
+        _set_mu_switch(self, mu_switch)
+        _set_q_nf(self, q_nf)
 
 
-@dataclass(frozen=True)
+_set_lam = NodeParams.lam.__set__
+_set_mu_switch = NodeParams.mu_switch.__set__
+_set_q_nf = NodeParams.q_nf.__set__
+
+
+@_record
 class ControllerParams:
     """Controller service rate (responses/s).
 
@@ -79,9 +133,13 @@ class ControllerParams:
 
     mu_controller: float
 
-    def __post_init__(self):
-        if not self.mu_controller >= _SAFE_RATE:
-            _check_rate("mu_controller", self.mu_controller)
+    def __init__(self, mu_controller: float) -> None:
+        if not mu_controller >= _SAFE_RATE:
+            _check_rate("mu_controller", mu_controller)
+        _set_mu_controller(self, mu_controller)
+
+
+_set_mu_controller = ControllerParams.mu_controller.__set__
 
 
 # Every rate at or above this has a finite mean time 1/rate, so the
@@ -99,7 +157,7 @@ def _check_rate(name: str, rate: float) -> None:
         raise ValueError(f"{name} must have a finite mean time 1/{name}, got {rate}")
 
 
-@dataclass(frozen=True)
+@_record
 class SolvedRates:
     """Solution of the balance equations for one node and its controller flow.
 
@@ -119,9 +177,19 @@ class SolvedRates:
     rho_switch: float
     rho_controller: float
 
+    def __init__(self, gamma_switch: float, gamma_controller: float, q_jack: float,
+                 rho_switch: float, rho_controller: float) -> None:
+        _set_gamma_switch(self, gamma_switch)
+        _set_gamma_controller(self, gamma_controller)
+        _set_q_jack(self, q_jack)
+        _set_rho_switch(self, rho_switch)
+        _set_rho_controller(self, rho_controller)
+
     @property
     def stable(self) -> bool:
-        return not self.saturated_stations()
+        """No saturated station: both loads below 1 - STABILITY_MARGIN, as
+        :func:`_saturated` has it (a NaN load is saturated)."""
+        return self.rho_switch < _STABLE_BELOW and self.rho_controller < _STABLE_BELOW
 
     def saturated_stations(self) -> tuple[str, ...]:
         out = []
@@ -130,6 +198,13 @@ class SolvedRates:
         if _saturated(self.rho_controller):
             out.append("controller")
         return tuple(out)
+
+
+_set_gamma_switch = SolvedRates.gamma_switch.__set__
+_set_gamma_controller = SolvedRates.gamma_controller.__set__
+_set_q_jack = SolvedRates.q_jack.__set__
+_set_rho_switch = SolvedRates.rho_switch.__set__
+_set_rho_controller = SolvedRates.rho_controller.__set__
 
 
 @dataclass(frozen=True)
@@ -202,19 +277,14 @@ def solve_rates(node: NodeParams, ctrl: ControllerParams) -> SolvedRates:
     """
     gamma_switch = node.lam * (1.0 + node.q_nf)
     gamma_controller = node.q_nf * node.lam
-    return SolvedRates(
-        gamma_switch=gamma_switch,
-        gamma_controller=gamma_controller,
-        q_jack=derive_q_jack(node.q_nf),
-        rho_switch=gamma_switch / node.mu_switch,
-        rho_controller=gamma_controller / ctrl.mu_controller,
-    )
+    # fields in order, by position: a class called with keywords builds a dict
+    return SolvedRates(gamma_switch, gamma_controller, derive_q_jack(node.q_nf),
+                       gamma_switch / node.mu_switch, gamma_controller / ctrl.mu_controller)
 
 
 def _require_stable(rates: SolvedRates | ChainSolution) -> None:
-    sat = rates.saturated_stations()
-    if sat:
-        raise UnstableSystemError(sat)
+    if not rates.stable:
+        raise UnstableSystemError(rates.saturated_stations())
 
 
 def mean_sojourn_jackson(rates: SolvedRates, node: NodeParams) -> float:
@@ -269,9 +339,8 @@ def mean_sojourn_naive_jackson(node: NodeParams, ctrl: ControllerParams) -> floa
                          "(balance equation divides by 1 - q_nf = 0)")
     gamma_switch = node.lam / (1.0 - node.q_nf)
     gamma_controller = node.q_nf * gamma_switch
-    rates = SolvedRates(gamma_switch=gamma_switch, gamma_controller=gamma_controller,
-                        q_jack=node.q_nf, rho_switch=gamma_switch / node.mu_switch,
-                        rho_controller=gamma_controller / ctrl.mu_controller)
+    rates = SolvedRates(gamma_switch, gamma_controller, node.q_nf,
+                        gamma_switch / node.mu_switch, gamma_controller / ctrl.mu_controller)
     return mean_sojourn_jackson(rates, node)
 
 
@@ -299,13 +368,7 @@ def solve_chain(chain: ChainModel) -> ChainSolution:
         # the head node has no transit traffic; its correction reduces to the
         # single-node closed form (kept bit-identical to solve_rates)
         q_jack = derive_q_jack(n.q_nf) if upstream == 0.0 else feedback / gamma
-        per_node.append(SolvedRates(
-            gamma_switch=gamma,
-            gamma_controller=feedback,
-            q_jack=q_jack,
-            rho_switch=gamma / n.mu_switch,
-            rho_controller=rho_c,
-        ))
+        per_node.append(SolvedRates(gamma, feedback, q_jack, gamma / n.mu_switch, rho_c))
         upstream += n.lam
     return ChainSolution(nodes=tuple(per_node), gamma_controller=gamma_c_total,
                          rho_controller=rho_c)

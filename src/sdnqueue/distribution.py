@@ -66,11 +66,10 @@ sampled from, only summed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic import ControllerParams, NodeParams, SolvedRates, _require_stable
+from .analytic import ControllerParams, NodeParams, SolvedRates, _record, _require_stable
 
 # Relative rate gap below which the partial-fraction coefficients are reported
 # as degenerate (evaluation itself never divides by the gap).
@@ -98,7 +97,7 @@ _EXP_ZERO = -745.2
 _VANISH_AT = -_EXP_ZERO
 
 
-@dataclass(frozen=True)
+@_record
 class SojournDistribution:
     """Sojourn-time law of one node, frozen at a specific operating point.
 
@@ -123,9 +122,28 @@ class SojournDistribution:
     q_nf: float
     degenerate: bool
 
+    def __init__(self, a_switch: float, a_controller: float, b1: float, b2: float,
+                 d: float, q_nf: float, degenerate: bool) -> None:
+        _set_a_switch(self, a_switch)
+        _set_a_controller(self, a_controller)
+        _set_b1(self, b1)
+        _set_b2(self, b2)
+        _set_d(self, d)
+        _set_q_nf(self, q_nf)
+        _set_degenerate(self, degenerate)
+
     def mean(self) -> float:
         """Mean sojourn time (1 + q)/a_l + q/a_c."""
         return (1.0 + self.q_nf) / self.a_switch + self.q_nf / self.a_controller
+
+
+_set_a_switch = SojournDistribution.a_switch.__set__
+_set_a_controller = SojournDistribution.a_controller.__set__
+_set_b1 = SojournDistribution.b1.__set__
+_set_b2 = SojournDistribution.b2.__set__
+_set_d = SojournDistribution.d.__set__
+_set_q_nf = SojournDistribution.q_nf.__set__
+_set_degenerate = SojournDistribution.degenerate.__set__
 
 
 def build_distribution(node: NodeParams, ctrl: ControllerParams,
@@ -134,9 +152,9 @@ def build_distribution(node: NodeParams, ctrl: ControllerParams,
     infinite service rate, whose effective rate is infinite too, is refused
     under its own name: the formulas would give NaN at every time."""
     _require_stable(rates)
-    for name, rate in (("mu_switch", node.mu_switch), ("mu_controller", ctrl.mu_controller)):
-        if rate == math.inf:
-            raise ValueError(f"{name} must be finite for the sojourn law, got inf")
+    if node.mu_switch == math.inf or ctrl.mu_controller == math.inf:
+        name = "mu_switch" if node.mu_switch == math.inf else "mu_controller"
+        raise ValueError(f"{name} must be finite for the sojourn law, got inf")
     a_l = node.mu_switch - rates.gamma_switch
     a_c = ctrl.mu_controller - rates.gamma_controller
     q = node.q_nf
@@ -148,8 +166,8 @@ def build_distribution(node: NodeParams, ctrl: ControllerParams,
         b2 = q * a_c / gap
         d = q * a_l * a_l / (gap * gap)
         b1 = 1.0 - q - q * a_l * a_c / (gap * gap)
-    return SojournDistribution(a_switch=a_l, a_controller=a_c, b1=b1, b2=b2,
-                               d=d, q_nf=q, degenerate=degenerate)
+    # by position: a class called with keywords builds a dict
+    return SojournDistribution(a_l, a_c, b1, b2, d, q, degenerate)
 
 
 def _exp_on(arg: np.ndarray, low: float, high: float) -> np.ndarray:

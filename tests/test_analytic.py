@@ -8,9 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sdnqueue.analytic import (
+    STABILITY_MARGIN,
     ChainModel,
+    ChainSolution,
     ControllerParams,
     NodeParams,
+    SolvedRates,
     UnstableSystemError,
     chain_sojourn,
     derive_q_jack,
@@ -326,6 +329,58 @@ def test_rate_from_us():
     for bad in (0.0, math.inf, math.nan):
         with pytest.raises(ValueError):
             rate_from_us(bad)
+
+
+# Loads on both sides of the stability gate at 1 - STABILITY_MARGIN.  A load
+# counts as saturated unless it is below the gate; NaN never is.
+_GATE = 1.0 - STABILITY_MARGIN
+_LOADS = [math.nan, math.inf, _GATE, math.nextafter(_GATE, 0.0), 0.0]
+
+
+def _saturated_load(load: float) -> bool:
+    return math.isnan(load) or load in (math.inf, _GATE)
+
+
+class TestStabilityGate:
+    @pytest.mark.parametrize("rho_c", _LOADS)
+    @pytest.mark.parametrize("rho_l", _LOADS)
+    def test_single_node(self, rho_l, rho_c):
+        rates = SolvedRates(2000.0, 1000.0, 1.0 / 3.0, rho_l, rho_c)
+        want = (("switch",) if _saturated_load(rho_l) else ()) + \
+            (("controller",) if _saturated_load(rho_c) else ())
+        assert rates.saturated_stations() == want
+        assert rates.stable is (not want)
+        node = NodeParams(2000.0, MU_L, 0.5)
+        calls = (lambda: mean_sojourn_openflow(node, CTRL, rates),
+                 lambda: mean_sojourn_jackson(rates, node),
+                 lambda: build_distribution(node, CTRL, rates))
+        for call in calls:
+            if want:
+                with pytest.raises(UnstableSystemError) as exc:
+                    call()
+                assert exc.value.stations == want
+            else:
+                call()
+
+    @pytest.mark.parametrize("rho_c", _LOADS)
+    @pytest.mark.parametrize("rho_l", _LOADS)
+    def test_chain(self, rho_l, rho_c):
+        head = SolvedRates(2000.0, 1000.0, 1.0 / 3.0, 0.5, rho_c)
+        tail = SolvedRates(4000.0, 1000.0, 0.25, rho_l, rho_c)
+        solution = ChainSolution(nodes=(head, tail), gamma_controller=2000.0,
+                                 rho_controller=rho_c)
+        want = (("switch[1]",) if _saturated_load(rho_l) else ()) + \
+            (("controller",) if _saturated_load(rho_c) else ())
+        assert solution.saturated_stations() == want
+        assert solution.stable is (not want)
+        chain = ChainModel(nodes=(NodeParams(2000.0, MU_L, 0.5), NodeParams(2000.0, MU_L, 0.5)),
+                           controller=CTRL)
+        if want:
+            with pytest.raises(UnstableSystemError) as exc:
+                chain_sojourn(chain, solution)
+            assert exc.value.stations == want
+        else:
+            chain_sojourn(chain, solution)
 
 
 class TestOneNodeChainProperties:
