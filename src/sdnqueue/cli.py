@@ -18,6 +18,13 @@ config's nodes key by key.  Service rates may be given per second
 (``mu_switch``) or as mean service times in microseconds (``mu_switch_us``);
 giving both forms of the same parameter in one source is an error.
 
+A flag that only a command reads (``--points``, ``--t-max``, ``--q-set``,
+...) is read once, when the command line is parsed: its ``type`` is a
+reader (``_bounded``, ``_numbers`` or ``_parse_grid``) that returns the value
+the command uses or raises ``CliError`` naming the flag.  So a value is
+checked on every command that takes the flag, whether or not the command's
+path reads it, and a bad one is reported before any config or node error.
+
 Exit codes: 0 success, 1 usage/config error, 2 model unstable, 3 validation
 failure.  CSV output is RFC-4180 style (header row, '.' decimal separator,
 CRLF line ends); identical inputs and seed give byte-identical files.
@@ -272,20 +279,27 @@ def _rate(layers: list[dict], rate_key: str, us_key: str, what: str) -> float:
                    f"{us_key!r} (microseconds)")
 
 
-def _deadline_s(deadline_us: float) -> float:
-    """``--deadline-us`` in seconds, or a usage error naming the flag and the
-    value given unless it is >= 0 (NaN is refused too)."""
-    if not deadline_us >= 0.0:
-        raise CliError(f"--deadline-us must be >= 0, got {deadline_us:g}")
-    return deadline_us * 1e-6
+def _bounded(flag: str, kind=float, low=0, above: bool = False, finite: bool = False):
+    """A reader of one ``kind`` (float or int) at or above ``low``, or
+    strictly above it, and finite too if asked; NaN is always refused.  Its
+    errors name ``flag``."""
+    rule = f"{'>' if above else '>='} {low}{' and finite' if finite else ''}"
+
+    def read(raw):
+        x = _number(raw, flag, kind)
+        if not (x > low if above else x >= low) or (finite and x == math.inf):
+            # an int is shown whole: %g would make a float of it, which can overflow
+            raise CliError(f"{flag} must be {rule}, got {x if kind is int else format(x, 'g')}")
+        return x
+    return read
 
 
-def _delay_bound_s(bound_us: float) -> float:
-    """``--delay-bound-us`` in seconds, or a usage error naming the flag and
-    the value given unless it is > 0 (NaN is refused too)."""
-    if not bound_us > 0.0:
-        raise CliError(f"--delay-bound-us must be > 0, got {bound_us:g}")
-    return bound_us * 1e-6
+def _numbers(flag: str, kind=float):
+    """A reader of a comma list of ``kind`` values, each named by ``flag``."""
+    return lambda raw: [_number(x, flag, kind) for x in raw.split(",")]
+
+
+_read_t_max = _bounded("--t-max", above=True, finite=True)
 
 
 def _rate_from_us(us: float, key: str) -> float:
@@ -381,8 +395,8 @@ def _parse_grid(raw, name: str) -> tuple[float, ...]:
             stop = _number(raw["stop"], f"{name} stop")
         except KeyError as exc:
             raise CliError(f"sweep.grid needs {exc.args[0]!r}") from exc
-        count = _number(raw.get("count", 10), f"{name} count", int)
-        return _make_grid(start, stop, count, raw.get("spacing", "linear"), name, f"{name} count")
+        count = _bounded(f"{name} count", int, 1)(raw.get("count", 10))
+        return _make_grid(start, stop, count, raw.get("spacing", "linear"), name)
     if isinstance(raw, str):
         raw = raw.split(",")
     if not isinstance(raw, (list, tuple)):
@@ -391,21 +405,20 @@ def _parse_grid(raw, name: str) -> tuple[float, ...]:
     return tuple(_number(x, name) for x in raw)
 
 
-def _make_grid(start: float, stop: float, count: int, spacing: str, name: str,
-               count_name: str) -> tuple[float, ...]:
-    """``count`` values from ``start`` to ``stop``, with errors naming the
-    grid ``name`` and its count ``count_name``: the flags or keys given."""
-    if count < 1:
-        raise CliError(f"{count_name} must be >= 1, got {count}")
+def _make_grid(start: float, stop: float, count: int, spacing: str,
+               name: str) -> tuple[float, ...]:
+    """``count`` (>= 1) values from ``start`` to ``stop``, with errors naming
+    the grid ``name``: the flag or key given.  A linear grid ends at ``stop``."""
     if count == 1:
         return (start,)
     if spacing == "log":
-        if start <= 0:
-            raise CliError(f"{name} start must be > 0 for a log grid, got {start}")
+        for end, value in (("start", start), ("stop", stop)):
+            if not value > 0:
+                raise CliError(f"{name} {end} must be > 0 for a log grid, got {value}")
         return _log_grid(start, stop, count)
     if spacing != "linear":
         raise CliError(f"{name} spacing must be 'linear' or 'log', got {spacing!r}")
-    return tuple(start + _grid_offset(stop - start, k, count - 1) for k in range(count))
+    return (*(start + _grid_offset(stop - start, k, count - 1) for k in range(count - 1)), stop)
 
 
 def _grid_offset(width: float, k: int, n: int) -> float:
@@ -524,24 +537,19 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_distribution(args) -> int:
     cfg = _resolve_args(args, "node", "controller")
-    # an infinite rate, or a deadline, probability or time outside the law's domain
+    # an infinite rate, or a probability outside the law's domain
     with _usage_errors():
         dist = build_distribution(cfg.node, cfg.controller, solve_rates(cfg.node, cfg.controller))
         if args.deadline_us is not None:
-            p = prob_within_deadline(dist, _deadline_s(args.deadline_us))
+            p = prob_within_deadline(dist, args.deadline_us * 1e-6)
             print(f"P(sojourn <= {args.deadline_us:g} us) = {p:.6f}")
-        if args.quantiles:
-            ps = [_number(x, "--quantiles") for x in args.quantiles.split(",")]
-            rows = [{"p": p, "quantile": quantile(dist, p)} for p in ps]
+        if args.quantiles is not None:
+            rows = [{"p": p, "quantile": quantile(dist, p)} for p in args.quantiles]
             _write_table(cfg, ["p", "quantile"], rows)
             return 0
-        points = args.points
-        if points < 2:
-            raise CliError(f"--points must be >= 2, got {points}")
-        t_max = args.t_max if args.t_max is not None else quantile(dist, 0.9999)
-        if not 0.0 < t_max < math.inf:
-            raise CliError(f"--t-max must be positive and finite, got {t_max}")
-        ts = [_grid_offset(t_max, k, points - 1) for k in range(points)]
+        # the default horizon is held to the flag's domain too
+        t_max = _read_t_max(args.t_max if args.t_max is not None else quantile(dist, 0.9999))
+        ts = _make_grid(0.0, t_max, args.points, "linear", "--t-max")
         density, tail = _pdf_ccdf(dist, ts)
         rows = [{"t": t, "pdf": pdf, "ccdf": ccdf}
                 for t, pdf, ccdf in zip(ts, density.tolist(), tail.tolist())]
@@ -611,7 +619,7 @@ def _cmd_dimension(args) -> int:
                         report=args.delay_bound_us is not None)
     node, ctrl = cfg.node, cfg.controller
     if args.delay_bound_us is not None:
-        bound = _delay_bound_s(args.delay_bound_us)
+        bound = args.delay_bound_us * 1e-6
         with _usage_errors():
             res = max_throughput(bound, q_nf=node.q_nf, mu_switch=node.mu_switch,
                                  mu_controller=ctrl.mu_controller)
@@ -623,12 +631,10 @@ def _cmd_dimension(args) -> int:
                          [{"delay_bound": bound, "throughput": res.rate,
                            "feasible": res.feasible}])
         return 0
-    if args.curve_points < 2:
-        raise CliError(f"--curve-points must be >= 2, got {args.curve_points}")
-    with _usage_errors():
+    with _usage_errors():  # where 100 times the zero-load sojourn overflows, no grid
         grid = default_delay_bound_grid(node.q_nf, node.mu_switch, ctrl.mu_controller,
                                         points=args.curve_points)
-    rows = sweep(SweepSpec("delay_bound", grid, node, ctrl, outputs=("throughput",)))
+        rows = sweep(SweepSpec("delay_bound", grid, node, ctrl, outputs=("throughput",)))
     _write_table(cfg, ["delay_bound", "throughput"], rows)
     return 0
 
@@ -666,11 +672,10 @@ def _side_by_side(key: str, series: list[tuple[str, str, SweepSpec]]) -> list[di
 def _figure_table(args, cfg: RunConfig) -> tuple[list[str], list[dict]]:
     """Columns and rows of one canned figure; every series is one ``sweep``."""
     node, ctrl = cfg.node, cfg.controller
-    rho_grid = _parse_grid(args.rho_grid, "--rho-grid")
-    q_set = [_number(x, "--q-set") for x in args.q_set.split(",")]
 
     def rho_sweep(outputs, node=node, controller=ctrl, **kw) -> SweepSpec:
-        return SweepSpec("rho_controller", rho_grid, node, controller, outputs, sim=cfg.sim, **kw)
+        return SweepSpec("rho_controller", args.rho_grid, node, controller, outputs,
+                         sim=cfg.sim, **kw)
 
     if args.name == "fig2":
         spec = rho_sweep(("naive_mean", "analytic_mean", "simulated_mean"))
@@ -686,27 +691,26 @@ def _figure_table(args, cfg: RunConfig) -> tuple[list[str], list[dict]]:
                  "status"], rows)
     key, status = "rho_c", ["status"]
     if args.name == "fig4":
-        nodes = [replace(node, q_nf=q) for q in q_set]  # each q checked before the grid
+        nodes = [replace(node, q_nf=q) for q in args.q_set]  # each q checked before the grid
         # common log grid spanning every q's knee through deep saturation
-        w0s = [zero_load_sojourn(q, node.mu_switch, ctrl.mu_controller) for q in q_set]
+        w0s = [zero_load_sojourn(q, node.mu_switch, ctrl.mu_controller) for q in args.q_set]
         grid = _make_grid(1.05 * min(w0s), 100.0 * max(w0s), args.points, "log",
-                          "fig4 delay_bound grid", "--points")
+                          "fig4 delay_bound grid")
         series = [(f"throughput_qnf_{q:g}", f"q_nf={q:g}",
                    SweepSpec("delay_bound", grid, nd, ctrl, ("throughput",)))
-                  for q, nd in zip(q_set, nodes)]
+                  for q, nd in zip(args.q_set, nodes)]
         key, status = "delay_bound", []
     elif args.name == "fig5":
-        mu_c_us = [_number(x, "--mu-c-us-set") for x in args.mu_c_us_set.split(",")]
         series = [(f"sojourn_mu_c_us_{v:g}", f"mu_c_us={v:g}",
                    rho_sweep(("analytic_mean",),
                              controller=ControllerParams(_rate_from_us(v, "--mu-c-us-set"))))
-                  for v in mu_c_us]
+                  for v in args.mu_c_us_set]
     else:  # fig6
         label = f"{args.deadline_us / 1000.0:g}ms"
         series = [(f"p_within_{label}_qnf_{q:g}", f"q_nf={q:g}",
                    rho_sweep(("deadline_prob",), replace(node, q_nf=q),
-                             deadline=_deadline_s(args.deadline_us)))
-                  for q in q_set]
+                             deadline=args.deadline_us * 1e-6))
+                  for q in args.q_set]
     columns = [column for column, _, _ in series]
     for i, column in enumerate(columns):
         if column in columns[:i]:
@@ -731,11 +735,9 @@ def _cmd_figure(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    numbers = ([_number(x, "--criteria", int) for x in args.criteria.split(",")]
-               if args.criteria else None)
     seed = _resolve_args(args, "sim").sim.seed
     with _usage_errors():
-        results = validation.run_criteria(numbers, quick=args.quick, seed=seed)
+        results = validation.run_criteria(args.criteria, quick=args.quick, seed=seed)
     for res in results:
         print(res.line())
     failed = [r.number for r in results if not r.passed]
@@ -771,10 +773,14 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("distribution", help="pdf/ccdf or quantile tables")
     _add_flags(p, *_keys("node", "controller", "output"), config=True)
-    p.add_argument("--t-max", type=float, help="table horizon (seconds)")
-    p.add_argument("--points", type=int, default=200)
-    p.add_argument("--quantiles", help="comma list of probabilities; emit quantile table")
-    p.add_argument("--deadline-us", type=float, help="also print P(sojourn <= deadline)")
+    p.add_argument("--t-max", type=_read_t_max,
+                   help="table horizon (s), > 0 and finite (default: the 0.9999 quantile)")
+    p.add_argument("--points", type=_bounded("--points", int, 2), default=200,
+                   help="table rows, an integer >= 2 (default %(default)s)")
+    p.add_argument("--quantiles", type=_numbers("--quantiles"),
+                   help="comma list of probabilities in [0, 1): emit a quantile table")
+    p.add_argument("--deadline-us", type=_bounded("--deadline-us"),
+                   help="also print P(sojourn <= deadline); us, >= 0, inf allowed")
     p.set_defaults(fn=_cmd_distribution)
 
     p = sub.add_parser("simulate", help="discrete-event simulation of one node")
@@ -792,9 +798,10 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("dimension", help="max admissible throughput for a delay bound")
     _add_flags(p, "q_nf", "mu_switch", "mu_switch_us", *_keys("controller"))
-    p.add_argument("--delay-bound-us", type=float, help="single delay bound (microseconds)")
-    p.add_argument("--curve-points", type=int, default=40,
-                   help="points of the default bound grid when no single bound given")
+    p.add_argument("--delay-bound-us", type=_bounded("--delay-bound-us", above=True),
+                   help="single delay bound (us), > 0, inf allowed (default: a curve)")
+    p.add_argument("--curve-points", type=_bounded("--curve-points", int, 2), default=40,
+                   help="points of the curve's bound grid, an integer >= 2 (default %(default)s)")
     _add_flags(p, *_keys("output"), config=True)
     p.set_defaults(fn=_cmd_dimension)
 
@@ -805,14 +812,17 @@ def build_parser() -> _Parser:
     p = sub.add_parser("figure", help="emit the data file behind one canned figure")
     p.add_argument("name", choices=_FIGURES)
     _add_flags(p, "mu_switch", "mu_switch_us", *_keys("controller"), "q_nf")
-    p.add_argument("--q-set", default="0.2,0.5,1",
-                   help="comma list of q_nf values (fig4, fig6)")
-    p.add_argument("--mu-c-us-set", default="120,240,480",
-                   help="comma list of controller service times in us (fig5)")
-    p.add_argument("--rho-grid", default="0.1:0.9:9",
-                   help="controller-load grid (fig2, fig3, fig5, fig6)")
-    p.add_argument("--deadline-us", type=float, default=500.0)
-    p.add_argument("--points", type=int, default=40, help="delay-bound grid size (fig4)")
+    p.add_argument("--q-set", type=_numbers("--q-set"), default="0.2,0.5,1",
+                   help="comma list of q_nf values in [0, 1] (fig4, fig6; default %(default)s)")
+    p.add_argument("--mu-c-us-set", type=_numbers("--mu-c-us-set"), default="120,240,480",
+                   help="comma list of controller times (us), > 0 (fig5; default %(default)s)")
+    p.add_argument("--rho-grid", type=functools.partial(_parse_grid, name="--rho-grid"),
+                   default="0.1:0.9:9", help="increasing controller loads > 0, a comma list "
+                   "or start:stop:count[:log] (fig2, fig3, fig5, fig6; default %(default)s)")
+    p.add_argument("--deadline-us", type=_bounded("--deadline-us"), default=500.0,
+                   help="deadline (us), >= 0, inf allowed (fig6; default %(default)g)")
+    p.add_argument("--points", type=_bounded("--points", int, 1), default=40,
+                   help="delay-bound grid size, an integer >= 1 (fig4; default %(default)s)")
     _add_flags(p, "seed", "packets_per_replication", "replications")
     p.add_argument("--quick", action="store_true", help="small simulations (20k packets)")
     _add_flags(p, *_keys("output"))
@@ -821,7 +831,8 @@ def build_parser() -> _Parser:
     p = sub.add_parser("validate", help="run the acceptance criteria")
     p.add_argument("--quick", action="store_true",
                    help="reduced packet counts, rescaled tolerances, < 30 s")
-    p.add_argument("--criteria", help="comma list of criterion numbers (default all)")
+    p.add_argument("--criteria", type=_numbers("--criteria", int),
+                   help="comma list of criterion numbers (default all)")
     _add_flags(p, "seed")
     p.set_defaults(fn=_cmd_validate)
     return parser

@@ -166,7 +166,8 @@ def default_delay_bound_grid(q_nf: float, mu_switch: float, mu_controller: float
 
 def _log_grid(start: float, stop: float, points: int) -> tuple[float, ...]:
     """``points`` values from ``start`` to ``stop`` (both > 0), evenly spaced
-    in log; one point is ``start`` itself."""
+    in log: each is exp of an evenly spaced log, so the first and last may
+    miss ``start`` and ``stop`` by an ulp.  A single point is ``start``."""
     if points == 1:
         return (start,)
     lo, hi = math.log(start), math.log(stop)

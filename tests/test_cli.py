@@ -14,12 +14,13 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sdnqueue import cli
 from sdnqueue.analytic import ChainModel, ControllerParams, NodeParams, rate_from_us, solve_chain
-from sdnqueue.dimensioning import SWEEP_OUTPUTS, SWEEP_VARIABLES, SweepSpec
+from sdnqueue.dimensioning import (SWEEP_OUTPUTS, SWEEP_VARIABLES, SweepSpec,
+                                   stability_supremum)
 from sdnqueue.simulate import SimConfig
 from sdnqueue import validation
 
@@ -1064,3 +1065,193 @@ class TestConfigProperties:
         rc, err = _main(["simulate"] + NODE_FLAGS + [flag, value])
         assert rc == 1
         assert err.startswith("error: ")
+
+
+DIMENSION_FLAGS = ["--q-nf", "0.5", "--mu-switch-us", "9.8", "--mu-controller-us", "240"]
+
+# (command line, command-only flag, bad value): each flag on each command
+# that takes it, on a path that does not read it where there is one
+_BAD_COMMAND_ONLY = [
+    (["distribution", *NODE_FLAGS, "--quantiles", "0.5"], "--t-max", "-1"),
+    (["distribution", *NODE_FLAGS, "--quantiles", "0.5"], "--points", "1"),
+    (["distribution", *NODE_FLAGS], "--points", "x"),
+    (["distribution", *NODE_FLAGS], "--quantiles", ""),
+    (["distribution", *NODE_FLAGS], "--deadline-us", "-5"),
+    (["dimension", *DIMENSION_FLAGS, "--delay-bound-us", "500"], "--curve-points", "1"),
+    (["dimension", *DIMENSION_FLAGS], "--delay-bound-us", "0"),
+    (["figure", "fig4", "--quick"], "--mu-c-us-set", "x"),
+    (["figure", "fig4", "--quick"], "--rho-grid", "x"),
+    (["figure", "fig5", "--quick"], "--q-set", "x"),
+    (["figure", "fig2", "--quick"], "--deadline-us", "-5"),
+    (["figure", "fig2", "--quick"], "--points", "0"),
+    (["validate", "--quick"], "--criteria", ""),
+]
+
+
+class TestCommandOnlyFlags:
+    """A command-only flag is read when the command line is parsed, on every
+    command that takes it, whatever path the command then runs."""
+
+    @pytest.mark.parametrize("argv, flag, value", _BAD_COMMAND_ONLY)
+    def test_bad_value_is_one_error_line(self, argv, flag, value, tmp_path, capsys):
+        out = tmp_path / "out.csv"
+        output = [] if argv[0] == "validate" else ["--output", str(out)]
+        assert cli.main(argv + [flag, value] + output) == 1
+        printed, err = capsys.readouterr()
+        assert printed == "" and not out.exists()
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: ") and flag in err
+
+    @pytest.mark.parametrize("argv, flag, value", _BAD_COMMAND_ONLY)
+    def test_help_before_a_bad_value_wins(self, argv, flag, value, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv + ["--help", flag, value])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith(f"usage: sdnqueue {argv[0]}")
+
+    @pytest.mark.parametrize("argv, message", [
+        (["distribution"] + NODE_FLAGS + ["--points", "x"],
+         "'--points' must be an integer, got 'x'"),
+        (["distribution"] + NODE_FLAGS + ["--t-max", "inf"],
+         "--t-max must be > 0 and finite, got inf"),
+        (["distribution"] + NODE_FLAGS + ["--t-max", "-0"],
+         "--t-max must be > 0 and finite, got -0"),
+        (["dimension"] + DIMENSION_FLAGS + ["--curve-points", "2.5"],
+         "'--curve-points' must be an integer, got '2.5'"),
+        (["dimension"] + DIMENSION_FLAGS + ["--delay-bound-us", "-inf"],
+         "--delay-bound-us must be > 0, got -inf"),
+        (["figure", "fig2", "--rho-grid", "0.1:-1:3:log"],
+         "--rho-grid stop must be > 0 for a log grid, got -1.0"),
+        # reported before the node error that the command would meet first
+        (["distribution", "--lam", "x", "--points", "1"], "--points must be >= 2, got 1"),
+    ])
+    def test_message(self, argv, message, capsys):
+        assert cli.main(argv) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("argv, stop", [
+        (["distribution"] + NODE_FLAGS + ["--t-max", "0.7889346277843776", "--points", "27"],
+         0.7889346277843776),
+        (["sweep"] + NODE_FLAGS + ["--variable", "lambda", "--grid", "0.479:1.635:7",
+                                   "--outputs", "analytic_mean"], 1.635),
+    ])
+    def test_linear_grid_ends_at_its_stop(self, argv, stop, tmp_path, capsys):
+        # width * k / n rounds off stop at k = n for these
+        out = tmp_path / "out.csv"
+        assert cli.main(argv + ["--output", str(out)]) == 0
+        capsys.readouterr()
+        assert float(read_csv(out)[1][-1][0]) == stop
+
+
+# Values at the edges of every numeric domain, and forms a flag may be
+# mistaken for: given to any flag of analyze, distribution, dimension and
+# sweep, unless _FLAG_VALUES names the flag's own values
+_EDGE_VALUES = ["0", "-0", "5e-324", "1e-300", "1e308", "1.7e308", "inf", "-inf", "nan",
+                "-1", "x", "-0.1,0.2", "0:1e308:3"]
+_EDGES = st.sampled_from(_EDGE_VALUES)
+_ANALYTIC_OUTPUTS = [o for o in SWEEP_OUTPUTS if o != "simulated_mean"]
+_FLAG_VALUES = {
+    # capped: a table holds every point in memory
+    "--points": _EDGES | st.integers(-2, 60).map(str),
+    "--curve-points": _EDGES | st.integers(-2, 60).map(str),
+    "--t-max": _EDGES | st.floats(1e-7, 10.0).map(repr),
+    "--grid": _EDGES | st.builds(lambda a, w, n: f"{a!r}:{a + w!r}:{n}", st.floats(0.0, 1.0),
+                                 st.floats(0.0, 10.0), st.integers(2, 30)),
+    "--variable": _EDGES | st.sampled_from(SWEEP_VARIABLES),
+    "--outputs": _EDGES | st.lists(st.sampled_from(_ANALYTIC_OUTPUTS), min_size=1,
+                                   max_size=3).map(",".join),
+    "--format": _EDGES | st.just("csv"),
+}
+# the test names the output file, in CSV, to read the table back
+_NOT_DRAWN = {"-h", "--help", "--output", "--config"}
+_NODE_BASE = dict(zip(NODE_FLAGS[::2], NODE_FLAGS[1::2]))
+_BASES = {"analyze": _NODE_BASE, "distribution": _NODE_BASE,
+          "dimension": dict(zip(DIMENSION_FLAGS[::2], DIMENSION_FLAGS[1::2])),
+          "sweep": {**_NODE_BASE, "--variable": "lambda", "--grid": "1000:3000:3",
+                    "--outputs": "analytic_mean,deadline_prob"}}
+# columns that hold a value given: inf there is the input, not a result
+_INPUT_COLUMNS = {"lambda", "mu_switch", "mu_controller", "q_nf", "delay_bound"}
+
+
+def _options(command):
+    subparsers = next(a.choices for a in cli.build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    return sorted(o for a in subparsers[command]._actions
+                  for o in a.option_strings[:1] if o not in _NOT_DRAWN)
+
+
+@st.composite
+def _command_lines(draw):
+    """A command from a valid base line, with one or two of its options set
+    to drawn values, each as --flag=value or as two tokens; an option given
+    replaces the base's value of it and of its other unit."""
+    command = draw(st.sampled_from(sorted(_BASES)))
+    flags = dict(_BASES[command])
+    for flag in draw(st.lists(st.sampled_from(_options(command)), min_size=1, max_size=2,
+                              unique=True)):
+        flags = {f: v for f, v in flags.items() if not (f.startswith(flag) or flag.startswith(f))}
+        flags[flag] = draw(_FLAG_VALUES.get(flag, _EDGES))
+    joined = draw(st.booleans())
+    return [command, *(token for flag, value in flags.items()
+                       for token in ([f"{flag}={value}"] if joined else [flag, value]))]
+
+
+def _rows(path):
+    header, rows = read_csv(path)
+    return [dict(zip(header, row)) for row in rows]
+
+
+class TestCommandLineContract:
+    @settings(max_examples=400, derandomize=True, deadline=None)
+    @given(argv=_command_lines())
+    @example(argv=["distribution", *NODE_FLAGS, "--t-max", "1e308", "--points", "3"])
+    @example(argv=["distribution", *NODE_FLAGS, "--t-max=0.7889346277843776", "--points=27"])
+    @example(argv=["sweep", *NODE_FLAGS, "--variable", "mu_controller", "--grid",
+                   "1e5:1.5e308:3", "--outputs", "analytic_mean,deadline_prob"])
+    @example(argv=["dimension", "--q-nf", "0", "--mu-switch", "inf", "--mu-controller", "1",
+                   "--delay-bound-us", "5"])
+    @example(argv=["dimension", "--q-nf=0.5", "--mu-switch=inf", "--mu-controller=1e308"])
+    # 100 times the zero-load sojourn overflows: no curve (this raised ValueError)
+    @example(argv=["dimension", "--q-nf", "0.5", "--mu-switch", "1e-307", "--mu-controller", "1"])
+    def test_exit_code_and_output(self, argv, tmp_path_factory):
+        """Exit 0 writes no blank, NaN or inf result in an ok row, and a
+        linear grid ends at its stop; exit 1 prints one error line and
+        writes nothing; exit 2 is the unstable report; nothing raises.  A
+        throughput may be inf only where the stability supremum is: where
+        the zero-load sojourn is 0, or the rate admitted passes the float
+        range."""
+        out = tmp_path_factory.getbasetemp() / "contract.csv"
+        out.unlink(missing_ok=True)
+        with redirect_stdout(io.StringIO()) as printed, redirect_stderr(io.StringIO()) as err:
+            rc = cli.main(argv + ["--output", str(out)])
+        printed, err = printed.getvalue(), err.getvalue()
+        if rc == 1:
+            assert len(err.splitlines()) == 1 and err.startswith("error: ")
+            assert not out.exists()
+            return
+        if rc == 2:
+            assert (err.startswith("error: unstable: ") and len(err.splitlines()) == 1
+                    or argv[0] == "analyze" and "verdict: unstable: " in printed)
+            return
+        assert rc == 0 and err == ""
+        args = cli.build_parser().parse_args(argv)
+        cfg = cli.resolve({}, vars(args), ("node", "controller"), {"node": {"lambda": 1.0}})
+        sup = stability_supremum(cfg.node.q_nf, cfg.node.mu_switch, cfg.controller.mu_controller)
+        rows = _rows(out)
+        for row in rows:
+            if row.get("status", row.get("verdict", "ok")) not in ("ok", "stable"):
+                continue
+            for column, cell in row.items():
+                assert cell != "", (column, row)
+                try:
+                    value = float(cell)
+                except ValueError:
+                    continue
+                assert not math.isnan(value), (column, row)
+                assert (math.isfinite(value) or column in _INPUT_COLUMNS
+                        or column == "throughput" and sup == math.inf), (column, row)
+        if argv[0] == "distribution" and args.t_max is not None and args.quantiles is None:
+            assert [float(rows[i]["t"]) for i in (0, -1)] == [0.0, args.t_max]
+        grid = vars(args).get("grid") or ""
+        if argv[0] == "sweep" and grid.count(":") == 2:
+            assert float(rows[-1][args.variable]) == float(grid.split(":")[1])
